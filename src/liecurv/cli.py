@@ -368,8 +368,10 @@ def run(req: RunRequest) -> dict:
 
     if req.command == "section":
         p = np.asarray(req.point, dtype=float)
+        if p.shape != (3,) or not np.all(np.isfinite(p)):
+            raise ValueError("--point must be a finite 3-vector")
         n = np.linalg.norm(p)
-        if p.shape != (3,) or n < 1e-12:
+        if n < 1e-12:
             raise ValueError("--point must be a nonzero 3-vector")
         p = p / n
         cfg = _config(req)
@@ -394,10 +396,12 @@ def write_result(doc: dict, fmt: str = "json", out: str | None = None) -> str:
 
     JSON uses sorted keys and fixed separators so identical requests yield
     byte-identical bytes. CSV emits the trajectory only (17 significant
-    digits) and therefore requires a transport or holonomy result.
+    digits) and therefore requires a transport or holonomy result. A
+    non-finite number raises ValueError in either format: NaN and infinity
+    are not valid JSON, and no result may carry them.
     """
     if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     elif fmt == "csv":
         traj = doc.get("trajectory") or []
         if not traj:
@@ -406,6 +410,8 @@ def write_result(doc: dict, fmt: str = "json", out: str | None = None) -> str:
         lines = ["t," + ",".join(f"x{i + 1}" for i in range(d)) + ",qw,qx,qy,qz"]
         for row in traj:
             vals = [row["t"], *row["x"], *row["quat"]]
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"non-finite value in trajectory row at t = {row['t']!r}")
             lines.append(",".join("%.17g" % v for v in vals))
         text = "\n".join(lines) + "\n"
     else:

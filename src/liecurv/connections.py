@@ -10,6 +10,11 @@ with the same structure group.
 Base points for surface forms live in chart coordinates; tangent vectors are
 pushed to the embedding through the chart tangent map before the normal and
 shape operator act on them.
+
+Catalog forms and sphere charts are *vectorized*: besides single points
+they accept stacks of shape (n, d) and return stacks, so the transport
+engine evaluates a whole block of nodes in one call. Forms built from user
+callables (and :func:`parametric_surface`) are evaluated one point at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ class LocalConnectionForm:
     ``evaluate(x, v)`` must be linear in ``v``; ``descriptor`` names the
     construction and drives the curvature catalog in
     :func:`curvature_closed_form`. ``surface``/``radius`` carry extra data
-    for surface-rolling forms.
+    for surface-rolling forms. ``vectorized`` declares that ``evaluate``
+    also maps stacks of shape (n, base_dim) to stacks of shape (n, 3).
     """
 
     base_dim: int
@@ -44,6 +50,7 @@ class LocalConnectionForm:
     descriptor: str
     radius: float | None = None
     surface: "Surface | None" = None
+    vectorized: bool = False
 
     def __call__(self, x, v) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -86,6 +93,7 @@ def natural_form() -> LocalConnectionForm:
         base_dim=3,
         evaluate=lambda x, v: -v,
         descriptor="natural-so3",
+        vectorized=True,
     )
 
 
@@ -150,10 +158,10 @@ def plane_rolling_form() -> LocalConnectionForm:
     """
 
     def evaluate(x, v):
-        jv = j_plane(v)
-        return np.array([-jv[0], -jv[1], 0.0])
+        # -(J(v), 0) with J(v1, v2) = (v2, -v1), on the last axis
+        return np.stack([-v[..., 1], v[..., 0], np.zeros_like(v[..., 0])], axis=-1)
 
-    return LocalConnectionForm(base_dim=2, evaluate=evaluate, descriptor="plane-rolling")
+    return LocalConnectionForm(base_dim=2, evaluate=evaluate, descriptor="plane-rolling", vectorized=True)
 
 
 def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
@@ -166,11 +174,11 @@ def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
         raise ValueError(f"pullback_form expects a 3 x d matrix, got shape {f.shape}")
     if inner.base_dim != 3:
         raise ValueError("pullback_form requires the inner form to live on R^3")
-    d = f.shape[1]
     return LocalConnectionForm(
-        base_dim=d,
-        evaluate=lambda x, v: inner(f @ x, f @ v),
+        base_dim=f.shape[1],
+        evaluate=lambda x, v: inner.evaluate(x @ f.T, v @ f.T),
         descriptor=f"pullback[{inner.descriptor}]",
+        vectorized=inner.vectorized,
     )
 
 
@@ -186,6 +194,9 @@ class Surface:
     ``normal`` and ``shape_derivative`` are the same maps as functions of the
     embedded point; they are provided for surfaces with closed-form Gauss
     maps (spheres, planes) and are None for generic numeric charts.
+
+    ``vectorized`` declares that every map also takes stacks of chart points
+    of shape (n, 2) (and embedded vectors of shape (n, 3)) and returns stacks.
     """
 
     kind: str
@@ -195,6 +206,7 @@ class Surface:
     shape_derivative_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
     normal: Callable[[np.ndarray], np.ndarray] | None = None
     shape_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    vectorized: bool = False
 
 
 def _orthonormal_frame(frame) -> np.ndarray:
@@ -226,29 +238,33 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
     if side not in ("outer", "inner"):
         raise ValueError(f"side must be 'outer' or 'inner', got {side!r}")
     F = _orthonormal_frame(frame)
-    f1, f2, f3 = F[:, 0], F[:, 1], F[:, 2]
     sign = 1.0 if side == "outer" else -1.0
 
-    def chart(u):
+    def colatitude(u, what):
         u = np.asarray(u, dtype=float)
-        if u.shape != (2,):
-            raise ValueError("sphere chart expects (colatitude, longitude)")
-        th, ph = u
-        if not (POLAR_CAP <= th <= np.pi - POLAR_CAP):
+        if u.shape[-1:] != (2,):
+            raise ValueError("sphere chart expects (colatitude, longitude) pairs")
+        th = u[..., 0]
+        outside = ~((POLAR_CAP <= th) & (th <= np.pi - POLAR_CAP))  # NaN is outside too
+        if np.any(outside):
+            bad = float(np.ravel(th)[np.argmax(np.ravel(outside))])
             raise ValueError(
-                f"chart point colatitude {th:.6f} lies in the polar cap "
+                f"{what} at colatitude {bad:.6f} lies in the polar cap "
                 f"(must stay within [{POLAR_CAP}, pi - {POLAR_CAP}])"
             )
-        return r * (np.sin(th) * np.cos(ph) * f1 + np.sin(th) * np.sin(ph) * f2 + np.cos(th) * f3)
+        return th, u[..., 1]
+
+    def chart(u):
+        th, ph = colatitude(u, "chart point")
+        st = np.sin(th)
+        return r * np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1) @ F.T
 
     def chart_tangent(u):
-        u = np.asarray(u, dtype=float)
-        th, ph = u
-        if not (POLAR_CAP <= th <= np.pi - POLAR_CAP):
-            raise ValueError(f"chart tangent requested in the polar cap (colatitude {th:.6f})")
-        d_th = r * (np.cos(th) * np.cos(ph) * f1 + np.cos(th) * np.sin(ph) * f2 - np.sin(th) * f3)
-        d_ph = r * (-np.sin(th) * np.sin(ph) * f1 + np.sin(th) * np.cos(ph) * f2)
-        return np.column_stack([d_th, d_ph])
+        th, ph = colatitude(u, "chart tangent")
+        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        d_th = np.stack([ct * cp, ct * sp, -st], axis=-1) @ F.T
+        d_ph = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1) @ F.T
+        return r * np.stack([d_th, d_ph], axis=-1)
 
     def normal(x):
         x = np.asarray(x, dtype=float)
@@ -258,14 +274,19 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         v = np.asarray(v, dtype=float)
         return sign * v / r
 
+    def shape_derivative_at(u, v_emb):
+        colatitude(u, "chart point")  # Dn is the same at every point; only the refusal needs u
+        return shape_derivative(None, v_emb)
+
     return Surface(
         kind=f"sphere-{side}",
         chart=chart,
         chart_tangent=chart_tangent,
         normal_at=lambda u: normal(chart(u)),
-        shape_derivative_at=lambda u, v_emb: shape_derivative(chart(u), v_emb),
+        shape_derivative_at=shape_derivative_at,
         normal=normal,
         shape_derivative=shape_derivative,
+        vectorized=True,
     )
 
 
@@ -339,13 +360,14 @@ def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
 
     def evaluate(u, v):
         T = surface.chart_tangent(u)
-        area = np.linalg.norm(np.cross(T[:, 0], T[:, 1]))
-        scale = np.linalg.norm(T[:, 0]) * np.linalg.norm(T[:, 1])
-        if area <= 1e-12 * max(scale, 1e-300):
+        t1, t2 = T[..., 0], T[..., 1]
+        area = np.linalg.norm(np.cross(t1, t2), axis=-1)
+        scale = np.linalg.norm(t1, axis=-1) * np.linalg.norm(t2, axis=-1)
+        if np.any(area <= 1e-12 * np.maximum(scale, 1e-300)):
             raise ValueError("chart tangent map singular at the requested point")
-        v_emb = T @ v
+        v_emb = np.einsum("...ij,...j->...i", T, v)
         n = surface.normal_at(u)
-        return -cross(n, v_emb + surface.shape_derivative_at(u, v_emb))
+        return -np.cross(n, v_emb + surface.shape_derivative_at(u, v_emb))
 
     return LocalConnectionForm(
         base_dim=2,
@@ -353,6 +375,7 @@ def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
         descriptor=surface.kind,
         radius=radius,
         surface=surface,
+        vectorized=surface.vectorized,
     )
 
 

@@ -136,21 +136,22 @@ def expm(A) -> np.ndarray:
 
 
 def quat_mul(p, q) -> np.ndarray:
-    """Hamilton product of quaternions given as (w, x, y, z)."""
+    """Hamilton product of quaternions given as (w, x, y, z).
+
+    Stacks of shape (..., 4) multiply elementwise, with broadcasting.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != (4,) or q.shape != (4,):
-        raise ValueError("quat_mul expects two 4-vectors")
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return np.array(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ]
-    )
+    if p.shape[-1:] != (4,) or q.shape[-1:] != (4,):
+        raise ValueError("quat_mul expects quaternions of shape (..., 4)")
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., 0] = pw * qw - px * qx - py * qy - pz * qz
+    out[..., 1] = pw * qx + px * qw + py * qz - pz * qy
+    out[..., 2] = pw * qy - px * qz + py * qw + pz * qx
+    out[..., 3] = pw * qz + px * qy - py * qx + pz * qw
+    return out
 
 
 def quat_conj(q) -> np.ndarray:
@@ -165,18 +166,17 @@ def quat_exp(u) -> np.ndarray:
     """Exponential of the pure quaternion with imaginary part ``u``.
 
     Returns the unit quaternion (cos|u|, sin|u| * u/|u|); the sinc factor
-    uses its Taylor expansion below 1e-6.
+    uses its Taylor expansion below 1e-6. A stack of shape (..., 3) gives
+    a stack of shape (..., 4).
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (3,):
-        raise ValueError(f"quat_exp expects a 3-vector, got shape {u.shape}")
-    theta = float(np.linalg.norm(u))
-    if theta < _EPS_ANGLE:
-        t2 = theta * theta
-        sinc = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    else:
-        sinc = np.sin(theta) / theta
-    return np.array([np.cos(theta), sinc * u[0], sinc * u[1], sinc * u[2]])
+    if u.shape[-1:] != (3,):
+        raise ValueError(f"quat_exp expects vectors of shape (..., 3), got shape {u.shape}")
+    theta = np.linalg.norm(u, axis=-1)
+    t2 = theta * theta
+    small = theta < _EPS_ANGLE
+    sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / np.where(small, 1.0, theta))
+    return np.concatenate([np.cos(theta)[..., None], sinc[..., None] * u], axis=-1)
 
 
 def quat_to_rotation(q) -> np.ndarray:
@@ -184,22 +184,23 @@ def quat_to_rotation(q) -> np.ndarray:
 
     Both q and -q map to the same rotation. The input must be unit to within
     1e-9; it is renormalized before use so products of many unit factors stay
-    in domain.
+    in domain. A stack of shape (..., 4) gives a stack of shape (..., 3, 3).
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError("quat_to_rotation expects a 4-vector")
-    n2 = float(q @ q)
-    if abs(n2 - 1.0) > 1e-9:
-        raise ValueError(f"quat_to_rotation: |q|^2 = {n2:.12f} is not 1")
-    w, x, y, z = q / np.sqrt(n2)
-    return np.array(
-        [
-            [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
-        ]
-    )
+    if q.shape[-1:] != (4,):
+        raise ValueError("quat_to_rotation expects quaternions of shape (..., 4)")
+    n2 = np.sum(q * q, axis=-1)
+    bad = ~(np.abs(n2 - 1.0) <= 1e-9)  # NaN counts as bad
+    if np.any(bad):
+        first = float(np.ravel(n2)[np.argmax(np.ravel(bad))])
+        raise ValueError(f"quat_to_rotation: |q|^2 = {first:.12f} is not 1")
+    w, x, y, z = np.moveaxis(q / np.sqrt(n2)[..., None], -1, 0)
+    rows = [
+        [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
+    ]
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
 def rotation_to_quat(R) -> np.ndarray:

@@ -11,6 +11,39 @@ Two steppers are provided: "lie-euler" samples a at the left node of each
 interval (first order) and "exp-midpoint" at the interval midpoint (second
 order). The integration grid is the union of a uniform grid with the path's
 registered corner times, so piecewise-smooth paths never straddle a kink.
+
+How the product is evaluated
+----------------------------
+Every public stepper (:func:`transport`, :func:`transport_quat`,
+:func:`time_ordered_product` and :func:`liecurv.verify.lift_transport`)
+runs through one engine, :func:`_compose`. It walks the grid one block of
+at most a few thousand intervals at a time, so memory stays flat on long
+runs, and for each block it
+
+1. samples a(t*) at every node of the block in one call when the form and
+   the path are vectorized (catalog forms and paths are; user callables
+   are evaluated node by node) and refuses non-finite samples;
+2. exponentiates all steps at once as unit quaternions. The SO(3) steppers
+   use half angles, quat_exp(dt a / 2), whose image under the double cover
+   is exactly exp_so3(dt a); the same product is therefore the SO(3) frame
+   (through :func:`liecurv.liecore.quat_to_rotation`) and its continuous
+   quaternion lift;
+3. multiplies the factors, later ones on the left, by a pairwise (tree)
+   reduction within chunks of ``stride`` steps, the sample-recording stride;
+4. turns the chunk products into the running states at the chunk ends by a
+   vectorized prefix scan (Hillis-Steele: log2 passes over the chunks),
+   which are the recorded samples (at most ~1024 per run).
+
+Regrouping the factors is legal because the product is associative, which
+is the paper's concatenation law T(c1 * c2) = T(c2) T(c1) read at the level
+of the grid: the transport over a union of consecutive intervals is the
+product of the transports over the pieces, in any bracketing. A tree
+reduction also accumulates roundoff over O(log n) levels instead of n.
+
+Composition in unit quaternions needs no re-projection onto the group:
+the products stay unit to within a few ulps and ``quat_to_rotation``
+normalizes before it builds a matrix. ``IntegratorConfig.renormalize_every``
+is therefore accepted but has no work left to do.
 """
 
 from __future__ import annotations
@@ -22,9 +55,13 @@ from typing import Callable
 import numpy as np
 
 from .connections import LocalConnectionForm, Surface, sphere_surface
-from .liecore import check_rotation, check_unit_quat, exp_so3, log_so3, project_rotation, quat_exp, quat_mul
+from .liecore import check_rotation, check_unit_quat, exp_so3, log_so3, quat_exp, quat_mul, quat_to_rotation
 
+MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
+_BLOCK = 4096  # intervals evaluated per block (rounded to whole recording chunks)
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+_IDENTITY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -33,6 +70,8 @@ class PathSpec:
 
     ``corners`` lists interior parameter values where the velocity may jump;
     the integrators place grid nodes there. ``closed`` declares c(1) = c(0).
+    ``vectorized`` declares that ``position`` and ``velocity`` also map an
+    array of n times to an (n, d) array.
     """
 
     base_dim: int
@@ -41,14 +80,23 @@ class PathSpec:
     closed: bool
     kind: str = "custom"
     corners: tuple[float, ...] = ()
+    vectorized: bool = False
+
+
+def _check_step_count(name: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+    if n > MAX_STEPS:
+        raise ValueError(f"{name} = {n} exceeds the limit of {MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Stepper selection: method, uniform step count, optional renormalization.
 
-    ``renormalize_every`` re-projects the running product onto the group
-    every that many steps (0 disables; drift is negligible for typical runs).
+    ``steps`` may be at most ``MAX_STEPS``. ``renormalize_every`` is kept
+    for compatibility; quaternion composition stays on the group without it
+    (see the module docstring), so it has no effect.
     """
 
     method: str = "exp-midpoint"
@@ -58,8 +106,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("lie-euler", "exp-midpoint"):
             raise ValueError(f"unknown method {self.method!r}; use 'lie-euler' or 'exp-midpoint'")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        _check_step_count("steps", self.steps)
         if self.renormalize_every < 0:
             raise ValueError("renormalize_every must be nonnegative")
 
@@ -106,6 +153,110 @@ def _check_dims(form: LocalConnectionForm, path: PathSpec) -> None:
         )
 
 
+# ---------------------------------------------------------------------------
+# the stepping engine
+
+
+def _on_path(fn: Callable, path: PathSpec, ts: np.ndarray) -> np.ndarray:
+    """``fn`` (the path's position or velocity) at every time in ``ts``, as an (n, d) array."""
+    if path.vectorized:
+        return np.asarray(fn(ts), dtype=float)
+    return np.array([np.asarray(fn(t), dtype=float) for t in ts])
+
+
+def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times."""
+    _check_dims(form, path)
+    # one guarded evaluation validates shapes; blocks then use the raw callable
+    form(path.position(0.0), path.velocity(0.0))
+    ev = form.evaluate
+
+    def sample(ts):
+        X, V = _on_path(path.position, path, ts), _on_path(path.velocity, path, ts)
+        if form.vectorized:
+            return -np.asarray(ev(X, V), dtype=float)
+        return -np.array([np.asarray(ev(x, v), dtype=float) for x, v in zip(X, V)])
+
+    return sample
+
+
+def _first_bad(ts: np.ndarray, values: np.ndarray) -> float | None:
+    """The first time whose row of ``values`` is not finite, or None."""
+    bad = ~np.all(np.isfinite(values), axis=-1)
+    return float(ts[np.argmax(bad)]) if np.any(bad) else None
+
+
+def _prefix_products(P: np.ndarray) -> np.ndarray:
+    """Inclusive scan S_j = P_j ... P_1 P_0 (later factors on the left) in log2 passes."""
+    S = P.copy()
+    d = 1
+    while d < len(S):
+        S[d:] = quat_mul(S[d:], S[:-d])
+        d *= 2
+    return S
+
+
+def _compose(
+    sample: Callable[[np.ndarray], np.ndarray],
+    nodes: np.ndarray,
+    midpoint: bool,
+    scale: float,
+    q0: np.ndarray,
+    algebra_log: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered product of quat_exp(scale dt_k a(t*_k)) over the grid, applied to q0.
+
+    ``sample`` maps an array of times to the (n, 3) algebra inputs there;
+    ``scale`` is 1/2 for SO(3) transport (half angles) and 1 for quaternion
+    transport. Returns ``(ends, Q)``: states are recorded after every
+    ``stride`` intervals and after the last, where stride is the smallest
+    step keeping at most _MAX_RECORDED samples; ``ends`` holds the interval
+    counts of the recorded states and ``Q`` the states, shape (len(ends), 4).
+    Non-finite samples, step quaternions or products raise ValueError.
+    """
+    n = len(nodes) - 1
+    stride = max(1, -(-n // _MAX_RECORDED))
+    block = stride * max(1, _BLOCK // stride)
+    q = q0
+    recorded = []
+    for k0 in range(0, n, block):
+        k1 = min(k0 + block, n)
+        t0 = nodes[k0:k1]
+        dt = nodes[k0 + 1 : k1 + 1] - t0
+        ts = t0 + 0.5 * dt if midpoint else t0
+        a = sample(ts)
+        if a.shape != (k1 - k0, 3):
+            raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
+        t_bad = _first_bad(ts, a)
+        if t_bad is not None:
+            raise ValueError(f"non-finite algebra increment at t = {t_bad!r}")
+        if algebra_log is not None:
+            algebra_log.append(a)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused just below
+            steps = quat_exp((scale * dt)[:, None] * a)
+        t_bad = _first_bad(ts, steps)
+        if t_bad is not None:
+            raise ValueError(f"non-finite step rotation at t = {t_bad!r}: the step angle |dt a| overflows")
+        # whole chunks of ``stride`` steps, the last one padded with identities
+        pad = -(k1 - k0) % stride
+        steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))]).reshape(-1, stride, 4)
+        while steps.shape[1] > 1:
+            if steps.shape[1] % 2:
+                steps = np.concatenate([steps, np.broadcast_to(_IDENTITY, (len(steps), 1, 4))], axis=1)
+            steps = quat_mul(steps[:, 1::2], steps[:, 0::2])
+        states = quat_mul(_prefix_products(steps[:, 0]), q)
+        if not np.all(np.isfinite(states)):
+            raise ValueError(f"non-finite transport state in t = [{nodes[k0]!r}, {nodes[k1]!r}]")
+        q = states[-1]
+        recorded.append(states)
+    ends = np.minimum(np.arange(1, -(-n // stride) + 1) * stride, n)
+    return ends, np.concatenate(recorded)
+
+
+# ---------------------------------------------------------------------------
+# public steppers
+
+
 def transport(
     form: LocalConnectionForm,
     path: PathSpec,
@@ -129,40 +280,20 @@ def transport(
         Keep every algebra input a(t*) on the result (memory scales with
         the step count).
     """
-    _check_dims(form, path)
     cfg = config or IntegratorConfig()
+    sample = _form_sampler(form, path)
     g = check_rotation(np.eye(3) if g0 is None else g0)
-    # one guarded evaluation validates shapes; the loop uses the raw callable
-    form(path.position(0.0), path.velocity(0.0))
-
     nodes = integration_grid(cfg.steps, path.corners)
-    n_int = len(nodes) - 1
-    stride = max(1, -(-n_int // _MAX_RECORDED))
-    midpoint = cfg.method == "exp-midpoint"
-    pos, vel, ev = path.position, path.velocity, form.evaluate
-    renorm = cfg.renormalize_every
-
-    samples = [(0.0, np.asarray(pos(0.0), dtype=float), g.copy())]
-    alog: list[np.ndarray] = []
-    for k in range(n_int):
-        t0 = nodes[k]
-        dt = nodes[k + 1] - t0
-        ts = t0 + 0.5 * dt if midpoint else t0
-        a = -np.asarray(ev(np.asarray(pos(ts), dtype=float), np.asarray(vel(ts), dtype=float)), dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"non-finite algebra increment at t = {ts!r}")
-        if record_algebra:
-            alog.append(a)
-        g = exp_so3(dt * a) @ g
-        if renorm and (k + 1) % renorm == 0:
-            g = project_rotation(g)
-        if (k + 1) % stride == 0 or k + 1 == n_int:
-            t1 = nodes[k + 1]
-            samples.append((float(t1), np.asarray(pos(t1), dtype=float), g.copy()))
+    alog = [] if record_algebra else None
+    ends, Q = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5, _IDENTITY, alog)
+    G = quat_to_rotation(Q) @ g
+    ts = nodes[ends]
+    samples = ((0.0, np.asarray(path.position(0.0), dtype=float), g.copy()),)
+    samples += tuple(zip(ts.tolist(), _on_path(path.position, path, ts), G))
     return TransportResult(
-        final=g,
-        samples=tuple(samples),
-        algebra_log=tuple(alog) if record_algebra else None,
+        final=G[-1].copy(),
+        samples=samples,
+        algebra_log=tuple(np.concatenate(alog)) if record_algebra else None,
     )
 
 
@@ -181,30 +312,15 @@ def transport_quat(
     if path.base_dim != 3:
         raise ValueError("quaternion transport requires a path in R^3")
     cfg = config or IntegratorConfig()
-    q = check_unit_quat(np.array([1.0, 0.0, 0.0, 0.0]) if q0 is None else q0, tol=1e-9)
-
+    q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9)
     nodes = integration_grid(cfg.steps, path.corners)
-    n_int = len(nodes) - 1
-    stride = max(1, -(-n_int // _MAX_RECORDED))
-    midpoint = cfg.method == "exp-midpoint"
-    pos, vel = path.position, path.velocity
-    renorm = cfg.renormalize_every
-
-    samples = [(0.0, np.asarray(pos(0.0), dtype=float), q.copy())]
-    for k in range(n_int):
-        t0 = nodes[k]
-        dt = nodes[k + 1] - t0
-        ts = t0 + 0.5 * dt if midpoint else t0
-        a = np.asarray(vel(ts), dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"non-finite velocity sample at t = {ts!r}")
-        q = quat_mul(quat_exp(dt * a), q)
-        if renorm and (k + 1) % renorm == 0:
-            q = q / np.linalg.norm(q)
-        if (k + 1) % stride == 0 or k + 1 == n_int:
-            t1 = nodes[k + 1]
-            samples.append((float(t1), np.asarray(pos(t1), dtype=float), q.copy()))
-    return TransportResult(final=q, samples=tuple(samples))
+    ends, Q = _compose(
+        lambda ts: _on_path(path.velocity, path, ts), nodes, cfg.method == "exp-midpoint", 1.0, q
+    )
+    ts = nodes[ends]
+    samples = ((0.0, np.asarray(path.position(0.0), dtype=float), q.copy()),)
+    samples += tuple(zip(ts.tolist(), _on_path(path.position, path, ts), Q))
+    return TransportResult(final=Q[-1].copy(), samples=samples)
 
 
 def holonomy(
@@ -224,18 +340,12 @@ def time_ordered_product(form: LocalConnectionForm, path: PathSpec, n: int) -> n
     Returns exp(dt a(t_{n-1})) ... exp(dt a(t_0)) with dt = 1/n and left
     endpoint sampling; corners are deliberately not merged in, so this equals
     a lie-euler run exactly only when the path is smooth (or its corners land
-    on the grid).
+    on the grid). ``n`` may be at most ``MAX_STEPS``.
     """
-    _check_dims(form, path)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    dt = 1.0 / n
-    g = np.eye(3)
-    for k in range(n):
-        t = k * dt
-        a = -form(path.position(t), path.velocity(t))
-        g = exp_so3(dt * a) @ g
-    return g
+    sample = _form_sampler(form, path)
+    _check_step_count("n", n)
+    _, Q = _compose(sample, integration_grid(n), False, 0.5, _IDENTITY)
+    return quat_to_rotation(Q[-1])
 
 
 def small_loop_curvature(
@@ -323,10 +433,11 @@ def line(x0, xi) -> PathSpec:
         raise ValueError("line expects a point and a displacement of equal dimension")
     return PathSpec(
         base_dim=len(x0),
-        position=lambda t: x0 + t * xi,
-        velocity=lambda t: xi.copy(),
-        closed=bool(np.linalg.norm(xi) == 0.0),
+        position=lambda t: x0 + np.multiply.outer(t, xi),
+        velocity=lambda t: np.broadcast_to(xi, np.shape(t) + xi.shape).copy(),
+        closed=not np.any(xi),
         kind="line",
+        vectorized=True,
     )
 
 
@@ -362,12 +473,16 @@ def circle(center, radius: float, plane=None) -> PathSpec:
     b2 = b2 / n2
     tau = 2.0 * np.pi
 
+    def angle(t):
+        return tau * np.asarray(t, dtype=float)[..., None]
+
     return PathSpec(
         base_dim=d,
-        position=lambda t: center + radius * (np.cos(tau * t) * b1 + np.sin(tau * t) * b2),
-        velocity=lambda t: radius * tau * (-np.sin(tau * t) * b1 + np.cos(tau * t) * b2),
+        position=lambda t: center + radius * (np.cos(angle(t)) * b1 + np.sin(angle(t)) * b2),
+        velocity=lambda t: radius * tau * (-np.sin(angle(t)) * b1 + np.cos(angle(t)) * b2),
         closed=True,
         kind="circle",
+        vectorized=True,
     )
 
 
@@ -402,16 +517,16 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
     elif closed and gap > 1e-9:
         raise ValueError(f"polyline declared closed but endpoints differ by {gap:.3e}")
 
-    def segment_of(t: float) -> int:
-        i = int(np.searchsorted(T, t, side="right")) - 1
-        return min(max(i, 0), m - 2)
+    def segment_of(t):
+        return np.clip(np.searchsorted(T, t, side="right") - 1, 0, m - 2)
 
     def position(t):
+        t = np.asarray(t, dtype=float)
         i = segment_of(t)
-        return P[i] + (t - T[i]) * slopes[i]
+        return P[i] + (t - T[i])[..., None] * slopes[i]
 
     def velocity(t):
-        return slopes[segment_of(t)].copy()
+        return np.take(slopes, segment_of(t), axis=0)
 
     return PathSpec(
         base_dim=d,
@@ -420,6 +535,7 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
         closed=bool(closed),
         kind="polyline",
         corners=tuple(float(t) for t in T[1:-1]),
+        vectorized=True,
     )
 
 
@@ -475,14 +591,8 @@ def great_arc(p, q, radius: float | None = None, side: str = "outer") -> tuple[P
     f2 = np.cross(f3, f1)
 
     surface = sphere_surface(r, side=side, frame=(f1, f2, f3))
-    half_pi = 0.5 * np.pi
-    path = PathSpec(
-        base_dim=2,
-        position=lambda t: np.array([half_pi, s * t]),
-        velocity=lambda t: np.array([0.0, s]),
-        closed=False,
-        kind="great-arc",
-    )
+    # along the chart's equator: colatitude pi/2, longitude from 0 to s
+    path = dataclasses.replace(line(np.array([0.5 * np.pi, 0.0]), np.array([0.0, s])), kind="great-arc")
     return path, surface
 
 
@@ -529,6 +639,7 @@ def reverse_path(path: PathSpec) -> PathSpec:
         closed=path.closed,
         kind=path.kind,
         corners=tuple(sorted(1.0 - t for t in path.corners)),
+        vectorized=path.vectorized,
     )
 
 
@@ -574,4 +685,5 @@ def scale_path(path: PathSpec, factor: float) -> PathSpec:
         closed=path.closed,
         kind=path.kind,
         corners=path.corners,
+        vectorized=path.vectorized,
     )

@@ -29,7 +29,6 @@ from .liecore import (
     lie_hom_derivative,
     log_so3,
     quat_conj,
-    quat_exp,
     quat_mul,
     quat_to_rotation,
 )
@@ -45,6 +44,8 @@ from .transport import (
     small_loop_curvature,
     transport,
     transport_quat,
+    _compose,
+    _form_sampler,
 )
 
 SPAN_THRESHOLD = 1e-4  # smallest singular value required of normalized holonomy logs
@@ -223,21 +224,16 @@ def lift_transport(
 
     Steps with half the algebra increment, quat_exp(dt a / 2), so the image
     under the double cover reproduces exp_so3(dt a) exactly at every step
-    while the sign is tracked by continuity from q0.
+    while the sign is tracked by continuity from q0. This is the quaternion
+    product that :func:`liecurv.transport.transport` projects to SO(3); both
+    come from the same stepping engine.
     """
-    if form.base_dim != path.base_dim:
-        raise ValueError("dimension mismatch between form and path")
+    sample = _form_sampler(form, path)
     cfg = config or IntegratorConfig(steps=512)
     q = np.array([1.0, 0.0, 0.0, 0.0]) if q0 is None else np.asarray(q0, dtype=float)
     nodes = integration_grid(cfg.steps, path.corners)
-    midpoint = cfg.method == "exp-midpoint"
-    for k in range(len(nodes) - 1):
-        t0 = nodes[k]
-        dt = nodes[k + 1] - t0
-        ts = t0 + 0.5 * dt if midpoint else t0
-        a = -form(path.position(ts), path.velocity(ts))
-        q = quat_mul(quat_exp(0.5 * dt * a), q)
-    return q
+    _, Q = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5, q)
+    return Q[-1]
 
 
 def unit_sphere_section(p, config: IntegratorConfig | None = None, legs=None):

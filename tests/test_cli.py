@@ -200,6 +200,30 @@ def test_section_rejects_zero_point(capsys):
     assert main(["section", "--point", "0,0,0"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transport", "--xi=1e300,0.1,0.2"],  # the step angle overflows
+        ["transport", "--connection=pullback-rhoJ", "--xi=0.1,-1e300"],
+        ["section", "--point=nan,0,1"],
+        ["section", "--point=0,inf,1"],
+    ],
+)
+def test_non_finite_requests_exit_one_with_empty_stdout(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_write_result_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        write_result({"holonomy": {"angle": float("nan")}})
+    row = {"t": 0.0, "x": [float("inf")], "quat": [1.0, 0.0, 0.0, 0.0]}
+    with pytest.raises(ValueError, match="non-finite"):
+        write_result({"trajectory": [row]}, fmt="csv")
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 

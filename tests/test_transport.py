@@ -152,6 +152,8 @@ def test_integrator_config_validation():
         IntegratorConfig(method="rk4")
     with pytest.raises(ValueError, match="at least 1"):
         IntegratorConfig(steps=0)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        IntegratorConfig(steps=10**12)  # refused before any grid is built
     with pytest.raises(ValueError, match="nonnegative"):
         IntegratorConfig(renormalize_every=-1)
 
@@ -315,6 +317,8 @@ def test_time_ordered_product_first_order():
 def test_time_ordered_product_validation():
     with pytest.raises(ValueError, match="at least 1"):
         time_ordered_product(NAT, line(np.zeros(3), E1), 0)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        time_ordered_product(NAT, line(np.zeros(3), E1), 10**12)
     with pytest.raises(ValueError, match="dimension mismatch"):
         time_ordered_product(plane_rolling_form(), line(np.zeros(3), E1), 4)
 
