@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -38,7 +39,6 @@ from .liecore import quat_to_rotation, rotation_to_quat
 from .transport import (
     IntegratorConfig,
     PathSpec,
-    holonomy,
     line,
     circle,
     parallelogram_loop,
@@ -51,27 +51,6 @@ from . import verify as _verify
 _CONNECTIONS = ("natural-so3", "plane-rolling", "sphere-outer", "sphere-inner", "pullback-rhoJ")
 _PATHS = ("line", "circle", "square", "polyline", "file")
 _METHODS = {"euler": "lie-euler", "midpoint": "exp-midpoint"}
-
-# verification registry: name -> callable(seed, config) -> ResidualReport
-_CHECKS = {
-    "alpha-naturality": lambda seed, cfg: _verify.check_alpha_naturality(seed=101 + seed),
-    "omega-naturality": lambda seed, cfg: _verify.check_omega_naturality(seed=202 + seed),
-    "curvature-naturality": lambda seed, cfg: _verify.check_curvature_naturality(seed=303 + seed),
-    "transport-naturality": lambda seed, cfg: _verify.check_transport_naturality(config=cfg),
-    "section-path-independence": lambda seed, cfg: _verify.check_section_path_independence(
-        seed=404 + seed, config=cfg
-    ),
-    "antipodal-sections": lambda seed, cfg: _verify.antipodal_check(seed=505 + seed, config=cfg),
-    "inner-unit-sphere-identity": lambda seed, cfg: _verify.inner_unit_sphere_identity(config=cfg),
-    "plane-rolling-span": lambda seed, cfg: _verify.holonomy_span_check(config=cfg),
-    "sphere-curvature-factor": lambda seed, cfg: _verify.sphere_factor_report(config=cfg),
-    # control fixture: repeated loops cannot span so(3); this check is meant
-    # to fail and is therefore excluded from --all
-    "span-degenerate": lambda seed, cfg: _verify.holonomy_span_check(
-        loops=_verify.degenerate_span_loops(), config=cfg
-    ),
-}
-
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -86,7 +65,7 @@ class RunRequest:
     points: tuple[tuple[float, ...], ...] | None = None
     file: str | None = None
     point: tuple[float, ...] | None = None
-    eps: float = 1.0
+    eps: float | None = None  # None: 1e-2 for curvature, else 1.0
     steps: int | None = None
     method: str = "midpoint"
     format: str = "json"
@@ -94,6 +73,11 @@ class RunRequest:
     seed: int = 0
     check: str | None = None
     all_checks: bool = False
+
+    def __post_init__(self):
+        # the effective loop scale is part of the echoed request
+        if self.eps is None:
+            object.__setattr__(self, "eps", 1e-2 if self.command == "curvature" else 1.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,11 +104,9 @@ def _point_list(text: str) -> tuple[tuple[float, ...], ...]:
     return pts
 
 
-def parse_args(argv=None) -> RunRequest:
-    """Parse command-line arguments into a :class:`RunRequest`.
-
-    Raises ValueError on any usage problem (mapped to exit code 1 by main).
-    """
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="liecurv", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -137,7 +119,8 @@ def parse_args(argv=None) -> RunRequest:
             p.add_argument("--x0", type=str, default=None, help="start point / center, comma separated")
             p.add_argument("--points", type=str, default=None, help="polyline vertices 'x,y;x,y;...'")
             p.add_argument("--file", type=str, default=None, help="CSV path file (header t,x1,...,xd)")
-        p.add_argument("--eps", type=float, default=1.0, help="square side, circle radius, or loop scale")
+        p.add_argument("--eps", type=float, default=None,
+                       help="square side or circle radius (default 1); curvature loop scale (default 1e-2)")
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--method", choices=sorted(_METHODS), default="midpoint")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -150,14 +133,21 @@ def parse_args(argv=None) -> RunRequest:
 
     pv = sub.add_parser("verify", help="run residual checks")
     add_common(pv, with_path=False)
-    pv.add_argument("--check", choices=sorted(_CHECKS), default=None)
+    pv.add_argument("--check", choices=sorted(_verify.CHECKS), default=None)
     pv.add_argument("--all", action="store_true", dest="all_checks")
 
     ps = sub.add_parser("section", help="unit-sphere rolling section at a point")
     add_common(ps, with_path=False)
     ps.add_argument("--point", type=str, default="1,0,0", help="target point on the unit sphere")
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def parse_args(argv=None) -> RunRequest:
+    """Parse command-line arguments into a :class:`RunRequest`.
+
+    Raises ValueError on any usage problem (mapped to exit code 1 by main).
+    """
+    ns = _parser().parse_args(argv)
     return RunRequest(
         command=ns.command,
         connection=getattr(ns, "connection", "natural-so3"),
@@ -245,10 +235,7 @@ def _build_path(req: RunRequest, dim: int) -> PathSpec:
     if req.path == "circle":
         return circle(base_point(), req.eps)
     if req.path == "square":
-        e1 = np.zeros(dim)
-        e1[0] = 1.0
-        e2 = np.zeros(dim)
-        e2[1] = 1.0
+        e1, e2 = np.eye(dim)[:2]
         return parallelogram_loop(base_point(), e1, e2, req.eps)
     if req.path == "polyline":
         if req.points is None:
@@ -289,14 +276,9 @@ def _rotation_block(R: np.ndarray) -> dict:
 
 
 def _trajectory(samples) -> list[dict]:
-    return [
-        {
-            "t": float(t),
-            "x": [float(c) for c in x],
-            "quat": [float(c) for c in rotation_to_quat(g)],
-        }
-        for t, x, g in samples
-    ]
+    ts, xs, gs = zip(*samples)
+    quats = rotation_to_quat(np.stack(gs)).tolist()
+    return [{"t": float(t), "x": x.tolist(), "quat": q} for t, x, q in zip(ts, xs, quats)]
 
 
 def run(req: RunRequest) -> dict:
@@ -323,7 +305,7 @@ def run(req: RunRequest) -> dict:
 
     if req.command == "curvature":
         cfg = _config(req)
-        eps = req.eps if req.eps != 1.0 else 1e-2
+        eps = req.eps
         if req.connection in ("sphere-outer", "sphere-inner"):
             surface = sphere_surface(req.radius, side=req.connection.split("-")[1])
             form = surface_rolling_form(surface)
@@ -336,10 +318,7 @@ def run(req: RunRequest) -> dict:
         else:
             form = _build_connection(req)
             x = np.zeros(form.base_dim)
-            u = np.zeros(form.base_dim)
-            u[0] = 1.0
-            v = np.zeros(form.base_dim)
-            v[1] = 1.0
+            u, v = np.eye(form.base_dim)[:2]
             direction = curvature_closed_form(form, x, u, v)
         est = small_loop_curvature(form, x, u, v, eps, cfg or IntegratorConfig(steps=512), richardson=True)
         ref = curvature_closed_form(form, x, u, v)
@@ -360,9 +339,9 @@ def run(req: RunRequest) -> dict:
             raise ValueError("verify needs --all or --check NAME")
         cfg = _config(req)
         if req.all_checks:
-            reports = _verify.run_all_checks(config=cfg, seed=req.seed or None)
+            reports = _verify.run_all_checks(config=cfg, seed=req.seed)
         else:
-            reports = [_CHECKS[req.check](req.seed, cfg)]
+            reports = [_verify.run_check(req.check, seed=req.seed, config=cfg)]
         doc["reports"] = [asdict(r) for r in reports]
         return doc
 

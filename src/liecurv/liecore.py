@@ -71,12 +71,16 @@ def exp_so3(v) -> np.ndarray:
     """Rotation matrix exp(hat(v)) by the Rodrigues formula.
 
     For angles below 1e-6 the sin/cos coefficients are replaced by their
-    fourth-order Taylor expansions to avoid cancellation.
+    fourth-order Taylor expansions to avoid cancellation. A non-finite angle
+    (from a non-finite entry or an overflowing norm) raises ValueError.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"exp_so3 expects a 3-vector, got shape {v.shape}")
-    theta = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        theta = float(np.linalg.norm(v))
+    if not np.isfinite(theta):  # a non-finite entry, or |v| overflows
+        raise ValueError(f"exp_so3: rotation angle |v| = {theta} is not finite")
     K = hat(v)
     if theta < _EPS_ANGLE:
         t2 = theta * theta
@@ -207,48 +211,43 @@ def rotation_to_quat(R) -> np.ndarray:
     """A unit quaternion mapping to ``R`` under :func:`quat_to_rotation`.
 
     Uses Shepperd's branch selection for stability and returns the canonical
-    representative: w >= 0, and if w == 0 the first nonzero component of
-    (x, y, z) is positive.
+    representative (:func:`canonical_quat`). A stack of shape (..., 3, 3) gives
+    a stack of shape (..., 4); each matrix must pass :func:`check_rotation` at
+    tolerance 1e-8, and a refusal names the first that does not.
     """
     R = np.asarray(R, dtype=float)
-    check_rotation(R, tol=1e-8)
-    tr = np.trace(R)
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [
-                0.25 * s,
-                (R[2, 1] - R[1, 2]) / s,
-                (R[0, 2] - R[2, 0]) / s,
-                (R[1, 0] - R[0, 1]) / s,
-            ]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    q = q / np.linalg.norm(q)
-    return canonical_quat(q)
+    if R.shape[-2:] != (3, 3):
+        raise ValueError(f"rotation_to_quat expects matrices of shape (..., 3, 3), got shape {R.shape}")
+    r = _checked_entries(R, tol=1e-8)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    tr = r00 + r11 + r22
+    # 4 q q^T is linear in R; Shepperd reads q off its row with the largest
+    # diagonal entry: the w row when tr > 0, else that of R's largest diagonal
+    a, b, c = r21 - r12, r02 - r20, r10 - r01
+    d, e, f = r10 + r01, r20 + r02, r21 + r12
+    M = np.array([[tr + 1.0, a, b, c], [a, r00 - r11 - r22 + 1.0, d, e],
+                  [b, d, r11 - r22 - r00 + 1.0, f], [c, e, f, r22 - r00 - r11 + 1.0]])
+    row = np.where(tr > 0.0, 0, 1 + r[[0, 1, 2], [0, 1, 2]].argmax(axis=0))
+    n = np.arange(len(tr))
+    s = np.sqrt(M[row, row, n]) * 2.0
+    q = M[row, :, n] / s[:, None]
+    q[n, row] = 0.25 * s  # s = 4 q_c; M[c, c] / s would round differently
+    w, x, y, z = q.T
+    q /= np.sqrt(w * w + x * x + y * y + z * z)[:, None]
+    return canonical_quat(q).reshape(R.shape[:-2] + (4,))
 
 
 def canonical_quat(q) -> np.ndarray:
-    """Pick the sign representative with w >= 0 (ties broken by the first
-    nonzero imaginary component being positive)."""
+    """Pick the sign representative whose first nonzero component is positive.
+
+    That is w >= 0, with ties at w == 0 broken by the first nonzero imaginary
+    component. A stack of shape (..., 4) is signed row by row.
+    """
     q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError("canonical_quat expects a 4-vector")
-    if q[0] < 0.0:
-        return -q
-    if q[0] == 0.0:
-        for c in q[1:]:
-            if c != 0.0:
-                return q if c > 0.0 else -q
-    return q.copy()
+    if q.shape[-1:] != (4,):
+        raise ValueError(f"canonical_quat expects quaternions of shape (..., 4), got shape {q.shape}")
+    lead = np.take_along_axis(q, np.argmax(q != 0.0, axis=-1)[..., None], axis=-1)
+    return np.where(lead < 0.0, -q, q)
 
 
 def lie_hom_derivative(u) -> np.ndarray:
@@ -289,12 +288,26 @@ def check_rotation(R, tol: float = 1e-10) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation matrix, got shape {R.shape}")
-    defect = np.linalg.norm(R.T @ R - np.eye(3))
-    if defect > tol:
-        raise ValueError(f"matrix is not orthonormal (|R^T R - I| = {defect:.3e})")
-    if np.linalg.det(R) < 0.0:
-        raise ValueError("matrix has negative determinant (reflection, not rotation)")
+    _checked_entries(R, tol)
     return R
+
+
+def _checked_entries(R: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`check_rotation` (NaN refused) on each matrix of a (..., 3, 3) stack,
+    naming the first that fails; returns the (3, 3, n) entries of the flattened stack."""
+    r = np.ascontiguousarray(R.reshape(-1, 3, 3).transpose(1, 2, 0))
+    D = (r[:, :, None] * r[:, None, :]).sum(axis=0) - np.eye(3)[:, :, None]  # R^T R - I
+    defect = np.sqrt((D * D).sum(axis=(0, 1)))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
+    bad = ~(defect <= tol) | (det < 0.0)
+    if not bad.any():
+        return r
+    i = int(np.argmax(bad))
+    where = "" if R.ndim == 2 else f" at index {tuple(map(int, np.unravel_index(i, R.shape[:-2])))}"
+    if not defect[i] <= tol:
+        raise ValueError(f"matrix{where} is not orthonormal (|R^T R - I| = {defect[i]:.3e})")
+    raise ValueError(f"matrix{where} has negative determinant (reflection, not rotation)")
 
 
 def check_unit_quat(q, tol: float = 1e-10) -> np.ndarray:

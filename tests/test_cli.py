@@ -1,13 +1,19 @@
 """Tests for the command-line interface: parsing, execution, serialization."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from liecurv import exp_so3, holonomy, plane_rolling_form, parallelogram_loop, quat_to_rotation
+from liecurv import cli, exp_so3, holonomy, plane_rolling_form, parallelogram_loop, quat_to_rotation, verify
 from liecurv.cli import main, parse_args, read_path_file, run, write_result, RunRequest
 from liecurv.transport import IntegratorConfig
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -54,6 +60,49 @@ def test_parse_errors_are_value_errors():
         parse_args([])
 
 
+def test_eps_defaults_per_subcommand():
+    assert parse_args(["holonomy", "--path", "square"]).eps == 1.0
+    assert parse_args(["transport", "--path", "circle"]).eps == 1.0
+    assert parse_args(["curvature"]).eps == 1e-2
+    assert parse_args(["curvature", "--eps", "1.0"]).eps == 1.0
+    assert RunRequest(command="curvature").eps == 1e-2
+
+
+# a pool of requests; -1 stands for one that fails to parse
+PARSE_POOL = [
+    ["verify", "--all"],
+    ["verify", "--check", "omega-naturality"],
+    ["verify", "--all", "--seed", "4", "--steps", "32"],
+    ["section", "--point", "0,0.6,0.8"],
+    ["section"],
+    ["transport", "--xi", "0,0,1"],
+    ["transport", "--path", "polyline", "--points", "0,0;1,0;1,1", "--connection", "plane-rolling"],
+    ["holonomy", "--path", "square", "--eps", "0.5", "--x0", "1,2", "--method", "euler"],
+    ["holonomy", "--path", "square"],
+    ["curvature", "--connection", "sphere-outer", "--radius", "2", "--format", "csv"],
+    ["curvature"],
+]
+
+
+@SETTINGS
+@given(order=st.lists(st.integers(-1, len(PARSE_POOL) - 1), min_size=1, max_size=12))
+@example(order=[0, 1])  # verify --all, then verify --check X
+@example(order=[3, 5, 4])  # section --point ..., then transport, then section
+def test_cached_parser_leaks_no_state(order):
+    fresh = {}
+    for i in set(order) - {-1}:
+        cli._parser.cache_clear()
+        fresh[i] = parse_args(PARSE_POOL[i])
+    cli._parser.cache_clear()
+    for i in order:
+        if i == -1:
+            with pytest.raises(ValueError):
+                parse_args(["transport", "--connection", "bogus", "--steps", "7"])
+        else:
+            assert parse_args(PARSE_POOL[i]) == fresh[i]
+    assert cli._parser() is cli._parser()
+
+
 def test_parse_points_list():
     req = parse_args(["transport", "--path", "polyline", "--points", "0,0;1,0;1,1"])
     assert req.points == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
@@ -84,6 +133,56 @@ def test_exit_two_on_failing_check(capsys):
     assert main(["verify", "--check", "span-degenerate"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["reports"][0]["passed"] is False
+
+
+COMMANDS = ("transport", "holonomy", "curvature", "verify", "section")
+NOT_A_NUMBER = st.text(alphabet="0123456789.,;- abcx", max_size=12).filter(lambda t: any(c in t for c in "abcx"))
+WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=14)
+VALID_CHOICES = {
+    "--connection": cli._CONNECTIONS,
+    "--path": cli._PATHS,
+    "--method": tuple(cli._METHODS),
+    "--format": ("json", "csv"),
+    "--check": tuple(verify.CHECKS),
+}
+
+
+@st.composite
+def malformed_argv(draw):
+    kind = draw(st.sampled_from(["vector", "points", "choice", "command", "missing"]))
+    if kind == "vector":
+        command, option = draw(st.sampled_from(
+            [("transport", "--xi"), ("transport", "--x0"), ("holonomy", "--x0"), ("section", "--point")]
+        ))
+        return [command, f"{option}={draw(NOT_A_NUMBER)}"]
+    if kind == "points":
+        return [draw(st.sampled_from(["transport", "holonomy"])), "--path=polyline", f"--points={draw(NOT_A_NUMBER)}"]
+    if kind == "choice":
+        option = draw(st.sampled_from(sorted(VALID_CHOICES)))
+        value = draw(WORD.filter(lambda w: w not in VALID_CHOICES[option]))
+        if option == "--check":
+            return ["verify", f"--check={value}"]
+        command = draw(st.sampled_from(["transport", "holonomy"] if option == "--path" else COMMANDS[:3]))
+        return [command, f"{option}={value}"]
+    if kind == "command":
+        return [draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=10).filter(lambda w: w not in COMMANDS))]
+    # a line without --xi or a polyline without --points, whatever else is given
+    argv = draw(st.sampled_from([["transport"], ["holonomy", "--path=line"], ["transport", "--path=polyline"],
+                                 ["holonomy", "--path=polyline"]]))
+    extra = draw(st.lists(st.sampled_from(["--steps=16", "--method=euler", "--connection=plane-rolling",
+                                           "--seed=3", "--format=csv", "--x0=0.5,0.5"]), unique=True))
+    return argv + extra
+
+
+@SETTINGS
+@given(argv=malformed_argv())
+def test_malformed_requests_exit_one_with_empty_stdout(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +259,16 @@ def test_curvature_command_natural(tmp_path):
     np.testing.assert_allclose(blk["closed_form"], [0.0, 0.0, 1.0], atol=0.0)
 
 
+def test_curvature_eps_is_honoured_and_echoed(tmp_path):
+    _, default = run_json(["curvature", "--steps", "64"], tmp_path, "default.json")
+    code, wide = run_json(["curvature", "--eps", "1.0", "--steps", "64"], tmp_path, "wide.json")
+    _, small = run_json(["curvature", "--eps", "0.01", "--steps", "64"], tmp_path, "small.json")
+    assert code == 0
+    assert default["request"]["eps"] == 0.01 and wide["request"]["eps"] == 1.0
+    assert wide["curvature"]["estimate"] != default["curvature"]["estimate"]
+    assert small["curvature"] == default["curvature"]
+
+
 def test_curvature_command_sphere(tmp_path):
     code, doc = run_json(
         ["curvature", "--connection", "sphere-outer", "--radius", "2", "--steps", "256"], tmp_path
@@ -184,6 +293,17 @@ def test_verify_all_reports_sorted_and_passing(tmp_path):
     names = [r["name"] for r in doc["reports"]]
     assert names == sorted(names) and len(names) == 9
     assert all(r["passed"] for r in doc["reports"])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_single_checks_match_the_battery(seed, tmp_path):
+    _, battery = run_json(["verify", "--all", "--seed", str(seed)], tmp_path, "all.json")
+    names = [r["name"] for r in battery["reports"]]
+    assert names == sorted(name for name, (_, _, in_all) in verify.CHECKS.items() if in_all)
+    assert "span-degenerate" not in names
+    for report in battery["reports"]:
+        _, single = run_json(["verify", "--check", report["name"], "--seed", str(seed)], tmp_path, "one.json")
+        assert single["reports"] == [report]
 
 
 def test_section_command(tmp_path):

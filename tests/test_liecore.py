@@ -7,8 +7,13 @@ conjugation for rotation images, and polar-decomposition properties for the
 projection.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liecurv import (
     canonical_quat,
@@ -129,6 +134,18 @@ def test_exp_so3_small_angle_branch():
     for scale in (1e-7, 1e-9, 0.0):
         v = scale * np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(exp_so3(v), series_exp(hat(v), terms=6), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "v", [[np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0], [np.nan, 0.0, 0.0], [1e300, 0.0, 0.0], [1e200, -1e200, 0.0]]
+)
+def test_exp_so3_refuses_non_finite_angles(v):
+    # a non-finite entry, or finite entries whose norm overflows, is refused
+    # before any trigonometry: no NaN matrix and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            exp_so3(np.array(v))
 
 
 def test_exp_so3_orthonormal():
@@ -428,6 +445,8 @@ def test_check_rotation():
         check_rotation(np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(ValueError, match="3x3"):
         check_rotation(np.eye(4))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        check_rotation(np.full((3, 3), np.nan))
 
 
 def test_check_unit_quat():
@@ -436,3 +455,167 @@ def test_check_unit_quat():
         check_unit_quat(np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="quaternion"):
         check_unit_quat(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# stacked rotation_to_quat / canonical_quat (derandomized property tests)
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+QUAT_STACKS = hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(4)), elements=st.floats(-1.0, 1.0))
+
+
+def unit_rows(Q):
+    Q = Q.copy()
+    n = np.linalg.norm(Q, axis=1)
+    Q[n < 1e-3] = [0.6, 0.0, -0.8, 0.0]
+    return Q / np.linalg.norm(Q, axis=1)[:, None]
+
+
+def first_nonzero(q):
+    nz = q[q != 0.0]
+    return nz[0] if nz.size else 0.0
+
+
+def reference_canonical(q):
+    """The sign rule written out row by row: w >= 0, ties to the first nonzero imaginary part."""
+    if q[0] < 0.0:
+        return -q
+    if q[0] == 0.0:
+        for c in q[1:]:
+            if c != 0.0:
+                return q if c > 0.0 else -q
+    return q.copy()
+
+
+@SETTINGS
+@given(Q=QUAT_STACKS)
+def test_stacked_rotation_to_quat_equals_rowwise(Q):
+    R = quat_to_rotation(unit_rows(Q))
+    stacked = rotation_to_quat(R)
+    assert stacked.shape == Q.shape
+    assert np.array_equal(stacked, np.array([rotation_to_quat(r) for r in R]))
+    m = len(R) // 2 * 2
+    assert np.array_equal(rotation_to_quat(R[:m].reshape(2, -1, 3, 3)), stacked[:m].reshape(2, -1, 4))
+
+
+def reference_rotation_to_quat(R):
+    """Shepperd's method one matrix at a time, with explicit branches."""
+    tr = np.trace(R)
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
+    else:
+        i = int(np.argmax(np.diag(R)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
+        q = np.empty(4)
+        q[0] = (R[k, j] - R[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (R[j, i] + R[i, j]) / s
+        q[1 + k] = (R[k, i] + R[i, k]) / s
+    return reference_canonical(q / np.linalg.norm(q))
+
+
+@SETTINGS
+@given(Q=QUAT_STACKS)
+@example(Q=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -0.6, 0.8], [0.3, -0.9, 0.1, 0.2]]))
+def test_stacked_rotation_to_quat_matches_scalar_shepperd(Q):
+    # same branch and same arithmetic up to the final normalization, whose
+    # sum of squares may round differently: two ulps at 1 bound the change
+    R = quat_to_rotation(unit_rows(Q))
+    out = rotation_to_quat(R)
+    ref = np.array([reference_rotation_to_quat(r) for r in R])
+    assert np.abs(out - ref).max() <= 2 * np.finfo(float).eps
+    assert np.array_equal(np.sign(out), np.sign(ref))
+
+
+@SETTINGS
+@given(Q=QUAT_STACKS)
+def test_stacked_rotation_to_quat_round_trips(Q):
+    q = unit_rows(Q)
+    R = quat_to_rotation(q)
+    out = rotation_to_quat(R)
+    np.testing.assert_allclose(quat_to_rotation(out), R, atol=1e-12)
+    for got, want in zip(out, q):
+        assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= 1e-12
+        assert first_nonzero(got) > 0.0
+
+
+@pytest.mark.parametrize("branch", ["w", "x", "y", "z"])
+@SETTINGS
+@given(data=st.data())
+def test_rotation_to_quat_covers_every_shepperd_branch(branch, data):
+    # trace > 0 (angle below 2 pi / 3) takes the w row; beyond that the row of
+    # the largest diagonal entry, which belongs to the dominant axis component
+    axis = np.array(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3)))
+    if branch == "w":
+        angle = data.draw(st.floats(0.0, 2.0))
+    else:
+        angle = data.draw(st.floats(2.2, np.pi))
+        axis["xyz".index(branch)] = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(1.0, 2.0))
+    n = np.linalg.norm(axis)
+    axis = np.array([0.0, 0.0, 1.0]) if n < 1e-6 else axis / n
+    R = exp_so3(angle * axis)
+    assert (np.trace(R) > 0.0) == (branch == "w")
+    if branch != "w":
+        assert np.argmax(np.diag(R)) == "xyz".index(branch)
+    want = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
+    got = rotation_to_quat(np.stack([R, R.T]))
+    assert min(np.abs(got[0] - want).max(), np.abs(got[0] + want).max()) <= 1e-12
+    np.testing.assert_allclose(got[1] * [1, -1, -1, -1], got[0], atol=1e-12)  # R^T is the inverse
+    assert all(first_nonzero(q) > 0.0 for q in got)
+
+
+@SETTINGS
+@given(data=st.data())
+@example(data=None)
+def test_rotation_to_quat_half_turn_ties(data):
+    # half turns about axes with zero leading components give w == 0 exactly;
+    # the sign then goes to the first nonzero imaginary component
+    if data is None:
+        pure = [np.array(v) for v in ([0.0, 0.0, -0.6, 0.8], [0.0, 0.0, 0.0, -1.0], [0.0, -1.0, 0.0, 0.0])]
+    else:
+        lead = data.draw(st.integers(1, 3))
+        part = st.just(0.0) | st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+        tail = data.draw(st.lists(part, min_size=4 - lead, max_size=4 - lead))
+        if not any(tail):
+            tail[0] = -1.0
+        pure = [np.array([0.0] * lead + tail)]
+    for q in pure:
+        q = q / np.linalg.norm(q)
+        out = rotation_to_quat(np.stack([quat_to_rotation(q)] * 2))
+        assert np.array_equal(out[0], out[1])
+        assert out[0, 0] == 0.0
+        assert np.array_equal(out[0] == 0.0, q == 0.0)
+        assert first_nonzero(out[0]) > 0.0
+        np.testing.assert_allclose(out[0], np.sign(first_nonzero(q)) * q, atol=1e-15)
+
+
+@SETTINGS
+@given(Q=QUAT_STACKS, data=st.data())
+def test_stacked_rotation_to_quat_refuses_one_bad_row(Q, data):
+    R = quat_to_rotation(unit_rows(Q))
+    i = data.draw(st.integers(0, len(R) - 1))
+    fault = data.draw(st.sampled_from(["scaled", "reflected", "sheared", "nan"]))
+    if fault == "scaled":
+        R[i] *= 1.0 + 1e-6
+    elif fault == "reflected":
+        R[i] = -R[i]
+    elif fault == "sheared":
+        R[i, 0, 1] += 1e-7
+    else:
+        R[i, 2, 2] = np.nan
+    with pytest.raises(ValueError, match=rf"index \({i},\)"):
+        rotation_to_quat(R)
+    with pytest.raises(ValueError, match="orthonormal" if fault != "reflected" else "determinant"):
+        rotation_to_quat(R[i])
+
+
+@SETTINGS
+@given(Q=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(4)),
+                    elements=st.sampled_from([-1.0, -0.25, -0.0, 0.0, 0.25, 1.0]) | st.floats(-1.0, 1.0)))
+def test_stacked_canonical_quat_applies_the_sign_rule_per_row(Q):
+    out = canonical_quat(Q)
+    assert np.array_equal(out, np.array([reference_canonical(q) for q in Q]))
+    assert np.array_equal(out, np.array([canonical_quat(q) for q in Q]))
+    assert np.array_equal(canonical_quat(Q[None]), out[None])
