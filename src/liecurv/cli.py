@@ -20,6 +20,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -51,6 +52,7 @@ from . import verify as _verify
 _CONNECTIONS = ("natural-so3", "plane-rolling", "sphere-outer", "sphere-inner", "pullback-rhoJ")
 _PATHS = ("line", "circle", "square", "polyline", "file")
 _METHODS = {"euler": "lie-euler", "midpoint": "exp-midpoint"}
+_NEGATIVE_VALUE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -145,8 +147,13 @@ def _parser() -> _Parser:
 def parse_args(argv=None) -> RunRequest:
     """Parse command-line arguments into a :class:`RunRequest`.
 
-    Raises ValueError on any usage problem (mapped to exit code 1 by main).
+    ``--xi -1,0,0`` parses as ``--xi=-1,0,0``; argparse alone would read the
+    value as an option. Raises ValueError on any usage problem (exit code 1).
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and _NEGATIVE_VALUE.match(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     ns = _parser().parse_args(argv)
     return RunRequest(
         command=ns.command,
@@ -261,8 +268,8 @@ def _config(req: RunRequest) -> IntegratorConfig | None:
     return IntegratorConfig(method=method, steps=req.steps)
 
 
-def _rotation_block(R: np.ndarray) -> dict:
-    q = rotation_to_quat(R)
+def _rotation_block(R: np.ndarray, q: np.ndarray | None = None) -> dict:
+    q = rotation_to_quat(R) if q is None else q
     im = q[1:]
     n = float(np.linalg.norm(im))
     angle = 2.0 * float(np.arctan2(n, q[0]))
@@ -299,8 +306,9 @@ def run(req: RunRequest) -> dict:
         if req.command == "holonomy" and not path.closed:
             raise ValueError("holonomy requires a closed path")
         res = transport(form, path, config=cfg)
-        doc["holonomy"] = _rotation_block(res.final)
         doc["trajectory"] = _trajectory(res.samples)
+        # the last sample's frame is res.final, so its quaternion is already known
+        doc["holonomy"] = _rotation_block(res.final, np.array(doc["trajectory"][-1]["quat"]))
         return doc
 
     if req.command == "curvature":

@@ -22,17 +22,17 @@ runs, and for each block it
 
 1. samples a(t*) at every node of the block in one call when the form and
    the path are vectorized (catalog forms and paths are; user callables
-   are evaluated node by node) and refuses non-finite samples;
-2. exponentiates all steps at once as unit quaternions. The SO(3) steppers
-   use half angles, quat_exp(dt a / 2), whose image under the double cover
-   is exactly exp_so3(dt a); the same product is therefore the SO(3) frame
-   (through :func:`liecurv.liecore.quat_to_rotation`) and its continuous
-   quaternion lift;
+   are evaluated node by node);
+2. exponentiates all steps at once as unit quaternions, refusing non-finite
+   ones. The SO(3) steppers use half angles, quat_exp(dt a / 2), whose image
+   under the double cover is exactly exp_so3(dt a); the same product is
+   therefore the SO(3) frame (through :func:`liecurv.liecore.quat_to_rotation`)
+   and its continuous quaternion lift;
 3. multiplies the factors, later ones on the left, by a pairwise (tree)
-   reduction within chunks of ``stride`` steps, the sample-recording stride;
-4. turns the chunk products into the running states at the chunk ends by a
-   vectorized prefix scan (Hillis-Steele: log2 passes over the chunks),
-   which are the recorded samples (at most ~1024 per run).
+   reduction within chunks of ``stride`` steps, the sample-recording stride.
+
+After the last block, one prefix scan (Hillis-Steele: log2 passes) over the
+run's chunk products, at most ~1024, gives the recorded states.
 
 Regrouping the factors is legal because the product is associative, which
 is the paper's concatenation law T(c1 * c2) = T(c2) T(c1) read at the level
@@ -135,13 +135,7 @@ def integration_grid(steps: int, corners: tuple[float, ...] = ()) -> np.ndarray:
     interior = [float(t) for t in corners if 0.0 < t < 1.0]
     if interior:
         merged = np.unique(np.concatenate([nodes, np.asarray(interior)]))
-        out = [merged[0]]
-        for t in merged[1:]:
-            if t - out[-1] > 1e-12:
-                out.append(t)
-            else:
-                out[-1] = t
-        nodes = np.asarray(out)
+        nodes = merged[np.append(np.diff(merged) > 1e-12, True)]
     return nodes
 
 
@@ -180,10 +174,10 @@ def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[[np.nda
     return sample
 
 
-def _first_bad(ts: np.ndarray, values: np.ndarray) -> float | None:
-    """The first time whose row of ``values`` is not finite, or None."""
-    bad = ~np.all(np.isfinite(values), axis=-1)
-    return float(ts[np.argmax(bad)]) if np.any(bad) else None
+def _first_bad(values: np.ndarray) -> int:
+    """The index of the first row of ``values`` that is not finite, or -1."""
+    bad = ~np.isfinite(values).all(axis=-1)
+    return int(np.argmax(bad)) if bad.any() else -1
 
 
 def _prefix_products(P: np.ndarray) -> np.ndarray:
@@ -217,8 +211,7 @@ def _compose(
     n = len(nodes) - 1
     stride = max(1, -(-n // _MAX_RECORDED))
     block = stride * max(1, _BLOCK // stride)
-    q = q0
-    recorded = []
+    chunks = []
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         t0 = nodes[k0:k1]
@@ -227,16 +220,15 @@ def _compose(
         a = sample(ts)
         if a.shape != (k1 - k0, 3):
             raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
-        t_bad = _first_bad(ts, a)
-        if t_bad is not None:
-            raise ValueError(f"non-finite algebra increment at t = {t_bad!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            steps = quat_exp((scale * dt)[:, None] * a)
+        if not np.isfinite(steps).all():  # a non-finite a(t*) gives a non-finite step, as dt > 0
+            if (k := _first_bad(a)) >= 0:
+                raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
+            k = _first_bad(steps)
+            raise ValueError(f"non-finite step rotation at t = {float(ts[k])!r}: the step angle |dt a| overflows")
         if algebra_log is not None:
             algebra_log.append(a)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused just below
-            steps = quat_exp((scale * dt)[:, None] * a)
-        t_bad = _first_bad(ts, steps)
-        if t_bad is not None:
-            raise ValueError(f"non-finite step rotation at t = {t_bad!r}: the step angle |dt a| overflows")
         # whole chunks of ``stride`` steps, the last one padded with identities
         pad = -(k1 - k0) % stride
         steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))]).reshape(-1, stride, 4)
@@ -244,13 +236,12 @@ def _compose(
             if steps.shape[1] % 2:
                 steps = np.concatenate([steps, np.broadcast_to(_IDENTITY, (len(steps), 1, 4))], axis=1)
             steps = quat_mul(steps[:, 1::2], steps[:, 0::2])
-        states = quat_mul(_prefix_products(steps[:, 0]), q)
-        if not np.all(np.isfinite(states)):
-            raise ValueError(f"non-finite transport state in t = [{nodes[k0]!r}, {nodes[k1]!r}]")
-        q = states[-1]
-        recorded.append(states)
-    ends = np.minimum(np.arange(1, -(-n // stride) + 1) * stride, n)
-    return ends, np.concatenate(recorded)
+        chunks.append(steps[:, 0])
+    states = quat_mul(_prefix_products(np.concatenate(chunks)), q0)
+    ends = np.minimum(np.arange(1, len(states) + 1) * stride, n)
+    if (j := _first_bad(states)) >= 0:
+        raise ValueError(f"non-finite transport state in t = [{nodes[j * stride]!r}, {nodes[ends[j]]!r}]")
+    return ends, states
 
 
 # ---------------------------------------------------------------------------

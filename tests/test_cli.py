@@ -9,7 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liecurv import cli, exp_so3, holonomy, plane_rolling_form, parallelogram_loop, quat_to_rotation, verify
+from liecurv import (
+    cli,
+    exp_so3,
+    holonomy,
+    parallelogram_loop,
+    plane_rolling_form,
+    quat_to_rotation,
+    rotation_to_quat,
+    verify,
+)
 from liecurv.cli import main, parse_args, read_path_file, run, write_result, RunRequest
 from liecurv.transport import IntegratorConfig
 
@@ -185,6 +194,63 @@ def test_malformed_requests_exit_one_with_empty_stdout(argv):
     assert err.getvalue().startswith("error:")
 
 
+def capture(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+COMPONENT = st.floats(-2.0, 2.0).map(repr)
+NEGATIVE_LEAD = st.one_of(
+    st.floats(-1e3, -1e-3).map(repr),
+    st.floats(1e-3, 0.999).map(lambda x: "-" + f"{x:.3f}"[1:]),  # -.5 style
+    st.floats(-1e3, -1e-3).map(lambda x: f"{x:.2e}"),
+)
+# no numeric work before these refusals, so their values may also be non-finite
+NON_FINITE_LEAD = st.sampled_from(["-inf", "-nan", "-Infinity", "-INF"])
+
+
+@st.composite
+def negative_value_requests(draw):
+    """(leading words, option, value) where the value starts with a minus sign."""
+    kind = draw(st.sampled_from(["xi", "x0", "point", "radius"]))
+    lead = draw(st.one_of(NEGATIVE_LEAD, NON_FINITE_LEAD) if kind in ("point", "radius") else NEGATIVE_LEAD)
+    vector = ",".join([lead, draw(COMPONENT), draw(COMPONENT)])
+    if kind == "xi":
+        return ["transport", "--steps=8"], "--xi", vector
+    if kind == "x0":
+        return ["transport", "--steps=8", "--xi=1,0,0"], "--x0", vector
+    if kind == "point":
+        return ["section", "--steps=8"], "--point", vector
+    return ["curvature", "--connection=sphere-outer", "--steps=8"], "--radius", lead
+
+
+@SETTINGS
+@given(request=negative_value_requests())
+@example(request=(["section"], "--point", "-1,0,0"))
+@example(request=(["transport"], "--xi", "-1,0,0"))
+@example(request=(["transport", "--xi=1,0,0"], "--x0", "-.5,1,2"))
+@example(request=(["curvature", "--connection=sphere-outer"], "--radius", "-1e-3"))
+def test_negative_value_as_separate_word_parses_like_the_equals_form(request):
+    words, option, value = request
+    assert capture([*words, option, value]) == capture([*words, f"{option}={value}"])
+
+
+def test_negative_values_reach_the_program():
+    assert capture(["section", "--point", "-1,0,0"])[0] == 0
+    assert capture(["transport", "--xi", "-1,0,0", "--steps", "8"])[0] == 0
+    code, out, err = capture(["curvature", "--connection", "sphere-outer", "--radius", "-1e-3"])
+    assert (code, out) == (1, "") and "sphere radius must be positive" in err
+    # an option in the value slot is still a missing value
+    code, out, err = capture(["transport", "--xi", "--steps", "4"])
+    assert (code, out) == (1, "") and "expected one argument" in err
+    # only an option takes the value; after anything else it stays a stray word
+    code, out, err = capture(["transport", "-1,0,0"])
+    assert (code, out) == (1, "") and "unrecognized arguments: -1,0,0" in err
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -230,6 +296,19 @@ def test_holonomy_square_matches_library(tmp_path):
         IntegratorConfig(steps=64),
     )
     np.testing.assert_allclose(np.array(doc["holonomy"]["matrix"]).reshape(3, 3), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("connection", cli._CONNECTIONS)
+def test_holonomy_quat_is_the_last_trajectory_quat(connection):
+    x0 = "--x0=0.2,-0.1,0.3" if connection == "natural-so3" else "--x0=1.2,0.3"
+    for command in ("transport", "holonomy"):
+        doc = run(parse_args([command, f"--connection={connection}", "--path=square", "--eps=0.3", x0,
+                              "--radius=2", "--steps=300"]))
+        block = doc["holonomy"]
+        assert block["quat"] == doc["trajectory"][-1]["quat"]
+        # the same bytes as a quaternion computed from the final matrix itself
+        R = np.array(block["matrix"]).reshape(3, 3)
+        assert block["quat"] == rotation_to_quat(R).tolist()
 
 
 def test_pullback_connection_runs(tmp_path):

