@@ -420,10 +420,7 @@ def main(argv=None) -> int:
         if any(not r["passed"] for r in doc["reports"]):
             return 2
         return 0
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

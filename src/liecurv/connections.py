@@ -7,9 +7,10 @@ form ``omega_x(v) = -v`` on R^3, whose curvature is the cross product.
 Rolling a sphere on the plane, or on another surface, gives further forms
 with the same structure group.
 
-Base points for surface forms live in chart coordinates; tangent vectors are
-pushed to the embedding through the chart tangent map before the normal and
-shape operator act on them.
+Base points for surface forms live in chart coordinates. Each
+:class:`Surface` carries its rolling map: :func:`parametric_surface` builds it
+from the chart tangent, normal and shape operator; :func:`sphere_surface`
+evaluates it in closed form, with one pass of trigonometry per call.
 
 Catalog forms and sphere charts are *vectorized*: besides single points
 they accept stacks of shape (n, d) and return stacks, so the transport
@@ -191,12 +192,12 @@ class Surface:
     ``shape_derivative_at`` evaluate the unit normal n and the value
     Dn(x)(v_emb) at the chart point u (v_emb is an embedded tangent vector).
 
-    ``normal`` and ``shape_derivative`` are the same maps as functions of the
-    embedded point; they are provided for surfaces with closed-form Gauss
-    maps (spheres, planes) and are None for generic numeric charts.
+    ``rolling(u, v)`` is n x (v_emb + Dn(x)(v_emb)) for a chart tangent
+    vector v with embedded image v_emb = chart_tangent(u) v; it is minus the
+    rolling connection form (see :func:`surface_rolling_form`).
 
     ``vectorized`` declares that every map also takes stacks of chart points
-    of shape (n, 2) (and embedded vectors of shape (n, 3)) and returns stacks.
+    of shape (n, 2) (and vectors of shape (n, 2) or (n, 3)) and returns stacks.
     """
 
     kind: str
@@ -204,8 +205,7 @@ class Surface:
     chart_tangent: Callable[[np.ndarray], np.ndarray]
     normal_at: Callable[[np.ndarray], np.ndarray]
     shape_derivative_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    normal: Callable[[np.ndarray], np.ndarray] | None = None
-    shape_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    rolling: Callable[[np.ndarray, np.ndarray], np.ndarray]
     vectorized: bool = False
 
 
@@ -231,23 +231,30 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
     ``side`` selects the Gauss map of the rolling problem: "outer" for a unit
     sphere rolling on the outside (n = x/r points outward), "inner" for
     rolling inside (n = -x/r).
+
+    With side sign s (+1 outer, -1 inner), n = s x / r and Dn = s / r, the
+    rolling map is in closed form: n x (v_emb + Dn v_emb) = (s r + 1) det(F)
+    F (v_th e_ph - v_ph sin(th) e_th), with e_th = (cos th cos ph, cos th sin ph,
+    -sin th) and e_ph = (-sin ph, cos ph, 0). det(F) = -1 for a left-handed
+    frame, and s r + 1 is exactly 0 on the inner unit sphere.
     """
     r = float(radius)
-    if r <= 0.0:
-        raise ValueError(f"sphere radius must be positive, got {r}")
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"sphere radius must be positive and finite, got {r}")
     if side not in ("outer", "inner"):
         raise ValueError(f"side must be 'outer' or 'inner', got {side!r}")
     F = _orthonormal_frame(frame)
     sign = 1.0 if side == "outer" else -1.0
+    rolling_map = (sign * r + 1.0) * np.linalg.det(F) * F.T  # row vectors times this apply the factor and F
 
     def colatitude(u, what):
         u = np.asarray(u, dtype=float)
         if u.shape[-1:] != (2,):
             raise ValueError("sphere chart expects (colatitude, longitude) pairs")
         th = u[..., 0]
-        outside = ~((POLAR_CAP <= th) & (th <= np.pi - POLAR_CAP))  # NaN is outside too
-        if np.any(outside):
-            bad = float(np.ravel(th)[np.argmax(np.ravel(outside))])
+        inside = (POLAR_CAP <= th) & (th <= np.pi - POLAR_CAP)  # NaN is outside
+        if not inside.all():
+            bad = float(np.ravel(th)[np.argmin(np.ravel(inside))])
             raise ValueError(
                 f"{what} at colatitude {bad:.6f} lies in the polar cap "
                 f"(must stay within [{POLAR_CAP}, pi - {POLAR_CAP}])"
@@ -266,26 +273,26 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         d_ph = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1) @ F.T
         return r * np.stack([d_th, d_ph], axis=-1)
 
-    def normal(x):
-        x = np.asarray(x, dtype=float)
-        return sign * x / r
-
-    def shape_derivative(x, v):
-        v = np.asarray(v, dtype=float)
-        return sign * v / r
-
     def shape_derivative_at(u, v_emb):
         colatitude(u, "chart point")  # Dn is the same at every point; only the refusal needs u
-        return shape_derivative(None, v_emb)
+        return sign * np.asarray(v_emb, dtype=float) / r
+
+    def rolling(u, v):
+        # the chart tangent's polar-cap refusal, so both report a cap point alike
+        th, ph = colatitude(u, "chart tangent")
+        v = np.asarray(v, dtype=float)
+        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        v_th, a = v[..., 0], v[..., 1] * st  # a = v_ph sin(th)
+        b = a * ct
+        return np.stack([-sp * v_th - b * cp, cp * v_th - b * sp, a * st], axis=-1) @ rolling_map
 
     return Surface(
         kind=f"sphere-{side}",
         chart=chart,
         chart_tangent=chart_tangent,
-        normal_at=lambda u: normal(chart(u)),
+        normal_at=lambda u: sign * chart(u) / r,
         shape_derivative_at=shape_derivative_at,
-        normal=normal,
-        shape_derivative=shape_derivative,
+        rolling=rolling,
         vectorized=True,
     )
 
@@ -305,40 +312,39 @@ def parametric_surface(
     chart direction that pushes forward to v_emb.
     """
 
+    user_chart, user_normal = chart, normal_at
+
+    def chart(u):
+        return np.asarray(user_chart(np.asarray(u, dtype=float)), dtype=float)
+
     def chart_tangent(u):
         u = np.asarray(u, dtype=float)
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        d1 = (np.asarray(chart(u + e1), float) - np.asarray(chart(u - e1), float)) / (2 * h)
-        d2 = (np.asarray(chart(u + e2), float) - np.asarray(chart(u - e2), float)) / (2 * h)
-        return np.column_stack([d1, d2])
+        return np.column_stack([(chart(u + e) - chart(u - e)) / (2 * h) for e in h * np.eye(2)])
 
-    if normal_at is None:
-
-        def normal_at(u):  # noqa: F811 - deliberate default binding
-            T = chart_tangent(u)
-            n = np.cross(T[:, 0], T[:, 1])
-            nn = np.linalg.norm(n)
-            if nn < 1e-12:
-                raise ValueError("chart tangent map singular: cannot orient a normal")
-            return n / nn
+    def normal_at(u):
+        if user_normal is not None:
+            return np.asarray(user_normal(np.asarray(u, dtype=float)), dtype=float)
+        T = chart_tangent(u)
+        n = np.cross(T[:, 0], T[:, 1])
+        nn = np.linalg.norm(n)
+        if nn < 1e-12:
+            raise ValueError("chart tangent map singular: cannot orient a normal")
+        return n / nn
 
     def shape_derivative_at(u, v_emb):
         u = np.asarray(u, dtype=float)
-        v_emb = np.asarray(v_emb, dtype=float)
-        T = chart_tangent(u)
-        w, *_ = np.linalg.lstsq(T, v_emb, rcond=None)
-        na = np.asarray(normal_at(u + h * w), dtype=float)
-        nb = np.asarray(normal_at(u - h * w), dtype=float)
-        return (na - nb) / (2 * h)
+        w, *_ = np.linalg.lstsq(chart_tangent(u), np.asarray(v_emb, dtype=float), rcond=None)
+        return (normal_at(u + h * w) - normal_at(u - h * w)) / (2 * h)
 
-    return Surface(
-        kind=kind,
-        chart=lambda u: np.asarray(chart(np.asarray(u, dtype=float)), dtype=float),
-        chart_tangent=chart_tangent,
-        normal_at=lambda u: np.asarray(normal_at(np.asarray(u, dtype=float)), dtype=float),
-        shape_derivative_at=shape_derivative_at,
-    )
+    def rolling(u, v):
+        T = chart_tangent(u)
+        t1, t2 = T[:, 0], T[:, 1]
+        if np.linalg.norm(np.cross(t1, t2)) <= 1e-12 * max(np.linalg.norm(t1) * np.linalg.norm(t2), 1e-300):
+            raise ValueError("chart tangent map singular at the requested point")
+        v_emb = T @ np.asarray(v, dtype=float)
+        return np.cross(normal_at(u), v_emb + shape_derivative_at(u, v_emb))
+
+    return Surface(kind, chart, chart_tangent, normal_at, shape_derivative_at, rolling)
 
 
 def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
@@ -347,10 +353,11 @@ def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
     In chart coordinates, with v_emb the embedded image of the chart tangent
     vector v:
 
-        omega_u(v) = -( n(x) x (v_emb + Dn(x)(v_emb)) ),   x = chart(u).
+        omega_u(v) = -( n(x) x (v_emb + Dn(x)(v_emb)) ),   x = chart(u),
 
-    For the radius-r sphere with outward normal this reduces to
-    omega = -(1/r)(1 + 1/r) (x x v_emb).
+    which is minus ``surface.rolling(u, v)``. For the radius-r sphere with
+    outward normal this reduces to omega = -(1/r)(1 + 1/r) (x x v_emb);
+    :func:`sphere_surface` evaluates it in that closed form.
     """
 
     radius = None
@@ -358,20 +365,9 @@ def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
         # recover the radius from the chart for the curvature catalog
         radius = float(np.linalg.norm(surface.chart(np.array([np.pi / 2, 0.0]))))
 
-    def evaluate(u, v):
-        T = surface.chart_tangent(u)
-        t1, t2 = T[..., 0], T[..., 1]
-        area = np.linalg.norm(np.cross(t1, t2), axis=-1)
-        scale = np.linalg.norm(t1, axis=-1) * np.linalg.norm(t2, axis=-1)
-        if np.any(area <= 1e-12 * np.maximum(scale, 1e-300)):
-            raise ValueError("chart tangent map singular at the requested point")
-        v_emb = np.einsum("...ij,...j->...i", T, v)
-        n = surface.normal_at(u)
-        return -np.cross(n, v_emb + surface.shape_derivative_at(u, v_emb))
-
     return LocalConnectionForm(
         base_dim=2,
-        evaluate=evaluate,
+        evaluate=lambda u, v: -surface.rolling(u, v),
         descriptor=surface.kind,
         radius=radius,
         surface=surface,

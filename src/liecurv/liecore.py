@@ -101,14 +101,14 @@ def log_so3(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"log_so3 expects a 3x3 matrix, got shape {R.shape}")
-    c = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(np.arccos(c))
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    # |w| = 2 sin(theta): atan2 keeps theta accurate near pi, where arccos of the trace loses digits
+    theta = float(np.arctan2(np.linalg.norm(w) / 2.0, (np.trace(R) - 1.0) / 2.0))
     if theta > np.pi - _LOG_DOMAIN_MARGIN:
         raise ValueError(
             f"log_so3: rotation angle {theta:.9f} is within {_LOG_DOMAIN_MARGIN:.0e} "
             "of pi; the axis is ill-conditioned there"
         )
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
     if theta < _EPS_ANGLE:
         t2 = theta * theta
         # theta / (2 sin theta) expanded to fourth order
@@ -315,7 +315,8 @@ def check_unit_quat(q, tol: float = 1e-10) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise ValueError(f"expected a quaternion (w, x, y, z), got shape {q.shape}")
-    defect = abs(float(q @ q) - 1.0)
-    if defect > tol:
+    with np.errstate(over="ignore"):  # huge entries give inf and NaN gives nan; both are refused
+        defect = abs(float(q @ q) - 1.0)
+    if not defect <= tol:
         raise ValueError(f"quaternion is not unit (| |q|^2 - 1 | = {defect:.3e})")
     return q

@@ -305,9 +305,7 @@ def transport_quat(
     cfg = config or IntegratorConfig()
     q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9)
     nodes = integration_grid(cfg.steps, path.corners)
-    ends, Q = _compose(
-        lambda ts: _on_path(path.velocity, path, ts), nodes, cfg.method == "exp-midpoint", 1.0, q
-    )
+    ends, Q = _compose(lambda ts: _on_path(path.velocity, path, ts), nodes, cfg.method == "exp-midpoint", 1.0, q)
     ts = nodes[ends]
     samples = ((0.0, np.asarray(path.position(0.0), dtype=float), q.copy()),)
     samples += tuple(zip(ts.tolist(), _on_path(path.position, path, ts), Q))
@@ -416,12 +414,19 @@ def convergence_order(
 # path catalog
 
 
+def _check_finite(what: str, *values) -> None:
+    """Refuse non-finite path parameters before any arithmetic on them."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"{what} must be finite")
+
+
 def line(x0, xi) -> PathSpec:
     """Straight path c(t) = x0 + t xi."""
     x0 = np.asarray(x0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if x0.shape != xi.shape or x0.ndim != 1:
         raise ValueError("line expects a point and a displacement of equal dimension")
+    _check_finite("line point and displacement", x0, xi)
     return PathSpec(
         base_dim=len(x0),
         position=lambda t: x0 + np.multiply.outer(t, xi),
@@ -446,13 +451,11 @@ def circle(center, radius: float, plane=None) -> PathSpec:
     if plane is None:
         if d < 2:
             raise ValueError("circle needs a base dimension of at least 2")
-        b1 = np.zeros(d)
-        b1[0] = 1.0
-        b2 = np.zeros(d)
-        b2[1] = 1.0
+        b1, b2 = np.eye(d)[:2]
     else:
         b1 = np.asarray(plane[0], dtype=float)
         b2 = np.asarray(plane[1], dtype=float)
+    _check_finite("circle center, radius and plane", center, radius, b1, b2)
     n1 = np.linalg.norm(b1)
     if n1 < 1e-12:
         raise ValueError("degenerate circle plane: first spanning vector vanishes")
@@ -487,6 +490,7 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] < 2:
         raise ValueError("polyline needs at least two points")
+    _check_finite("polyline points", P)
     m, d = P.shape
     if times is None:
         T = np.linspace(0.0, 1.0, m)
@@ -494,6 +498,7 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
         T = np.asarray(times, dtype=float)
         if T.shape != (m,):
             raise ValueError(f"times must match the number of points ({m})")
+        _check_finite("polyline times", T)
         if np.any(np.diff(T) <= 0.0):
             raise ValueError("times must be strictly increasing")
         if abs(T[0]) > 1e-12 or abs(T[-1] - 1.0) > 1e-12:
@@ -537,6 +542,7 @@ def parallelogram_loop(x, u, v, eps: float) -> PathSpec:
     v = np.asarray(v, dtype=float)
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    _check_finite("parallelogram corner, sides and eps", x, u, v, eps)
     if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
         raise ValueError("parallelogram sides must be nonzero")
     pts = np.array([x, x + eps * u, x + eps * u + eps * v, x + eps * v, x])
@@ -570,8 +576,7 @@ def great_arc(p, q, radius: float | None = None, side: str = "outer") -> tuple[P
         if dot > 0.0:
             raise ValueError("great_arc requires distinct points")
         # antipodal: any axis orthogonal to p closes a half circle
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(p)))] = 1.0
+        e = np.eye(3)[int(np.argmin(np.abs(p)))]
         w = np.cross(p, e)
         f3 = w / np.linalg.norm(w)
         s = float(np.pi)

@@ -23,6 +23,7 @@ from .connections import (
     surface_rolling_form,
 )
 from .liecore import (
+    check_unit_quat,
     commutator,
     cross,
     hat,
@@ -230,7 +231,7 @@ def lift_transport(
     """
     sample = _form_sampler(form, path)
     cfg = config or IntegratorConfig(steps=512)
-    q = np.array([1.0, 0.0, 0.0, 0.0]) if q0 is None else np.asarray(q0, dtype=float)
+    q = np.array([1.0, 0.0, 0.0, 0.0]) if q0 is None else check_unit_quat(q0, tol=1e-9)
     nodes = integration_grid(cfg.steps, path.corners)
     _, Q = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5, q)
     return Q[-1]

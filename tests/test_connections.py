@@ -1,7 +1,11 @@
 """Tests for connection forms, surfaces, and curvature formulas."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liecurv import (
     PLANE_ROLLING_PULLBACK,
@@ -225,6 +229,9 @@ def test_sphere_surface_polar_cap_refused():
 def test_sphere_surface_validation():
     with pytest.raises(ValueError, match="positive"):
         sphere_surface(0.0)
+    for r in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sphere_surface(r)
     with pytest.raises(ValueError, match="side"):
         sphere_surface(1.0, side="top")
     with pytest.raises(ValueError, match="orthonormal"):
@@ -308,6 +315,80 @@ def test_surface_rolling_rejects_singular_chart():
     form = surface_rolling_form(collapsed)
     with pytest.raises(ValueError, match="singular"):
         form(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the sphere's closed-form rolling map against the generic formula
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def generic_rolling_form(surface, u, v):
+    """-n x (v_emb + Dn v_emb), assembled point by point from the chart pieces."""
+    u, v = np.atleast_2d(u), np.atleast_2d(v)
+    rows = []
+    for ui, vi in zip(u, v):
+        v_emb = surface.chart_tangent(ui) @ vi
+        rows.append(-np.cross(surface.normal_at(ui), v_emb + surface.shape_derivative_at(ui, v_emb)))
+    return np.array(rows)
+
+
+def random_frame(rng, left_handed):
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    Q *= np.sign(np.linalg.det(Q)) * (-1.0 if left_handed else 1.0)  # det(Q) = -1 exactly when left-handed
+    return tuple(Q.T)  # sphere_surface stacks the frame vectors as columns: F = Q
+
+
+@SETTINGS
+@given(
+    r=st.floats(0.2, 5.0),
+    side=st.sampled_from(["outer", "inner"]),
+    left_handed=st.booleans(),
+    n=st.integers(0, 12),  # 0: a single point, else a stack of n
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(r=2.0, side="outer", left_handed=False, n=0, seed=0)
+@example(r=1.0, side="outer", left_handed=True, n=5, seed=1)
+def test_sphere_rolling_closed_form_matches_the_generic_formula(r, side, left_handed, n, seed):
+    rng = np.random.RandomState(seed)
+    s = sphere_surface(r, side=side, frame=random_frame(rng, left_handed))
+    shape = (2,) if n == 0 else (n, 2)
+    u = np.stack([rng.uniform(0.05, np.pi - 0.05, shape[:-1]), rng.uniform(-10.0, 10.0, shape[:-1])], axis=-1)
+    v = rng.standard_normal(shape) * rng.uniform(0.01, 100.0)
+    got = surface_rolling_form(s).evaluate(u, v)
+    assert got.shape == shape[:-1] + (3,)
+    tol = 1e-14 * np.linalg.norm(np.atleast_2d(v), axis=-1, keepdims=True) * max(r, 1.0)
+    assert np.all(np.abs(np.atleast_2d(got) - generic_rolling_form(s, u, v)) <= tol)
+
+
+@SETTINGS
+@given(left_handed=st.booleans(), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_inner_unit_sphere_closed_form_is_exactly_zero(left_handed, n, seed):
+    rng = np.random.RandomState(seed)
+    s = sphere_surface(1.0, side="inner", frame=random_frame(rng, left_handed))
+    u = np.column_stack([rng.uniform(0.05, np.pi - 0.05, n), rng.uniform(-10.0, 10.0, n)])
+    assert np.all(surface_rolling_form(s).evaluate(u, rng.standard_normal((n, 2)) * 100.0) == 0.0)
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(0, 11),
+    cap=st.one_of(st.floats(0.0, 1e-3, exclude_max=True), st.floats(np.pi - 1e-3, np.pi, exclude_min=True)),
+)
+@example(n=1, k=0, cap=0.0)
+@example(n=12, k=11, cap=np.pi)
+def test_sphere_rolling_names_the_one_cap_point_of_a_stack(n, k, cap):
+    k %= n
+    s = sphere_surface(1.5)
+    u = np.column_stack([np.linspace(0.5, 2.5, n), np.linspace(-1.0, 1.0, n)])
+    u[k, 0] = cap
+    message = f"colatitude {cap:.6f} lies in the polar cap"
+    with pytest.raises(ValueError, match=re.escape(message)) as refused:
+        surface_rolling_form(s).evaluate(u, np.ones((n, 2)))
+    with pytest.raises(ValueError) as by_chart_tangent:
+        s.chart_tangent(u)
+    assert str(refused.value) == str(by_chart_tangent.value)
 
 
 # ---------------------------------------------------------------------------

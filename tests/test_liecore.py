@@ -211,6 +211,17 @@ def test_log_so3_inverts_exp_so3_up_to_pi(theta, axis):
     np.testing.assert_allclose(log_so3(exp_so3(v)), v, rtol=0.0, atol=tol)
 
 
+# theta from atan2(|w| / 2, (tr - 1) / 2) stays accurate up to the refusal
+# margin; arccos of the trace lost ~1e-3 rad at pi - 1e-6.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gap=st.floats(1.001e-6, 1e-3), axis=AXES)
+@example(gap=1.001e-6, axis=np.array([0.0, 0.0, -1.0]))
+@example(gap=1.001e-6, axis=np.array([0.6, -0.8, 0.0]))
+def test_log_so3_round_trip_near_pi_within_1e_9(gap, axis):
+    v = (np.pi - gap) * axis / np.linalg.norm(axis)
+    np.testing.assert_allclose(log_so3(exp_so3(v)), v, rtol=0.0, atol=1e-9)
+
+
 def test_log_so3_refuses_angles_near_pi():
     v = (np.pi - 1e-7) * np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="ill-conditioned"):

@@ -432,6 +432,31 @@ def test_polyline_validation():
     assert closed.closed
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_catalog_paths_refuse_non_finite_parameters(bad):
+    # refused at construction, before arithmetic such as x0 + 0 * inf can warn
+    with pytest.raises(ValueError, match="line point and displacement must be finite"):
+        line(np.zeros(3), np.array([bad, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="line point and displacement must be finite"):
+        line(np.array([0.0, bad, 0.0]), E1)
+    with pytest.raises(ValueError, match="circle center, radius and plane must be finite"):
+        circle(np.array([bad, 0.0]), 1.0)
+    if not bad < 0.0:  # a negative radius is refused as not positive first
+        with pytest.raises(ValueError, match="circle center, radius and plane must be finite"):
+            circle(np.zeros(2), bad)
+    with pytest.raises(ValueError, match="circle center, radius and plane must be finite"):
+        circle(np.zeros(3), 1.0, plane=(E1, np.array([0.0, bad, 1.0])))
+    with pytest.raises(ValueError, match="polyline points must be finite"):
+        polyline(np.array([[0.0, 0.0], [1.0, bad], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="polyline times must be finite"):
+        polyline(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), times=[0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="parallelogram corner, sides and eps must be finite"):
+        parallelogram_loop(np.zeros(3), E1, np.array([0.0, bad, 0.0]), 0.5)
+    if not bad < 0.0:
+        with pytest.raises(ValueError, match="parallelogram corner, sides and eps must be finite"):
+            parallelogram_loop(np.zeros(3), E1, E2, bad)
+
+
 def test_parallelogram_loop_structure():
     loop = parallelogram_loop(np.zeros(3), E1, E2, 0.5)
     assert loop.kind == "parallelogram" and loop.closed

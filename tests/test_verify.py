@@ -118,6 +118,15 @@ def test_lift_transport_projects_onto_group_transport():
         lift_transport(plane_rolling_form(), c)
 
 
+@pytest.mark.parametrize(
+    "q0", [[2.0, 0.0, 0.0, 0.0], [1e308, 1e308, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]], ids=["norm-2", "huge", "nan"]
+)
+def test_lift_transport_refuses_a_non_unit_start(q0):
+    # the same check as transport_quat; a huge start must not overflow into a warning
+    with pytest.raises(ValueError, match="not unit"):
+        lift_transport(natural_form(), line(np.zeros(3), np.ones(3)), q0=q0)
+
+
 def test_unit_sphere_section_at_basepoint():
     q, formula = unit_sphere_section(np.array([0.0, 0.0, 1.0]))
     np.testing.assert_allclose(q, [1.0, 0.0, 0.0, 0.0], atol=0.0)
