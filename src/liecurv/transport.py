@@ -31,25 +31,28 @@ runs, and for each block it
 3. multiplies the factors, later ones on the left, by a pairwise (tree)
    reduction within chunks of ``stride`` steps, the sample-recording stride.
 
-After the last block, one prefix scan (Hillis-Steele: log2 passes) over the
-run's chunk products, at most ~1024, gives the recorded states.
+The engine keeps only the run's chunk products, at most ~1024. The final
+frame is their pairwise reduction with the pairs aligned to the right end
+(:func:`_last_product`): exactly the products that the prefix scan
+(Hillis-Steele, :func:`_prefix_products`) forms on its way to its last state,
+so the two are bitwise equal. The scan, which gives the recorded states, runs
+on the first read of :attr:`TransportResult.samples`.
 
 Regrouping the factors is legal because the product is associative, which
 is the paper's concatenation law T(c1 * c2) = T(c2) T(c1) read at the level
 of the grid: the transport over a union of consecutive intervals is the
 product of the transports over the pieces, in any bracketing. A tree
 reduction also accumulates roundoff over O(log n) levels instead of n.
-
-Composition in unit quaternions needs no re-projection onto the group:
-the products stay unit to within a few ulps and ``quat_to_rotation``
-normalizes before it builds a matrix. ``IntegratorConfig.renormalize_every``
-is therefore accepted but has no work left to do.
+Composition in unit quaternions needs no re-projection onto the group: the
+products stay unit to within a few ulps and ``quat_to_rotation`` normalizes
+before it builds a matrix.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -92,37 +95,15 @@ def _check_step_count(name: str, n: int) -> None:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection: method, uniform step count, optional renormalization.
-
-    ``steps`` may be at most ``MAX_STEPS``. ``renormalize_every`` is kept
-    for compatibility; quaternion composition stays on the group without it
-    (see the module docstring), so it has no effect.
-    """
+    """Stepper selection: method and uniform step count (at most ``MAX_STEPS``)."""
 
     method: str = "exp-midpoint"
     steps: int = 10_000
-    renormalize_every: int = 0
 
     def __post_init__(self):
         if self.method not in ("lie-euler", "exp-midpoint"):
             raise ValueError(f"unknown method {self.method!r}; use 'lie-euler' or 'exp-midpoint'")
         _check_step_count("steps", self.steps)
-        if self.renormalize_every < 0:
-            raise ValueError("renormalize_every must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TransportResult:
-    """Final group element plus recorded (t, base point, group element) samples.
-
-    Long runs record at most ~1024 evenly strided samples; the first and
-    final states are always included. ``algebra_log`` holds every algebra
-    increment input a(t*) when requested at transport time.
-    """
-
-    final: np.ndarray
-    samples: tuple[tuple[float, np.ndarray, np.ndarray], ...]
-    algebra_log: tuple[np.ndarray, ...] | None = None
 
 
 def integration_grid(steps: int, corners: tuple[float, ...] = ()) -> np.ndarray:
@@ -190,23 +171,34 @@ def _prefix_products(P: np.ndarray) -> np.ndarray:
     return S
 
 
+def _last_product(P: np.ndarray) -> np.ndarray:
+    """P_{n-1} ... P_1 P_0, bitwise equal to ``_prefix_products(P)[-1]``.
+
+    Each halving pass multiplies the pairs (P_{n-1}, P_{n-2}), (P_{n-3},
+    P_{n-4}), ... and passes an unpaired first row through: the products
+    the scan forms on its way to the last row, and no others.
+    """
+    while len(P) > 1:
+        odd = len(P) % 2
+        P = np.concatenate([P[:odd], quat_mul(P[odd + 1 :: 2], P[odd::2])])
+    return P[0]
+
+
 def _compose(
     sample: Callable[[np.ndarray], np.ndarray],
     nodes: np.ndarray,
     midpoint: bool,
     scale: float,
-    q0: np.ndarray,
-    algebra_log: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ordered product of quat_exp(scale dt_k a(t*_k)) over the grid, applied to q0.
+) -> tuple[np.ndarray, int]:
+    """The ordered products of quat_exp(scale dt_k a(t*_k)) over chunks of the grid.
 
     ``sample`` maps an array of times to the (n, 3) algebra inputs there;
     ``scale`` is 1/2 for SO(3) transport (half angles) and 1 for quaternion
-    transport. Returns ``(ends, Q)``: states are recorded after every
-    ``stride`` intervals and after the last, where stride is the smallest
-    step keeping at most _MAX_RECORDED samples; ``ends`` holds the interval
-    counts of the recorded states and ``Q`` the states, shape (len(ends), 4).
-    Non-finite samples, step quaternions or products raise ValueError.
+    transport. Returns ``(C, stride)``: ``C[j]`` is the product over the
+    intervals ``[j stride, (j + 1) stride)`` (the last chunk may be shorter),
+    where stride is the smallest step keeping at most _MAX_RECORDED chunks.
+    The state after chunk j is C_j ... C_0. Non-finite samples or step
+    quaternions raise ValueError.
     """
     n = len(nodes) - 1
     stride = max(1, -(-n // _MAX_RECORDED))
@@ -227,8 +219,6 @@ def _compose(
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
             k = _first_bad(steps)
             raise ValueError(f"non-finite step rotation at t = {float(ts[k])!r}: the step angle |dt a| overflows")
-        if algebra_log is not None:
-            algebra_log.append(a)
         # whole chunks of ``stride`` steps, the last one padded with identities
         pad = -(k1 - k0) % stride
         steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))]).reshape(-1, stride, 4)
@@ -237,15 +227,46 @@ def _compose(
                 steps = np.concatenate([steps, np.broadcast_to(_IDENTITY, (len(steps), 1, 4))], axis=1)
             steps = quat_mul(steps[:, 1::2], steps[:, 0::2])
         chunks.append(steps[:, 0])
-    states = quat_mul(_prefix_products(np.concatenate(chunks)), q0)
-    ends = np.minimum(np.arange(1, len(states) + 1) * stride, n)
-    if (j := _first_bad(states)) >= 0:
-        raise ValueError(f"non-finite transport state in t = [{nodes[j * stride]!r}, {nodes[ends[j]]!r}]")
-    return ends, states
+    return np.concatenate(chunks), stride
 
 
 # ---------------------------------------------------------------------------
 # public steppers
+
+
+class TransportResult:
+    """Final group element plus recorded (t, base point, group element) samples.
+
+    Long runs record at most ~1024 evenly strided samples; the first and
+    final states are always included. Both are built from the run's chunk
+    products on first read: ``final`` by :func:`_last_product`, ``samples``
+    by the prefix scan, which also fills ``final`` from its last frame (the
+    two are bitwise equal). A non-finite state raises ValueError on read.
+    """
+
+    def __init__(self, path: PathSpec, nodes: np.ndarray, run: tuple[np.ndarray, int], frame, start: np.ndarray):
+        chunks, stride = run
+        self._path, self._chunks, self._frame, self._start = path, chunks, frame, start
+        self._times = np.append(nodes[:-1:stride], nodes[-1])  # the start, then the end of every chunk
+
+    def _frames(self, S: np.ndarray) -> np.ndarray:
+        """``frame`` of the chunk states S; a non-finite state is refused, naming its chunk."""
+        if not np.isfinite(S).all():
+            j = _first_bad(_prefix_products(self._chunks))
+            raise ValueError(f"non-finite transport state in t = [{self._times[j]!r}, {self._times[j + 1]!r}]")
+        return self._frame(S)
+
+    @cached_property
+    def final(self) -> np.ndarray:
+        return self._frames(_last_product(self._chunks)[None])[0]
+
+    @cached_property
+    def samples(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+        G = self._frames(_prefix_products(self._chunks))
+        self.__dict__.setdefault("final", G[-1].copy())
+        ts, path = self._times[1:], self._path
+        head = ((0.0, np.asarray(path.position(0.0), dtype=float), self._start),)
+        return head + tuple(zip(ts.tolist(), _on_path(path.position, path, ts), G))
 
 
 def transport(
@@ -253,7 +274,6 @@ def transport(
     path: PathSpec,
     g0=None,
     config: IntegratorConfig | None = None,
-    record_algebra: bool = False,
 ) -> TransportResult:
     """Parallel-transport the frame g0 along the path under the given form.
 
@@ -267,25 +287,13 @@ def transport(
         Starting rotation (identity by default).
     config : IntegratorConfig, optional
         Stepper and step count; defaults to exp-midpoint with 10^4 steps.
-    record_algebra : bool
-        Keep every algebra input a(t*) on the result (memory scales with
-        the step count).
     """
     cfg = config or IntegratorConfig()
     sample = _form_sampler(form, path)
-    g = check_rotation(np.eye(3) if g0 is None else g0)
+    g = check_rotation(np.eye(3) if g0 is None else g0).copy()  # frames are built after the return
     nodes = integration_grid(cfg.steps, path.corners)
-    alog = [] if record_algebra else None
-    ends, Q = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5, _IDENTITY, alog)
-    G = quat_to_rotation(Q) @ g
-    ts = nodes[ends]
-    samples = ((0.0, np.asarray(path.position(0.0), dtype=float), g.copy()),)
-    samples += tuple(zip(ts.tolist(), _on_path(path.position, path, ts), G))
-    return TransportResult(
-        final=G[-1].copy(),
-        samples=samples,
-        algebra_log=tuple(np.concatenate(alog)) if record_algebra else None,
-    )
+    run = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5)
+    return TransportResult(path, nodes, run, lambda S: quat_to_rotation(S) @ g, g)
 
 
 def transport_quat(
@@ -303,13 +311,10 @@ def transport_quat(
     if path.base_dim != 3:
         raise ValueError("quaternion transport requires a path in R^3")
     cfg = config or IntegratorConfig()
-    q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9)
+    q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9).copy()
     nodes = integration_grid(cfg.steps, path.corners)
-    ends, Q = _compose(lambda ts: _on_path(path.velocity, path, ts), nodes, cfg.method == "exp-midpoint", 1.0, q)
-    ts = nodes[ends]
-    samples = ((0.0, np.asarray(path.position(0.0), dtype=float), q.copy()),)
-    samples += tuple(zip(ts.tolist(), _on_path(path.position, path, ts), Q))
-    return TransportResult(final=Q[-1].copy(), samples=samples)
+    run = _compose(lambda ts: _on_path(path.velocity, path, ts), nodes, cfg.method == "exp-midpoint", 1.0)
+    return TransportResult(path, nodes, run, lambda S: quat_mul(S, q), q)
 
 
 def holonomy(
@@ -333,8 +338,9 @@ def time_ordered_product(form: LocalConnectionForm, path: PathSpec, n: int) -> n
     """
     sample = _form_sampler(form, path)
     _check_step_count("n", n)
-    _, Q = _compose(sample, integration_grid(n), False, 0.5, _IDENTITY)
-    return quat_to_rotation(Q[-1])
+    C, _ = _compose(sample, integration_grid(n), False, 0.5)
+    # the product with the identity turns some -0.0 entries into 0.0, as it always has
+    return quat_to_rotation(quat_mul(_last_product(C), _IDENTITY))
 
 
 def small_loop_curvature(
@@ -505,9 +511,11 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
             raise ValueError("times must cover [0, 1]")
         T = T.copy()
         T[0], T[-1] = 0.0, 1.0
-    slopes = (P[1:] - P[:-1]) / np.diff(T)[:, None]
-
-    gap = float(np.linalg.norm(P[-1] - P[0]))
+    with np.errstate(over="ignore"):  # huge finite vertices overflow: refused just below
+        slopes = (P[1:] - P[:-1]) / np.diff(T)[:, None]
+        gap = float(np.linalg.norm(P[-1] - P[0]))
+    if not (np.isfinite(slopes).all() and np.isfinite(gap)):
+        raise ValueError("polyline vertices are too far apart: a slope or the closure gap overflows")
     if closed is None:
         closed = gap <= 1e-9
     elif closed and gap > 1e-9:

@@ -47,6 +47,7 @@ from .transport import (
     transport_quat,
     _compose,
     _form_sampler,
+    _last_product,
 )
 
 SPAN_THRESHOLD = 1e-4  # smallest singular value required of normalized holonomy logs
@@ -233,8 +234,8 @@ def lift_transport(
     cfg = config or IntegratorConfig(steps=512)
     q = np.array([1.0, 0.0, 0.0, 0.0]) if q0 is None else check_unit_quat(q0, tol=1e-9)
     nodes = integration_grid(cfg.steps, path.corners)
-    _, Q = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5, q)
-    return Q[-1]
+    C, _ = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5)
+    return quat_mul(_last_product(C), q)
 
 
 def unit_sphere_section(p, config: IntegratorConfig | None = None, legs=None):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,16 @@ def test_non_finite_requests_exit_one_with_empty_stdout(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_overflowing_polyline_exits_one_without_a_warning(capsys):
+    argv = ["transport", "--path", "polyline", "--points", "0,0,0;1e308,-1e308,0", "--steps", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflows" in captured.err
 
 
 def test_write_result_refuses_non_finite_numbers():

@@ -1,13 +1,16 @@
 """Property tests for the batched stepping engine and the array-valued catalog.
 
 The engine evaluates a whole block of grid nodes per call and composes the
-step quaternions by pairwise reduction and a prefix scan. These tests hold
-it to the loop it replaced (one ``exp_so3(dt a) @ g`` per interval, written
-out below as the reference), to per-point evaluation of the same paths and
-forms, and to the paper's concatenation and reversal laws.
+step quaternions by pairwise reduction into chunk products; the final frame
+is their right-aligned pairwise reduction and the recorded states their
+prefix scan, each built on first read. These tests hold it to the loop it
+replaced (one ``exp_so3(dt a) @ g`` per interval, written out below as the
+reference), to per-point evaluation of the same paths and forms, and to the
+paper's concatenation and reversal laws.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -38,9 +41,11 @@ from liecurv import (
     scale_path,
     sphere_surface,
     surface_rolling_form,
+    time_ordered_product,
     transport,
     transport_quat,
 )
+from liecurv.transport import _BLOCK, _MAX_RECORDED, TransportResult, _last_product, _prefix_products
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 NAT = natural_form()
@@ -290,6 +295,85 @@ def test_engine_matches_sequential_reference(steps, method, path_name):
     got = transport_quat(path, config=cfg)
     np.testing.assert_allclose(got.final, q, rtol=0.0, atol=1e-12)
     assert [t for t, _, _ in got.samples] == want_ts
+
+
+# ---------------------------------------------------------------------------
+# only what the caller reads: the final frame by reduction, the samples on demand
+
+EDGE_LENGTHS = sorted({2**k + d for k in range(12) for d in (-1, 0, 1)} - {0})  # 1 ... 2049
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.integers(1, 2100), st.sampled_from(EDGE_LENGTHS)),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.booleans(),
+)
+@example(n=1, seed=0, zeros=False)
+@example(n=1023, seed=1, zeros=True)
+@example(n=1024, seed=2, zeros=False)
+@example(n=1025, seed=3, zeros=True)
+def test_last_product_is_bitwise_the_last_prefix_product(n, seed, zeros):
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((n, 4))
+    C /= np.linalg.norm(C, axis=1)[:, None]
+    if zeros:  # signed zeros, as in rotations about a coordinate axis
+        C[rng.random((n, 4)) < 0.3] = -0.0
+    assert _last_product(C).tobytes() == _prefix_products(C)[-1].tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 4096, 4097, 12_001])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("stepper", ["transport", "transport_quat"])
+def test_final_is_the_same_bits_whether_read_first_or_after_samples(steps, method, stepper):
+    cfg = IntegratorConfig(method=method, steps=steps)
+    if stepper == "transport":
+        g0 = exp_so3(np.array([0.3, -0.8, 1.9]))
+        run = lambda: transport(FORMS["sphere-outer"], PATHS["great_arc"], g0, cfg)  # noqa: E731
+    else:
+        q0 = quat_exp(np.array([0.2, 0.5, -1.1]))
+        run = lambda: transport_quat(PATHS["polyline"], q0, cfg)  # noqa: E731
+    first = run()
+    final_first = first.final
+    later = run()
+    samples = later.samples
+    assert final_first.tobytes() == later.final.tobytes() == samples[-1][2].tobytes()
+    assert first.samples[-1][2].tobytes() == final_first.tobytes()
+
+
+def test_reading_only_final_evaluates_the_path_once_per_block():
+    base = PATHS["polyline"]
+    times = []
+    path = dataclasses.replace(base, position=lambda t: times.append(np.atleast_1d(t)) or base.position(t))
+    steps = 12_001
+    res = transport(NAT, path, config=IntegratorConfig(steps=steps))
+    res.final
+    n = len(integration_grid(steps, path.corners)) - 1
+    stride = -(-n // _MAX_RECORDED)
+    blocks = math.ceil(n / (stride * (_BLOCK // stride)))
+    assert blocks > 1 and len(times) == 1 + blocks  # the guarded call at t = 0, then one per block
+    assert sum(len(ts) for ts in times[1:]) == n  # the sample times, not the recorded ones
+    res.samples
+    assert len(times) == 3 + blocks  # the start point, then the recorded times in one call
+    assert len(times[-1]) == len(res.samples) - 1
+
+
+def test_time_ordered_product_pins_the_signs_of_zero_entries():
+    # one plane-rolling step about e1 gives zero entries of either sign,
+    # depending on the direction of travel
+    for d, negative_zeros in (([0.0, 1.0], []), ([0.0, -1.0], [1, 6])):
+        g = time_ordered_product(plane_rolling_form(), line(np.zeros(2), np.array(d)), 1).ravel()
+        assert np.flatnonzero((g == 0.0) & np.signbit(g)).tolist() == negative_zeros
+
+
+def test_non_finite_state_is_refused_on_read_naming_its_chunk():
+    C = np.tile([1.0, 0.0, 0.0, 0.0], (6, 1))
+    C[4, 1] = np.nan
+    nodes = np.linspace(0.0, 1.0, 12)  # 11 intervals in chunks of 2
+    for read in ("final", "samples"):
+        res = TransportResult(PATHS["line"], nodes, (C, 2), lambda S: S, C[0])
+        with pytest.raises(ValueError, match=re.escape(f"non-finite transport state in t = [{nodes[8]!r}, {nodes[10]!r}]")):
+            getattr(res, read)
 
 
 # ---------------------------------------------------------------------------
