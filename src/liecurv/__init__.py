@@ -12,10 +12,7 @@ from .connections import (
     POLAR_CAP,
     LocalConnectionForm,
     Surface,
-    TotalConnectionForm,
     curvature_closed_form,
-    curvature_numeric,
-    j_plane,
     natural_alpha,
     natural_form,
     parametric_surface,
@@ -23,7 +20,6 @@ from .connections import (
     pullback_form,
     sphere_surface,
     surface_rolling_form,
-    total_form,
 )
 from .liecore import (
     canonical_quat,
@@ -32,11 +28,9 @@ from .liecore import (
     commutator,
     cross,
     exp_so3,
-    expm,
     hat,
     lie_hom_derivative,
     log_so3,
-    project_rotation,
     quat_conj,
     quat_exp,
     quat_mul,
@@ -57,7 +51,6 @@ from .transport import (
     integration_grid,
     line,
     parallelogram_loop,
-    path_from_position,
     polyline,
     reverse_path,
     scale_path,

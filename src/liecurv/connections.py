@@ -12,10 +12,10 @@ Base points for surface forms live in chart coordinates. Each
 from the chart tangent, normal and shape operator; :func:`sphere_surface`
 evaluates it in closed form, with one pass of trigonometry per call.
 
-Catalog forms and sphere charts are *vectorized*: besides single points
-they accept stacks of shape (n, d) and return stacks, so the transport
-engine evaluates a whole block of nodes in one call. Forms built from user
-callables (and :func:`parametric_surface`) are evaluated one point at a time.
+Forms take stacks: ``evaluate`` maps points and tangents of shape (n, d) to
+shape (n, 3), so the transport engine evaluates a whole block of nodes in
+one call. So does each surface's ``rolling`` map, which
+:func:`parametric_surface` runs over the rows of a stack.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class LocalConnectionForm:
     ``evaluate(x, v)`` must be linear in ``v``; ``descriptor`` names the
     construction and drives the curvature catalog in
     :func:`curvature_closed_form`. ``surface``/``radius`` carry extra data
-    for surface-rolling forms. ``vectorized`` declares that ``evaluate``
-    also maps stacks of shape (n, base_dim) to stacks of shape (n, 3).
+    for surface-rolling forms. ``evaluate`` maps stacks of points and
+    tangents of shape (n, base_dim) to stacks of shape (n, 3), and single
+    points to 3-vectors; calling the form checks and evaluates one point.
     """
 
     base_dim: int
@@ -51,7 +52,6 @@ class LocalConnectionForm:
     descriptor: str
     radius: float | None = None
     surface: "Surface | None" = None
-    vectorized: bool = False
 
     def __call__(self, x, v) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -64,27 +64,6 @@ class LocalConnectionForm:
         return self.evaluate(x, v)
 
 
-@dataclass(frozen=True)
-class TotalConnectionForm:
-    """Connection form on the total space of the trivial bundle.
-
-    ``evaluate(x, g, v, xi)`` takes a base point, a group element, a base
-    tangent vector, and a tangent vector at ``g`` (a 3x3 matrix with
-    ``g^T xi`` skew). At ``g = I, xi = 0`` it reproduces the local form.
-    """
-
-    local: LocalConnectionForm
-    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, x, g, v, xi) -> np.ndarray:
-        return self.evaluate(
-            np.asarray(x, dtype=float),
-            np.asarray(g, dtype=float),
-            np.asarray(v, dtype=float),
-            np.asarray(xi, dtype=float),
-        )
-
-
 def natural_form() -> LocalConnectionForm:
     """The flat connection on R^3 with omega_x(v) = -v.
 
@@ -94,22 +73,7 @@ def natural_form() -> LocalConnectionForm:
         base_dim=3,
         evaluate=lambda x, v: -v,
         descriptor="natural-so3",
-        vectorized=True,
     )
-
-
-def _group_tangent_algebra(g: np.ndarray, xi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Left-translate a tangent vector xi at g to the algebra: vee(g^T xi).
-
-    Rejects xi that is not tangent to SO(3) at g (g^T xi not skew within tol).
-    """
-    M = g.T @ xi
-    asym = np.linalg.norm(M + M.T)
-    if asym > tol:
-        raise ValueError(
-            f"vector is not tangent to SO(3) at g (|g^T xi + (g^T xi)^T| = {asym:.3e})"
-        )
-    return vee(0.5 * (M - M.T))
 
 
 def natural_alpha(x, g, v, xi) -> np.ndarray:
@@ -117,6 +81,7 @@ def natural_alpha(x, g, v, xi) -> np.ndarray:
 
     alpha_(x,g)(v, xi) = vee(g^T xi) - vee(g^T hat(v) g). Horizontal vectors
     (v, hat(v) g) are annihilated; vertical generators (0, g hat(w)) return w.
+    A ``xi`` not tangent to SO(3) at g (g^T xi not skew within 1e-8) is refused.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -126,28 +91,11 @@ def natural_alpha(x, g, v, xi) -> np.ndarray:
         raise ValueError("natural_alpha expects base point and tangent in R^3")
     if g.shape != (3, 3) or xi.shape != (3, 3):
         raise ValueError("natural_alpha expects 3x3 group element and tangent matrix")
-    left = _group_tangent_algebra(g, xi)
-    return left - vee(g.T @ hat(v) @ g)
-
-
-def total_form(local: LocalConnectionForm) -> TotalConnectionForm:
-    """Extend a local form to the total space of the trivial bundle.
-
-    alpha_(x,g)(v, xi) = vee(g^T xi) + Ad_{g^-1}(omega_x(v)).
-    """
-
-    def evaluate(x, g, v, xi):
-        return _group_tangent_algebra(g, xi) + g.T @ local(x, v)
-
-    return TotalConnectionForm(local=local, evaluate=evaluate)
-
-
-def j_plane(v) -> np.ndarray:
-    """Quarter turn of a plane vector: J(v1, v2) = (v2, -v1)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2,):
-        raise ValueError("j_plane expects a 2-vector")
-    return np.array([v[1], -v[0]])
+    M = g.T @ xi
+    asym = np.linalg.norm(M + M.T)
+    if asym > 1e-8:
+        raise ValueError(f"vector is not tangent to SO(3) at g (|g^T xi + (g^T xi)^T| = {asym:.3e})")
+    return vee(0.5 * (M - M.T)) - vee(g.T @ hat(v) @ g)
 
 
 def plane_rolling_form() -> LocalConnectionForm:
@@ -162,7 +110,7 @@ def plane_rolling_form() -> LocalConnectionForm:
         # -(J(v), 0) with J(v1, v2) = (v2, -v1), on the last axis
         return np.stack([-v[..., 1], v[..., 0], np.zeros_like(v[..., 0])], axis=-1)
 
-    return LocalConnectionForm(base_dim=2, evaluate=evaluate, descriptor="plane-rolling", vectorized=True)
+    return LocalConnectionForm(base_dim=2, evaluate=evaluate, descriptor="plane-rolling")
 
 
 def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
@@ -179,7 +127,6 @@ def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
         base_dim=f.shape[1],
         evaluate=lambda x, v: inner.evaluate(x @ f.T, v @ f.T),
         descriptor=f"pullback[{inner.descriptor}]",
-        vectorized=inner.vectorized,
     )
 
 
@@ -194,10 +141,10 @@ class Surface:
 
     ``rolling(u, v)`` is n x (v_emb + Dn(x)(v_emb)) for a chart tangent
     vector v with embedded image v_emb = chart_tangent(u) v; it is minus the
-    rolling connection form (see :func:`surface_rolling_form`).
-
-    ``vectorized`` declares that every map also takes stacks of chart points
-    of shape (n, 2) (and vectors of shape (n, 2) or (n, 3)) and returns stacks.
+    rolling connection form (see :func:`surface_rolling_form`). It maps
+    stacks of chart points and vectors of shape (n, 2) to stacks of shape
+    (n, 3), as the form's ``evaluate`` must; the other maps need only take a
+    single chart point.
     """
 
     kind: str
@@ -206,7 +153,6 @@ class Surface:
     normal_at: Callable[[np.ndarray], np.ndarray]
     shape_derivative_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rolling: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    vectorized: bool = False
 
 
 def _orthonormal_frame(frame) -> np.ndarray:
@@ -293,7 +239,6 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         normal_at=lambda u: sign * chart(u) / r,
         shape_derivative_at=shape_derivative_at,
         rolling=rolling,
-        vectorized=True,
     )
 
 
@@ -310,6 +255,9 @@ def parametric_surface(
     product of the chart partials (orientation follows the chart). The shape
     operator value Dn(x)(v_emb) differentiates the normal field along the
     chart direction that pushes forward to v_emb.
+
+    ``chart`` and ``normal_at`` take one point; ``rolling`` runs them over
+    the rows of a stack.
     """
 
     user_chart, user_normal = chart, normal_at
@@ -336,13 +284,18 @@ def parametric_surface(
         w, *_ = np.linalg.lstsq(chart_tangent(u), np.asarray(v_emb, dtype=float), rcond=None)
         return (normal_at(u + h * w) - normal_at(u - h * w)) / (2 * h)
 
-    def rolling(u, v):
+    def rolling_at(u, v):
         T = chart_tangent(u)
         t1, t2 = T[:, 0], T[:, 1]
         if np.linalg.norm(np.cross(t1, t2)) <= 1e-12 * max(np.linalg.norm(t1) * np.linalg.norm(t2), 1e-300):
             raise ValueError("chart tangent map singular at the requested point")
         v_emb = T @ np.asarray(v, dtype=float)
         return np.cross(normal_at(u), v_emb + shape_derivative_at(u, v_emb))
+
+    def rolling(u, v):
+        U, V = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        rows = [rolling_at(x, w) for x, w in zip(U.reshape(-1, 2), V.reshape(-1, 2))]
+        return np.reshape(rows, U.shape[:-1] + (3,))
 
     return Surface(kind, chart, chart_tangent, normal_at, shape_derivative_at, rolling)
 
@@ -371,7 +324,6 @@ def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
         descriptor=surface.kind,
         radius=radius,
         surface=surface,
-        vectorized=surface.vectorized,
     )
 
 
@@ -396,18 +348,3 @@ def curvature_closed_form(form: LocalConnectionForm, x, u, v) -> np.ndarray:
         T = form.surface.chart_tangent(x)
         return (1.0 - 1.0 / (r * r)) * cross(T @ u, T @ v)
     raise ValueError(f"no closed-form curvature catalogued for '{d}'")
-
-
-def curvature_numeric(form: LocalConnectionForm, x, u, v, h: float = 1e-4) -> np.ndarray:
-    """Curvature Omega_x(u, v) = d omega(u, v) + [omega(u), omega(v)].
-
-    The exterior-derivative part uses central differences with step ``h`` on
-    the constant extensions of u and v (their bracket vanishes, so no
-    correction term is needed).
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d_u = (form(x + h * u, v) - form(x - h * u, v)) / (2 * h)
-    d_v = (form(x + h * v, u) - form(x - h * v, u)) / (2 * h)
-    return d_u - d_v + cross(form(x, u), form(x, v))

@@ -118,27 +118,6 @@ def log_so3(R) -> np.ndarray:
     return f * w
 
 
-def expm(A) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a 30-term Taylor sum.
-
-    The input is scaled by 2**-s until its Frobenius norm is at most 0.5,
-    the series is summed in Horner form, and the result squared s times.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expm expects a square matrix")
-    n = A.shape[0]
-    norm = np.linalg.norm(A)
-    s = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    B = A / (2.0**s)
-    E = np.eye(n)
-    for k in range(30, 0, -1):
-        E = np.eye(n) + (B @ E) / k
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
 def quat_mul(p, q) -> np.ndarray:
     """Hamilton product of quaternions given as (w, x, y, z).
 
@@ -257,27 +236,6 @@ def lie_hom_derivative(u) -> np.ndarray:
     if u.shape != (3,):
         raise ValueError("lie_hom_derivative expects a 3-vector")
     return 2.0 * u
-
-
-def project_rotation(M) -> np.ndarray:
-    """Orthogonally project a near-rotation matrix back onto SO(3).
-
-    Uses the polar factor from an SVD, which is the Frobenius-nearest
-    rotation. Refuses singular or reflection-dominant input (det <= 0).
-    """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
-        raise ValueError("project_rotation expects a 3x3 matrix")
-    d = np.linalg.det(M)
-    if not np.isfinite(d) or d <= 0.0:
-        raise ValueError(f"project_rotation: det = {d:.3e}; input is singular or reflection-dominant")
-    U, S, Vt = np.linalg.svd(M)
-    if S[-1] <= 1e-12 * S[0]:
-        raise ValueError("project_rotation: input is numerically singular")
-    R = U @ Vt
-    if np.linalg.det(R) < 0.0:
-        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    return R
 
 
 def check_rotation(R, tol: float = 1e-10) -> np.ndarray:

@@ -20,9 +20,9 @@ runs through one engine, :func:`_compose`. It walks the grid one block of
 at most a few thousand intervals at a time, so memory stays flat on long
 runs, and for each block it
 
-1. samples a(t*) at every node of the block in one call when the form and
-   the path are vectorized (catalog forms and paths are; user callables
-   are evaluated node by node);
+1. samples a(t*) at every node of the block in one call: paths map an
+   array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3)
+   (:func:`_probe` refuses maps that take one point at a time);
 2. exponentiates all steps at once as unit quaternions, refusing non-finite
    ones. The SO(3) steppers use half angles, quat_exp(dt a / 2), whose image
    under the double cover is exactly exp_so3(dt a); the same product is
@@ -71,19 +71,19 @@ _IDENTITY.flags.writeable = False
 class PathSpec:
     """A path c: [0, 1] -> R^d with its velocity and bookkeeping.
 
-    ``corners`` lists interior parameter values where the velocity may jump;
-    the integrators place grid nodes there. ``closed`` declares c(1) = c(0).
-    ``vectorized`` declares that ``position`` and ``velocity`` also map an
-    array of n times to an (n, d) array.
+    ``position`` and ``velocity`` map an array of n times to an (n, d) array
+    (and a single time to a d-vector); the integrators evaluate whole blocks
+    of grid times in one call. ``corners`` lists interior parameter values
+    where the velocity may jump; the integrators place grid nodes there.
+    ``closed`` declares c(1) = c(0).
     """
 
     base_dim: int
-    position: Callable[[float], np.ndarray]
-    velocity: Callable[[float], np.ndarray]
+    position: Callable[[np.ndarray], np.ndarray]
+    velocity: Callable[[np.ndarray], np.ndarray]
     closed: bool
     kind: str = "custom"
     corners: tuple[float, ...] = ()
-    vectorized: bool = False
 
 
 def _check_step_count(name: str, n: int) -> None:
@@ -132,25 +132,38 @@ def _check_dims(form: LocalConnectionForm, path: PathSpec) -> None:
 # the stepping engine
 
 
-def _on_path(fn: Callable, path: PathSpec, ts: np.ndarray) -> np.ndarray:
+def _on_path(fn: Callable, ts: np.ndarray) -> np.ndarray:
     """``fn`` (the path's position or velocity) at every time in ``ts``, as an (n, d) array."""
-    if path.vectorized:
-        return np.asarray(fn(ts), dtype=float)
-    return np.array([np.asarray(fn(t), dtype=float) for t in ts])
+    return np.asarray(fn(ts), dtype=float)
+
+
+def _probe(path: PathSpec, form: LocalConnectionForm | None = None) -> None:
+    """Refuse maps that do not take arrays, by their shapes on m = max(d, 3) + 1 times.
+
+    m differs from d and from 3, so a map written for one time at a time shows
+    a wrong shape here, where a block of d or 3 nodes could pass it unseen.
+    Every probe time is 0, the start point; non-finite values are left to the
+    engine's refusal, which names their time.
+    """
+    m, d = max(path.base_dim, 3) + 1, path.base_dim
+    ts = np.zeros(m)
+    X, V = _on_path(path.position, ts), _on_path(path.velocity, ts)
+    if X.shape != (m, d) or V.shape != (m, d):
+        raise ValueError(f"path '{path.kind}' maps {m} times to shapes {X.shape} and {V.shape}, "
+                         f"not ({m}, {d}): paths must take arrays of times")
+    if form is not None and (got := np.shape(form.evaluate(X, V))) != (m, 3):
+        raise ValueError(f"form '{form.descriptor}' maps {m} points to shape {got}, "
+                         f"not ({m}, 3): forms must take stacks of points and tangents")
 
 
 def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times."""
     _check_dims(form, path)
-    # one guarded evaluation validates shapes; blocks then use the raw callable
-    form(path.position(0.0), path.velocity(0.0))
+    _probe(path, form)
     ev = form.evaluate
 
     def sample(ts):
-        X, V = _on_path(path.position, path, ts), _on_path(path.velocity, path, ts)
-        if form.vectorized:
-            return -np.asarray(ev(X, V), dtype=float)
-        return -np.array([np.asarray(ev(x, v), dtype=float) for x, v in zip(X, V)])
+        return -np.asarray(ev(_on_path(path.position, ts), _on_path(path.velocity, ts)), dtype=float)
 
     return sample
 
@@ -266,7 +279,7 @@ class TransportResult:
         self.__dict__.setdefault("final", G[-1].copy())
         ts, path = self._times[1:], self._path
         head = ((0.0, np.asarray(path.position(0.0), dtype=float), self._start),)
-        return head + tuple(zip(ts.tolist(), _on_path(path.position, path, ts), G))
+        return head + tuple(zip(ts.tolist(), _on_path(path.position, ts), G))
 
 
 def transport(
@@ -312,8 +325,9 @@ def transport_quat(
         raise ValueError("quaternion transport requires a path in R^3")
     cfg = config or IntegratorConfig()
     q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9).copy()
+    _probe(path)
     nodes = integration_grid(cfg.steps, path.corners)
-    run = _compose(lambda ts: _on_path(path.velocity, path, ts), nodes, cfg.method == "exp-midpoint", 1.0)
+    run = _compose(lambda ts: _on_path(path.velocity, ts), nodes, cfg.method == "exp-midpoint", 1.0)
     return TransportResult(path, nodes, run, lambda S: quat_mul(S, q), q)
 
 
@@ -439,7 +453,6 @@ def line(x0, xi) -> PathSpec:
         velocity=lambda t: np.broadcast_to(xi, np.shape(t) + xi.shape).copy(),
         closed=not np.any(xi),
         kind="line",
-        vectorized=True,
     )
 
 
@@ -482,7 +495,6 @@ def circle(center, radius: float, plane=None) -> PathSpec:
         velocity=lambda t: radius * tau * (-np.sin(angle(t)) * b1 + np.cos(angle(t)) * b2),
         closed=True,
         kind="circle",
-        vectorized=True,
     )
 
 
@@ -539,7 +551,6 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
         closed=bool(closed),
         kind="polyline",
         corners=tuple(float(t) for t in T[1:-1]),
-        vectorized=True,
     )
 
 
@@ -600,40 +611,6 @@ def great_arc(p, q, radius: float | None = None, side: str = "outer") -> tuple[P
     return path, surface
 
 
-def path_from_position(
-    position: Callable[[float], np.ndarray],
-    base_dim: int,
-    closed: bool | None = None,
-    kind: str = "custom",
-    corners: tuple[float, ...] = (),
-    h: float = 1e-7,
-) -> PathSpec:
-    """Wrap a position callable; the velocity comes from central differences.
-
-    Near the parameter boundaries the stencil shrinks to stay inside [0, 1].
-    """
-
-    def velocity(t):
-        a, b = max(0.0, t - h), min(1.0, t + h)
-        pa = np.asarray(position(a), dtype=float)
-        pb = np.asarray(position(b), dtype=float)
-        return (pb - pa) / (b - a)
-
-    gap = float(np.linalg.norm(np.asarray(position(1.0), float) - np.asarray(position(0.0), float)))
-    if closed is None:
-        closed = gap <= 1e-9
-    elif closed and gap > 1e-9:
-        raise ValueError(f"path declared closed but endpoints differ by {gap:.3e}")
-    return PathSpec(
-        base_dim=base_dim,
-        position=lambda t: np.asarray(position(t), dtype=float),
-        velocity=velocity,
-        closed=bool(closed),
-        kind=kind,
-        corners=corners,
-    )
-
-
 def reverse_path(path: PathSpec) -> PathSpec:
     """Traverse a path backwards; transport along it inverts the original."""
     return PathSpec(
@@ -643,14 +620,14 @@ def reverse_path(path: PathSpec) -> PathSpec:
         closed=path.closed,
         kind=path.kind,
         corners=tuple(sorted(1.0 - t for t in path.corners)),
-        vectorized=path.vectorized,
     )
 
 
 def concat_paths(first: PathSpec, second: PathSpec) -> PathSpec:
     """Run ``first`` on [0, 1/2] and ``second`` on [1/2, 1].
 
-    The endpoint of ``first`` must meet the start of ``second``.
+    The endpoint of ``first`` must meet the start of ``second``. An array of
+    times is split by a mask, so each piece maps its share in one call.
     """
     if first.base_dim != second.base_dim:
         raise ValueError("cannot concatenate paths of different base dimension")
@@ -658,13 +635,15 @@ def concat_paths(first: PathSpec, second: PathSpec) -> PathSpec:
     if gap > 1e-9:
         raise ValueError(f"paths do not meet: gap {gap:.3e}")
 
-    def position(t):
-        return first.position(2.0 * t) if t < 0.5 else second.position(2.0 * t - 1.0)
-
-    def velocity(t):
-        if t < 0.5:
-            return 2.0 * np.asarray(first.velocity(2.0 * t), dtype=float)
-        return 2.0 * np.asarray(second.velocity(2.0 * t - 1.0), dtype=float)
+    def piecewise(first_map, second_map, t):
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + (first.base_dim,))
+        left = t < 0.5
+        if left.any():
+            out[left] = first_map(2.0 * t[left])
+        if not left.all():
+            out[~left] = second_map(2.0 * t[~left] - 1.0)
+        return out
 
     corners = tuple(sorted(
         [0.5 * t for t in first.corners] + [0.5] + [0.5 + 0.5 * t for t in second.corners]
@@ -672,8 +651,8 @@ def concat_paths(first: PathSpec, second: PathSpec) -> PathSpec:
     gap_loop = float(np.linalg.norm(np.asarray(second.position(1.0), float) - np.asarray(first.position(0.0), float)))
     return PathSpec(
         base_dim=first.base_dim,
-        position=position,
-        velocity=velocity,
+        position=lambda t: piecewise(first.position, second.position, t),
+        velocity=lambda t: 2.0 * piecewise(first.velocity, second.velocity, t),
         closed=gap_loop <= 1e-9,
         kind="concat",
         corners=corners,
@@ -689,5 +668,4 @@ def scale_path(path: PathSpec, factor: float) -> PathSpec:
         closed=path.closed,
         kind=path.kind,
         corners=path.corners,
-        vectorized=path.vectorized,
     )

@@ -11,10 +11,8 @@ from liecurv import (
     PLANE_ROLLING_PULLBACK,
     cross,
     curvature_closed_form,
-    curvature_numeric,
     exp_so3,
     hat,
-    j_plane,
     natural_alpha,
     natural_form,
     parametric_surface,
@@ -22,7 +20,6 @@ from liecurv import (
     pullback_form,
     sphere_surface,
     surface_rolling_form,
-    total_form,
 )
 
 
@@ -95,38 +92,8 @@ def test_natural_alpha_rejects_non_tangent_vectors():
         natural_alpha(np.zeros(2), np.eye(3), np.zeros(3), np.zeros((3, 3)))
 
 
-def test_total_form_extends_any_local_form():
-    # at (g, xi) = (I, 0) the total form reproduces the local one
-    alpha = total_form(plane_rolling_form())
-    x, v = np.array([0.3, -0.7]), np.array([1.2, 0.4])
-    np.testing.assert_allclose(
-        alpha(x, np.eye(3), v, np.zeros((3, 3))), plane_rolling_form()(x, v), atol=0.0
-    )
-
-
-def test_total_form_of_natural_matches_natural_alpha():
-    alpha = total_form(natural_form())
-    rng = np.random.RandomState(35)
-    for _ in range(10):
-        x, v, w = (rng.standard_normal(3) for _ in range(3))
-        g = exp_so3(rng.standard_normal(3))
-        xi = hat(w) @ g
-        np.testing.assert_allclose(
-            alpha(x, g, v, xi), natural_alpha(x, g, v, xi), atol=1e-12
-        )
-
-
 # ---------------------------------------------------------------------------
 # plane rolling and pullbacks
-
-
-def test_j_plane_quarter_turn():
-    np.testing.assert_allclose(j_plane(np.array([1.0, 0.0])), [0.0, -1.0])
-    np.testing.assert_allclose(j_plane(np.array([0.0, 1.0])), [1.0, 0.0])
-    v = np.array([0.3, -0.8])
-    np.testing.assert_allclose(j_plane(j_plane(v)), -v, atol=0.0)
-    with pytest.raises(ValueError):
-        j_plane(np.zeros(3))
 
 
 def test_plane_rolling_values():
@@ -427,36 +394,3 @@ def test_curvature_closed_form_unknown_descriptor():
     plane = parametric_surface(lambda u: np.array([u[0], u[1], 0.0]), kind="plane")
     with pytest.raises(ValueError, match="no closed-form curvature"):
         curvature_closed_form(surface_rolling_form(plane), np.zeros(2), np.ones(2), np.ones(2))
-
-
-def test_curvature_numeric_exact_for_constant_forms():
-    # constant-in-x forms have no exterior-derivative part at all
-    e1, e2 = np.eye(3)[0], np.eye(3)[1]
-    np.testing.assert_allclose(
-        curvature_numeric(natural_form(), np.zeros(3), e1, e2), np.array([0.0, 0.0, 1.0]), atol=1e-12
-    )
-    u2, v2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    np.testing.assert_allclose(
-        curvature_numeric(plane_rolling_form(), np.zeros(2), u2, v2),
-        curvature_closed_form(plane_rolling_form(), np.zeros(2), u2, v2),
-        atol=1e-12,
-    )
-
-
-def test_curvature_numeric_matches_closed_form_on_sphere():
-    form = surface_rolling_form(sphere_surface(2.0))
-    x = np.array([1.1, 0.4])
-    u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    ref = curvature_closed_form(form, x, u, v)
-    np.testing.assert_allclose(curvature_numeric(form, x, u, v), ref, atol=1e-6)
-
-
-def test_curvature_numeric_second_order_in_step():
-    form = surface_rolling_form(sphere_surface(2.0))
-    x = np.array([1.1, 0.4])
-    u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    ref = curvature_closed_form(form, x, u, v)
-    e_coarse = np.linalg.norm(curvature_numeric(form, x, u, v, h=2e-3) - ref)
-    e_fine = np.linalg.norm(curvature_numeric(form, x, u, v, h=1e-3) - ref)
-    order = np.log2(e_coarse / e_fine)
-    assert order >= 1.8

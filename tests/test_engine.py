@@ -31,6 +31,7 @@ from liecurv import (
     integration_grid,
     line,
     natural_form,
+    parametric_surface,
     plane_rolling_form,
     polyline,
     pullback_form,
@@ -74,6 +75,7 @@ PATHS = {
     "great_arc": great_arc(np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8]))[0],
     "scale_path": scale_path(cornered_polyline(), -1.7),
     "reverse_path": reverse_path(tilted_circle()),
+    "concat_paths": concat_paths(cornered_polyline(), line(np.zeros(3), np.array([0.4, -0.9, 1.3]))),
 }
 
 FORMS = {
@@ -82,6 +84,9 @@ FORMS = {
     "pullback": pullback_form(PLANE_ROLLING_PULLBACK, natural_form()),
     "sphere-outer": surface_rolling_form(sphere_surface(2.0, side="outer", frame=rotated_frame())),
     "sphere-inner": surface_rolling_form(sphere_surface(0.5, side="inner")),
+    "parametric": surface_rolling_form(
+        parametric_surface(lambda u: np.array([u[0], u[1], 0.3 * np.sin(u[0]) * np.cos(u[1])]), kind="graph")
+    ),
 }
 
 TIMES = hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(0.0, 1.0))
@@ -128,7 +133,6 @@ def sequential_transport(form, path, steps, method):
 @given(ts=TIMES)
 def test_batched_path_evaluation_matches_scalar(name, ts):
     path = PATHS[name]
-    assert path.vectorized
     for fn in (path.position, path.velocity):
         batch = fn(ts)
         assert batch.shape == (len(ts), path.base_dim)
@@ -141,7 +145,6 @@ def test_batched_path_evaluation_matches_scalar(name, ts):
 @given(data=st.data())
 def test_batched_form_evaluation_matches_pointwise(name, data):
     form = FORMS[name]
-    assert form.vectorized
     n = data.draw(st.integers(1, 30))
     d = form.base_dim
     X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-3.0, 3.0)))
@@ -181,34 +184,7 @@ def test_polar_cap_node_anywhere_is_refused(start, method):
 
 
 # ---------------------------------------------------------------------------
-# per-node fallback for user callables
-
-
-def as_user_callables(form, path):
-    """The same maps, declared scalar-only: the engine must evaluate them node by node."""
-    return dataclasses.replace(form, vectorized=False), dataclasses.replace(path, vectorized=False)
-
-
-CASES = {
-    "natural circle": (NAT, tilted_circle()),
-    "plane polyline": (plane_rolling_form(), polyline(np.array([[0.0, 0.0], [1.0, 0.4], [0.2, 1.3], [-0.5, 0.1]]))),
-    "pullback circle": (FORMS["pullback"], circle(np.array([0.2, -0.4]), 0.7)),
-    "sphere-outer latitude": (FORMS["sphere-outer"], line(np.array([1.1, -0.5]), np.array([0.3, 4.0]))),
-}
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(steps=st.integers(1, 600), method=st.sampled_from(METHODS))
-def test_per_node_fallback_matches_vectorized_run(case, steps, method):
-    form, path = CASES[case]
-    cfg = IntegratorConfig(method=method, steps=steps)
-    fast = transport(form, path, config=cfg)
-    slow_form, slow_path = as_user_callables(form, path)
-    for f, p in ((slow_form, path), (form, slow_path), (slow_form, slow_path)):
-        slow = transport(f, p, config=cfg)
-        np.testing.assert_allclose(slow.final, fast.final, rtol=0.0, atol=1e-13)
-        assert [t for t, _, _ in slow.samples] == [t for t, _, _ in fast.samples]
+# user callables: maps take arrays
 
 
 def test_user_lambdas_run_through_the_engine():
@@ -221,9 +197,37 @@ def test_user_lambdas_run_through_the_engine():
 
 
 def test_form_with_wrong_output_shape_is_refused():
-    bad = LocalConnectionForm(base_dim=3, evaluate=lambda x, v: v[..., :2], descriptor="bad", vectorized=True)
+    bad = LocalConnectionForm(base_dim=3, evaluate=lambda x, v: v[..., :2], descriptor="bad")
     with pytest.raises(ValueError, match="shape"):
         transport(bad, line(np.zeros(3), np.ones(3)), config=IntegratorConfig(steps=8))
+
+
+# Maps written for one point at a time. On a block of d or 3 nodes the engine
+# would get a transposed block of the right shape and a wrong answer; the shape
+# probe on max(d, 3) + 1 times refuses them before any step is taken.
+POINT_ONLY_PATH = PathSpec(
+    base_dim=2,
+    position=lambda t: np.array([np.cos(t), np.sin(t)]),
+    velocity=lambda t: np.array([-np.sin(t), np.cos(t)]),
+    closed=False,
+)
+POINT_ONLY_FORM = LocalConnectionForm(base_dim=3, evaluate=lambda x, v: np.array([v[1], v[2], v[0]]), descriptor="point-only")
+POINT_ONLY_SPACE_PATH = dataclasses.replace(
+    POINT_ONLY_PATH, base_dim=3, position=lambda t: np.array([np.cos(t), np.sin(t), t]),
+    velocity=lambda t: np.array([-np.sin(t), np.cos(t), np.ones_like(t)]),
+)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_point_only_maps_are_refused_by_their_shape(method):
+    with pytest.raises(ValueError, match=r"path 'custom' maps 4 times to shapes \(2, 4\) and \(2, 4\)"):
+        transport(plane_rolling_form(), POINT_ONLY_PATH, config=IntegratorConfig(method=method, steps=2))
+    with pytest.raises(ValueError, match=r"form 'point-only' maps 4 points to shape \(3, 3\)"):
+        transport(POINT_ONLY_FORM, PATHS["line"], config=IntegratorConfig(method=method, steps=3))
+    with pytest.raises(ValueError, match="shape"):
+        time_ordered_product(POINT_ONLY_FORM, PATHS["line"], 3)
+    with pytest.raises(ValueError, match=r"shapes \(3, 4\) and \(3, 4\)"):
+        transport_quat(POINT_ONLY_SPACE_PATH, config=IntegratorConfig(method=method, steps=3))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +391,6 @@ def test_non_finite_sample_in_a_later_block_names_its_node():
         base_dim=3,
         evaluate=lambda x, v: np.where(x[..., :1] > 0.75, np.nan, -v),
         descriptor="nan-late",
-        vectorized=True,
     )
     nodes = integration_grid(12_000)
     ts = nodes[:-1] + 0.5 * np.diff(nodes)

@@ -1,10 +1,9 @@
 """Tests for the so(3) / SO(3) / unit-quaternion kernels.
 
 Expected values come from independent oracles built inside this file:
-truncated power series for the exponentials, eigendecompositions for expm,
-the 4x4 left-multiplication representation for quaternions, quaternion
-conjugation for rotation images, and polar-decomposition properties for the
-projection.
+truncated power series for the exponentials, the 4x4 left-multiplication
+representation for quaternions, and quaternion conjugation for rotation
+images.
 """
 
 import warnings
@@ -22,11 +21,9 @@ from liecurv import (
     commutator,
     cross,
     exp_so3,
-    expm,
     hat,
     lie_hom_derivative,
     log_so3,
-    project_rotation,
     quat_conj,
     quat_exp,
     quat_mul,
@@ -234,49 +231,6 @@ def test_log_so3_shape_error():
 
 
 # ---------------------------------------------------------------------------
-# expm
-
-
-def test_expm_matches_eigh_oracle_on_symmetric_input():
-    rng = np.random.RandomState(6)
-    S = rng.standard_normal((4, 4))
-    S = S + S.T
-    lam, Q = np.linalg.eigh(S)
-    np.testing.assert_allclose(expm(S), Q @ np.diag(np.exp(lam)) @ Q.T, atol=1e-12)
-
-
-def test_expm_skew_matches_rodrigues():
-    rng = np.random.RandomState(7)
-    for _ in range(10):
-        v = rng.standard_normal(3)
-        np.testing.assert_allclose(expm(hat(v)), exp_so3(v), atol=1e-12)
-
-
-def test_expm_diagonal():
-    a = np.array([0.3, -1.2, 2.5])
-    np.testing.assert_allclose(expm(np.diag(a)), np.diag(np.exp(a)), atol=1e-12)
-
-
-def test_expm_large_norm_uses_scaling():
-    # Frobenius norm ~40 forces several squaring stages
-    S = 20.0 * np.array([[1.0, 0.5], [0.5, -0.3]])
-    lam, Q = np.linalg.eigh(S)
-    want = Q @ np.diag(np.exp(lam)) @ Q.T
-    np.testing.assert_allclose(expm(S), want, rtol=1e-12)
-
-
-def test_expm_inverse_property():
-    rng = np.random.RandomState(8)
-    A = rng.standard_normal((3, 3))
-    np.testing.assert_allclose(expm(A) @ expm(-A), np.eye(3), atol=1e-12)
-
-
-def test_expm_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        expm(np.zeros((2, 3)))
-
-
-# ---------------------------------------------------------------------------
 # quaternions
 
 
@@ -322,7 +276,7 @@ def test_quat_exp_matches_matrix_representation():
     for _ in range(10):
         u = rng.standard_normal(3)
         L = left_matrix(np.concatenate([[0.0], u]))
-        np.testing.assert_allclose(expm(L)[:, 0], quat_exp(u), atol=1e-12)
+        np.testing.assert_allclose(series_exp(L, terms=40)[:, 0], quat_exp(u), atol=1e-12)
 
 
 def test_quat_exp_small_angle_branch():
@@ -438,40 +392,7 @@ def test_lie_hom_derivative_is_cover_derivative():
 
 
 # ---------------------------------------------------------------------------
-# project_rotation and validators
-
-
-def test_project_rotation_small_perturbation():
-    rng = np.random.RandomState(20)
-    M = np.eye(3) + 1e-8 * rng.standard_normal((3, 3))
-    np.testing.assert_allclose(project_rotation(M), np.eye(3), atol=1e-7)
-
-
-def test_project_rotation_polar_property():
-    """The result R satisfies M = R P with P symmetric positive definite."""
-    rng = np.random.RandomState(21)
-    for _ in range(10):
-        M = exp_so3(rng.standard_normal(3)) + 0.05 * rng.standard_normal((3, 3))
-        R = project_rotation(M)
-        check_rotation(R, tol=1e-10)
-        P = R.T @ M
-        np.testing.assert_allclose(P, P.T, atol=1e-12)
-        assert np.linalg.eigvalsh((P + P.T) / 2.0).min() > 0.0
-
-
-def test_project_rotation_fixes_rotations():
-    R = exp_so3(np.array([0.2, -1.0, 0.4]))
-    np.testing.assert_allclose(project_rotation(R), R, atol=1e-12)
-
-
-def test_project_rotation_rejects_reflection():
-    with pytest.raises(ValueError, match="reflection"):
-        project_rotation(np.diag([1.0, 1.0, -1.0]))
-
-
-def test_project_rotation_rejects_singular():
-    with pytest.raises(ValueError):
-        project_rotation(np.zeros((3, 3)))
+# validators
 
 
 def test_check_rotation():
