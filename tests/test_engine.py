@@ -26,9 +26,12 @@ from liecurv import (
     PathSpec,
     circle,
     concat_paths,
+    convergence_order,
     exp_so3,
     great_arc,
+    holonomy,
     integration_grid,
+    lift_transport,
     line,
     natural_form,
     parametric_surface,
@@ -40,6 +43,7 @@ from liecurv import (
     quat_to_rotation,
     reverse_path,
     scale_path,
+    small_loop_curvature,
     sphere_surface,
     surface_rolling_form,
     time_ordered_product,
@@ -228,6 +232,89 @@ def test_point_only_maps_are_refused_by_their_shape(method):
         time_ordered_product(POINT_ONLY_FORM, PATHS["line"], 3)
     with pytest.raises(ValueError, match=r"shapes \(3, 4\) and \(3, 4\)"):
         transport_quat(POINT_ONLY_SPACE_PATH, config=IntegratorConfig(method=method, steps=3))
+
+
+# Every public entry point that evaluates a user path or form, as a call on
+# (form, path); the loop is closed so that holonomy accepts it.
+PROBE_CFG = IntegratorConfig(steps=3)
+ENTRY_POINTS = {
+    "transport": lambda form, path: transport(form, path, config=PROBE_CFG),
+    "holonomy": lambda form, path: holonomy(form, path, PROBE_CFG),
+    "time_ordered_product": lambda form, path: time_ordered_product(form, path, 3),
+    "lift_transport": lambda form, path: lift_transport(form, path, config=PROBE_CFG),
+    "convergence_order": lambda form, path: convergence_order(form, path, n0=3),
+    "small_loop_curvature": lambda form, path: small_loop_curvature(form, np.zeros(3), *np.eye(3)[:2], 1e-2, PROBE_CFG),
+    "transport_quat": lambda form, path: transport_quat(path, config=PROBE_CFG),
+}
+POINT_ONLY_LOOP = PathSpec(
+    base_dim=3,
+    position=lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t), 0.0 * t]),
+    velocity=lambda t: 2 * np.pi * np.array([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t), 0.0 * t]),
+    closed=True,
+)
+
+
+@pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"transport_quat"}))
+def test_every_entry_point_refuses_a_point_only_form(entry):
+    with pytest.raises(ValueError, match=r"form 'point-only' maps 4 points to shape \(3, 3\)"):
+        ENTRY_POINTS[entry](POINT_ONLY_FORM, tilted_circle())
+
+
+@pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"small_loop_curvature"}))
+def test_every_entry_point_refuses_a_point_only_path(entry):
+    with pytest.raises(ValueError, match=r"path 'custom' maps 4 times to shapes \(3, 4\) and \(3, 4\)"):
+        ENTRY_POINTS[entry](NAT, POINT_ONLY_LOOP)
+
+
+def stacked_path(d, position=None, velocity=None):
+    """The line t -> t (1, ..., 1) in R^d, with either map replaceable."""
+    ones = np.ones(d)
+    return PathSpec(
+        base_dim=d,
+        position=position or (lambda t: np.asarray(t, float)[..., None] * ones),
+        velocity=velocity or (lambda t: np.zeros(np.shape(t))[..., None] + ones),
+        closed=False,
+    )
+
+
+def user_form(d, evaluate):
+    return LocalConnectionForm(base_dim=d, evaluate=evaluate, descriptor="user")
+
+
+# (form, path, the shapes the refusal names); m = max(d, 3) + 1 probe times.
+WRONG_SHAPES = {
+    "path into a wider space": (
+        plane_rolling_form(), stacked_path(2, position=lambda t: np.stack([t, t, t], axis=-1)),
+        r"path 'custom' maps 4 times to shapes \(4, 3\) and \(4, 2\), not \(4, 2\)",
+    ),
+    "flat velocity": (
+        NAT, stacked_path(3, velocity=lambda t: np.ones_like(t)),
+        r"path 'custom' maps 4 times to shapes \(4, 3\) and \(4,\), not \(4, 3\)",
+    ),
+    "point-only path in R^5": (
+        user_form(5, lambda x, v: v[..., :3]), stacked_path(5, position=lambda t: np.array([t, t, t, t, t])),
+        r"path 'custom' maps 6 times to shapes \(5, 6\) and \(6, 5\), not \(6, 5\)",
+    ),
+    "one number per point": (
+        user_form(3, lambda x, v: v[..., 0]), stacked_path(3),
+        r"form 'user' maps 4 points to shape \(4,\), not \(4, 3\)",
+    ),
+    "one vector per stack": (
+        user_form(3, lambda x, v: v.sum(axis=0)), stacked_path(3),
+        r"form 'user' maps 4 points to shape \(3,\), not \(4, 3\)",
+    ),
+    "trailing axis": (
+        user_form(2, lambda x, v: np.stack([v[..., 0], v[..., 1], x[..., 0]], axis=-1)[..., None]), stacked_path(2),
+        r"form 'user' maps 4 points to shape \(4, 3, 1\), not \(4, 3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_probe_names_the_wrong_shape(case):
+    form, path, message = WRONG_SHAPES[case]
+    with pytest.raises(ValueError, match=message):
+        transport(form, path, config=PROBE_CFG)
 
 
 # ---------------------------------------------------------------------------
