@@ -49,6 +49,7 @@ from .transport import (
     great_arc,
     holonomy,
     integration_grid,
+    lift_transport,
     line,
     parallelogram_loop,
     polyline,
@@ -72,7 +73,6 @@ from .verify import (
     holonomy_span_check,
     inner_unit_sphere_identity,
     lasso_loop,
-    lift_transport,
     make_report,
     run_all_checks,
     section_residual,

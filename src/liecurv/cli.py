@@ -29,7 +29,6 @@ import numpy as np
 from .connections import (
     PLANE_ROLLING_PULLBACK,
     LocalConnectionForm,
-    curvature_closed_form,
     natural_form,
     plane_rolling_form,
     pullback_form,
@@ -44,7 +43,6 @@ from .transport import (
     circle,
     parallelogram_loop,
     polyline,
-    small_loop_curvature,
     transport,
 )
 from . import verify as _verify
@@ -154,33 +152,18 @@ def parse_args(argv=None) -> RunRequest:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1].startswith("--") and _NEGATIVE_VALUE.match(argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    ns = _parser().parse_args(argv)
-    return RunRequest(
-        command=ns.command,
-        connection=getattr(ns, "connection", "natural-so3"),
-        radius=getattr(ns, "radius", 1.0),
-        path=getattr(ns, "path", "line"),
-        xi=_vector(ns.xi) if getattr(ns, "xi", None) else None,
-        x0=_vector(ns.x0) if getattr(ns, "x0", None) else None,
-        points=_point_list(ns.points) if getattr(ns, "points", None) else None,
-        file=getattr(ns, "file", None),
-        point=_vector(ns.point) if getattr(ns, "point", None) else None,
-        eps=ns.eps,
-        steps=ns.steps,
-        method=ns.method,
-        format=ns.format,
-        out=ns.out,
-        seed=ns.seed,
-        check=getattr(ns, "check", None),
-        all_checks=getattr(ns, "all_checks", False),
-    )
+    ns = vars(_parser().parse_args(argv))
+    for name, parse in (("xi", _vector), ("x0", _vector), ("points", _point_list), ("point", _vector)):
+        if name in ns:
+            ns[name] = parse(ns[name]) if ns[name] else None
+    return RunRequest(**ns)
 
 
 def read_path_file(filename: str) -> PathSpec:
     """Build a polyline from a CSV file with header ``t,x1,...,xd``.
 
-    Parameter values must be strictly increasing and cover [0, 1]; every row
-    must carry the full coordinate count.
+    Every row must carry the full coordinate count; :func:`polyline` refuses
+    parameter values that do not increase strictly or do not cover [0, 1].
     """
     with open(filename, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -201,12 +184,7 @@ def read_path_file(filename: str) -> PathSpec:
             raise ValueError(f"row {idx}: {e}") from None
         times.append(vals[0])
         points.append(vals[1:])
-    times = np.asarray(times)
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("path file times must be strictly increasing")
-    if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
-        raise ValueError("path file times must cover [0, 1]")
-    return polyline(np.asarray(points), times=times)
+    return polyline(points, times=times)
 
 
 def _build_connection(req: RunRequest) -> LocalConnectionForm:
@@ -313,27 +291,14 @@ def run(req: RunRequest) -> dict:
 
     if req.command == "curvature":
         cfg = _config(req)
-        eps = req.eps
         if req.connection in ("sphere-outer", "sphere-inner"):
-            surface = sphere_surface(req.radius, side=req.connection.split("-")[1])
-            form = surface_rolling_form(surface)
-            x = np.array([1.0, 0.3])
-            u = np.array([1.0, 0.0])
-            v = np.array([0.0, 1.0])
-            T = surface.chart_tangent(x)
-            direction = np.cross(T @ u, T @ v)
-            eps = eps / req.radius  # eps names the embedded loop scale
+            # eps names the embedded loop scale; the factor recovers 1 - 1/r^2
+            est, ref, factor = _verify.sphere_curvature_probe(req.radius, req.connection.split("-")[1], req.eps, cfg)
+            expected = 1.0 - 1.0 / (req.radius**2)
         else:
             form = _build_connection(req)
-            x = np.zeros(form.base_dim)
-            u, v = np.eye(form.base_dim)[:2]
-            direction = curvature_closed_form(form, x, u, v)
-        est = small_loop_curvature(form, x, u, v, eps, cfg or IntegratorConfig(steps=512), richardson=True)
-        ref = curvature_closed_form(form, x, u, v)
-        # signed projection onto the flat parallelogram direction; for the
-        # spheres this recovers 1 - 1/r^2 (zero at r = 1, negative below)
-        factor = float((est @ direction) / (direction @ direction))
-        expected = 1.0 - 1.0 / (req.radius**2) if req.connection.startswith("sphere-") else 1.0
+            est, ref, factor = _verify.curvature_probe(form, np.zeros(form.base_dim), req.eps, config=cfg)
+            expected = 1.0
         doc["curvature"] = {
             "estimate": [float(c) for c in est],
             "closed_form": [float(c) for c in ref],

@@ -15,10 +15,10 @@ registered corner times, so piecewise-smooth paths never straddle a kink.
 How the product is evaluated
 ----------------------------
 Every public stepper (:func:`transport`, :func:`transport_quat`,
-:func:`time_ordered_product` and :func:`liecurv.verify.lift_transport`)
-runs through one engine, :func:`_compose`. It walks the grid one block of
-at most a few thousand intervals at a time, so memory stays flat on long
-runs, and for each block it
+:func:`lift_transport` and :func:`time_ordered_product`) runs through one
+engine, :func:`_compose`. It walks the grid one block of at most a few
+thousand intervals at a time, so memory stays flat on long runs, and for
+each block it
 
 1. samples a(t*) at every node of the block in one call: paths map an
    array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3)
@@ -71,11 +71,11 @@ _IDENTITY.flags.writeable = False
 class PathSpec:
     """A path c: [0, 1] -> R^d with its velocity and bookkeeping.
 
-    ``position`` and ``velocity`` map an array of n times to an (n, d) array
-    (and a single time to a d-vector); the integrators evaluate whole blocks
-    of grid times in one call. ``corners`` lists interior parameter values
-    where the velocity may jump; the integrators place grid nodes there.
-    ``closed`` declares c(1) = c(0).
+    ``position`` and ``velocity`` map an array of n times to an (n, d) array;
+    the library calls them only with arrays, whole blocks of grid times at
+    once. (The catalog paths also map a single time to a d-vector.)
+    ``corners`` lists interior parameter values where the velocity may jump;
+    the integrators place grid nodes there. ``closed`` declares c(1) = c(0).
     """
 
     base_dim: int
@@ -277,9 +277,15 @@ class TransportResult:
     def samples(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
         G = self._frames(_prefix_products(self._chunks))
         self.__dict__.setdefault("final", G[-1].copy())
-        ts, path = self._times[1:], self._path
-        head = ((0.0, np.asarray(path.position(0.0), dtype=float), self._start),)
-        return head + tuple(zip(ts.tolist(), _on_path(path.position, ts), G))
+        X = _on_path(self._path.position, self._times)
+        return ((0.0, X[0], self._start),) + tuple(zip(self._times[1:].tolist(), X[1:], G))
+
+
+def _run(sample, path: PathSpec, cfg: IntegratorConfig, scale: float, frame, start) -> TransportResult:
+    """Run the engine over the path's grid; ``frame`` maps chunk states to results (see :func:`_compose`)."""
+    nodes = integration_grid(cfg.steps, path.corners)
+    run = _compose(sample, nodes, cfg.method == "exp-midpoint", scale)
+    return TransportResult(path, nodes, run, frame, start)
 
 
 def transport(
@@ -301,12 +307,9 @@ def transport(
     config : IntegratorConfig, optional
         Stepper and step count; defaults to exp-midpoint with 10^4 steps.
     """
-    cfg = config or IntegratorConfig()
     sample = _form_sampler(form, path)
     g = check_rotation(np.eye(3) if g0 is None else g0).copy()  # frames are built after the return
-    nodes = integration_grid(cfg.steps, path.corners)
-    run = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5)
-    return TransportResult(path, nodes, run, lambda S: quat_to_rotation(S) @ g, g)
+    return _run(sample, path, config or IntegratorConfig(), 0.5, lambda S: quat_to_rotation(S) @ g, g)
 
 
 def transport_quat(
@@ -323,12 +326,29 @@ def transport_quat(
     """
     if path.base_dim != 3:
         raise ValueError("quaternion transport requires a path in R^3")
-    cfg = config or IntegratorConfig()
     q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9).copy()
     _probe(path)
-    nodes = integration_grid(cfg.steps, path.corners)
-    run = _compose(lambda ts: _on_path(path.velocity, ts), nodes, cfg.method == "exp-midpoint", 1.0)
-    return TransportResult(path, nodes, run, lambda S: quat_mul(S, q), q)
+    return _run(lambda ts: _on_path(path.velocity, ts), path, config or IntegratorConfig(), 1.0,
+                lambda S: quat_mul(S, q), q)
+
+
+def lift_transport(
+    form: LocalConnectionForm,
+    path: PathSpec,
+    q0=None,
+    config: IntegratorConfig | None = None,
+) -> np.ndarray:
+    """Continuous unit-quaternion lift of an SO(3) transport run.
+
+    Steps with half the algebra increment, quat_exp(dt a / 2), so the image
+    under the double cover reproduces exp_so3(dt a) exactly at every step
+    while the sign is tracked by continuity from q0 (identity by default).
+    This is the quaternion product that :func:`transport` projects to SO(3).
+    ``config`` defaults to exp-midpoint with 512 steps.
+    """
+    sample = _form_sampler(form, path)
+    q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9)
+    return _run(sample, path, config or IntegratorConfig(steps=512), 0.5, lambda S: quat_mul(S, q), q).final
 
 
 def holonomy(
@@ -631,7 +651,9 @@ def concat_paths(first: PathSpec, second: PathSpec) -> PathSpec:
     """
     if first.base_dim != second.base_dim:
         raise ValueError("cannot concatenate paths of different base dimension")
-    gap = float(np.linalg.norm(np.asarray(second.position(0.0), float) - np.asarray(first.position(1.0), float)))
+    ends = np.array([0.0, 1.0])
+    (a0, a1), (b0, b1) = _on_path(first.position, ends), _on_path(second.position, ends)
+    gap = float(np.linalg.norm(b0 - a1))
     if gap > 1e-9:
         raise ValueError(f"paths do not meet: gap {gap:.3e}")
 
@@ -648,7 +670,7 @@ def concat_paths(first: PathSpec, second: PathSpec) -> PathSpec:
     corners = tuple(sorted(
         [0.5 * t for t in first.corners] + [0.5] + [0.5 + 0.5 * t for t in second.corners]
     ))
-    gap_loop = float(np.linalg.norm(np.asarray(second.position(1.0), float) - np.asarray(first.position(0.0), float)))
+    gap_loop = float(np.linalg.norm(b1 - a0))
     return PathSpec(
         base_dim=first.base_dim,
         position=lambda t: piecewise(first.position, second.position, t),

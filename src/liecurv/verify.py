@@ -5,7 +5,9 @@ Each check returns a :class:`ResidualReport` whose ``passed`` flag is exactly
 connections on the two groups through the double cover (whose derivative
 doubles axis vectors); the section checks integrate the quaternion lift of
 sphere rolling; the span check certifies that plane-rolling holonomy
-logarithms fill out all of so(3).
+logarithms fill out all of so(3). The curvature probe,
+:func:`curvature_probe`, is the one ``liecurv curvature`` runs, so the CLI
+prints the same factor as :func:`sphere_curvature_factor`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .connections import (
     LocalConnectionForm,
+    curvature_closed_form,
     natural_alpha,
     natural_form,
     plane_rolling_form,
@@ -23,7 +26,6 @@ from .connections import (
     surface_rolling_form,
 )
 from .liecore import (
-    check_unit_quat,
     commutator,
     cross,
     hat,
@@ -39,15 +41,12 @@ from .transport import (
     circle,
     great_arc,
     holonomy,
-    integration_grid,
+    lift_transport,
     polyline,
     scale_path,
     small_loop_curvature,
     transport,
     transport_quat,
-    _compose,
-    _form_sampler,
-    _last_product,
 )
 
 SPAN_THRESHOLD = 1e-4  # smallest singular value required of normalized holonomy logs
@@ -216,28 +215,6 @@ def check_transport_naturality(
 # sphere sections through the quaternion lift
 
 
-def lift_transport(
-    form: LocalConnectionForm,
-    path: PathSpec,
-    q0=None,
-    config: IntegratorConfig | None = None,
-) -> np.ndarray:
-    """Continuous unit-quaternion lift of an SO(3) transport run.
-
-    Steps with half the algebra increment, quat_exp(dt a / 2), so the image
-    under the double cover reproduces exp_so3(dt a) exactly at every step
-    while the sign is tracked by continuity from q0. This is the quaternion
-    product that :func:`liecurv.transport.transport` projects to SO(3); both
-    come from the same stepping engine.
-    """
-    sample = _form_sampler(form, path)
-    cfg = config or IntegratorConfig(steps=512)
-    q = np.array([1.0, 0.0, 0.0, 0.0]) if q0 is None else check_unit_quat(q0, tol=1e-9)
-    nodes = integration_grid(cfg.steps, path.corners)
-    C, _ = _compose(sample, nodes, cfg.method == "exp-midpoint", 0.5)
-    return quat_mul(_last_product(C), q)
-
-
 def unit_sphere_section(p, config: IntegratorConfig | None = None, legs=None):
     """Quaternion section of unit-sphere rolling at the point p.
 
@@ -401,30 +378,53 @@ def degenerate_span_loops() -> list[PathSpec]:
     return [loop, loop, loop]
 
 
-def sphere_curvature_factor(
-    radius: float, eps: float = 1e-2, config: IntegratorConfig | None = None
-) -> float:
-    """Measured ratio of sphere-rolling curvature to the flat-case curvature.
+def curvature_probe(
+    form: LocalConnectionForm, x, eps: float, direction=None, config: IntegratorConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Small-loop curvature on the unit sides e1, e2 at x: ``(estimate, closed_form, factor)``.
 
-    Estimates the curvature at a fixed chart point from Richardson-
-    extrapolated small loops and projects it onto the flat value
-    cross(U, V) of the chart pushforwards. The signed projection recovers
-    1 - 1/r^2, including its sign (-3 at r = 1/2, 0 at r = 1).
+    The estimate of Omega_x(e1, e2) is Richardson-extrapolated at loop scale
+    ``eps`` (512 exp-midpoint steps unless ``config`` is given). The closed
+    form is :func:`liecurv.connections.curvature_closed_form`'s, which
+    refuses forms without one. The factor is the estimate's signed
+    projection onto ``direction`` (the closed form by default) over
+    |direction|^2.
+    """
+    u, v = np.eye(form.base_dim)[:2]
+    ref = curvature_closed_form(form, x, u, v)
+    d = ref if direction is None else direction
+    est = small_loop_curvature(form, x, u, v, eps, config or IntegratorConfig(steps=512), richardson=True)
+    return est, ref, float((est @ d) / (d @ d))
+
+
+def sphere_curvature_probe(
+    radius: float, side: str = "outer", eps: float = 1e-2, config: IntegratorConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`curvature_probe` of sphere rolling at the chart point (1, 0.3).
+
+    The factor is the projection onto the flat value cross(U, V) of the
+    chart pushforwards of the unit chart sides, so it recovers 1 - 1/r^2 on
+    either side, including its sign (-3 at r = 1/2, 0 at r = 1).
 
     ``eps`` is the embedded size of the probing loops; chart tangents scale
     with the radius, so the chart-coordinate parallelogram uses eps / r
     (otherwise large spheres would wrap the holonomy angle past pi).
     """
-    surface = sphere_surface(radius, side="outer")
-    form = surface_rolling_form(surface)
-    cfg = config or IntegratorConfig(steps=512)
+    surface = sphere_surface(radius, side=side)
     x = np.array([1.0, 0.3])
-    u = np.array([1.0, 0.0])
-    v = np.array([0.0, 1.0])
-    est = small_loop_curvature(form, x, u, v, eps / radius, cfg, richardson=True)
+    u, v = np.eye(2)
     T = surface.chart_tangent(x)
-    flat = cross(T @ u, T @ v)
-    return float((est @ flat) / (flat @ flat))
+    return curvature_probe(surface_rolling_form(surface), x, eps / radius, cross(T @ u, T @ v), config)
+
+
+def sphere_curvature_factor(
+    radius: float, eps: float = 1e-2, config: IntegratorConfig | None = None
+) -> float:
+    """Measured ratio of outer sphere-rolling curvature to the flat-case curvature, 1 - 1/r^2.
+
+    The factor of :func:`sphere_curvature_probe` on the outer side.
+    """
+    return sphere_curvature_probe(radius, "outer", eps, config)[2]
 
 
 def sphere_factor_report(config: IntegratorConfig | None = None) -> ResidualReport:

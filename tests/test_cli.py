@@ -361,6 +361,20 @@ def test_curvature_command_sphere(tmp_path):
     assert abs(blk["factor"] - 0.75) <= 1e-3
 
 
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_curvature_command_prints_the_library_sphere_factor(radius, tmp_path):
+    code, doc = run_json(["curvature", "--connection", "sphere-outer", "--radius", str(radius)], tmp_path)
+    assert code == 0
+    assert doc["curvature"]["factor"] == verify.sphere_curvature_factor(radius)
+
+
+def test_curvature_command_prints_the_inner_sphere_probe(tmp_path):
+    code, doc = run_json(["curvature", "--connection", "sphere-inner", "--radius", "2"], tmp_path)
+    est, _, factor = verify.sphere_curvature_probe(2.0, side="inner")
+    assert code == 0
+    assert doc["curvature"]["estimate"] == est.tolist() and doc["curvature"]["factor"] == factor
+
+
 def test_verify_single_check(tmp_path):
     code, doc = run_json(["verify", "--check", "omega-naturality"], tmp_path)
     assert code == 0

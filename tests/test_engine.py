@@ -445,8 +445,24 @@ def test_reading_only_final_evaluates_the_path_once_per_block():
     assert blocks > 1 and len(times) == 1 + blocks  # the guarded call at t = 0, then one per block
     assert sum(len(ts) for ts in times[1:]) == n  # the sample times, not the recorded ones
     res.samples
-    assert len(times) == 3 + blocks  # the start point, then the recorded times in one call
-    assert len(times[-1]) == len(res.samples) - 1
+    assert len(times) == 2 + blocks  # every recorded time, the start included, in one call
+    assert len(times[-1]) == len(res.samples)
+
+
+def test_a_path_written_only_for_arrays_gives_samples_and_concatenates():
+    # t[..., None] fails on a Python float: the library must call paths with arrays only
+    xi = np.array([0.3, -0.2, 0.5])
+    there = PathSpec(3, lambda t: t[..., None] * xi, lambda t: np.ones_like(t)[..., None] * xi, closed=False)
+    back = PathSpec(3, lambda t: (1.0 - t)[..., None] * xi, lambda t: -np.ones_like(t)[..., None] * xi, closed=False)
+    loop = concat_paths(there, back)
+    assert loop.closed
+    cfg = IntegratorConfig(steps=10)
+    for run in (lambda c: transport(NAT, c, config=cfg), lambda c: transport_quat(c, config=cfg)):
+        for c in (there, loop):
+            ts, xs, _ = zip(*run(c).samples)
+            assert ts[0] == 0.0 and len(ts) == 11
+            np.testing.assert_allclose(np.stack(xs), c.position(np.array(ts)), atol=1e-15)
+    np.testing.assert_allclose(transport(NAT, loop, config=cfg).final, np.eye(3), atol=1e-14)
 
 
 def test_time_ordered_product_pins_the_signs_of_zero_entries():
