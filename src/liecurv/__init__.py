@@ -73,7 +73,6 @@ from .verify import (
     holonomy_span_check,
     inner_unit_sphere_identity,
     lasso_loop,
-    make_report,
     run_all_checks,
     section_residual,
     sphere_curvature_factor,

@@ -328,7 +328,7 @@ def run(req: RunRequest) -> dict:
         p = p / n
         cfg = _config(req)
         computed, formula = _verify.unit_sphere_section(p, config=cfg)
-        residual = float(min(np.linalg.norm(computed - formula), np.linalg.norm(computed + formula)))
+        residual = _verify.section_residual(computed, formula)
         doc["section"] = {
             "point": [float(c) for c in p],
             "computed_quat": [float(c) for c in computed],
@@ -336,8 +336,7 @@ def run(req: RunRequest) -> dict:
             "residual": residual,
         }
         doc["holonomy"] = _rotation_block(quat_to_rotation(computed))
-        report = _verify.make_report("section-formula", residual, 1, 1e-6)
-        doc["reports"] = [asdict(report)]
+        doc["reports"] = [asdict(_verify.ResidualReport("section-formula", residual, 1, 1e-6))]
         return doc
 
     raise ValueError(f"unknown command {req.command!r}")

@@ -41,8 +41,8 @@ class LocalConnectionForm:
 
     ``evaluate(x, v)`` must be linear in ``v``; ``descriptor`` names the
     construction and drives the curvature catalog in
-    :func:`curvature_closed_form`. ``surface``/``radius`` carry extra data
-    for surface-rolling forms. ``evaluate`` maps stacks of points and
+    :func:`curvature_closed_form`. ``surface`` is the surface a rolling
+    form rolls on. ``evaluate`` maps stacks of points and
     tangents of shape (n, base_dim) to stacks of shape (n, 3), and single
     points to 3-vectors; calling the form checks and evaluates one point.
     """
@@ -50,7 +50,6 @@ class LocalConnectionForm:
     base_dim: int
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     descriptor: str
-    radius: float | None = None
     surface: "Surface | None" = None
 
     def __call__(self, x, v) -> np.ndarray:
@@ -242,25 +241,19 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
     )
 
 
-def parametric_surface(
-    chart: Callable[[np.ndarray], np.ndarray],
-    normal_at: Callable[[np.ndarray], np.ndarray] | None = None,
-    h: float = 1e-5,
-    kind: str = "parametric",
-) -> Surface:
-    """Surface from a chart alone; Gauss map data filled in numerically.
+def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
+    """Surface of kind "parametric" from a chart alone; Gauss map data filled in numerically.
 
-    The chart tangent map is built by central differences with step ``h``.
-    When ``normal_at`` is not supplied, the normal is the normalized cross
-    product of the chart partials (orientation follows the chart). The shape
-    operator value Dn(x)(v_emb) differentiates the normal field along the
-    chart direction that pushes forward to v_emb.
+    The chart tangent map is built by central differences with step 1e-5.
+    The normal is the normalized cross product of the chart partials, so the
+    orientation follows the chart. The shape operator value Dn(x)(v_emb)
+    differentiates the normal field along the chart direction that pushes
+    forward to v_emb.
 
-    ``chart`` and ``normal_at`` take one point; ``rolling`` runs them over
-    the rows of a stack.
+    ``chart`` takes one point; ``rolling`` runs it over the rows of a stack.
     """
 
-    user_chart, user_normal = chart, normal_at
+    user_chart, h = chart, 1e-5
 
     def chart(u):
         return np.asarray(user_chart(np.asarray(u, dtype=float)), dtype=float)
@@ -270,8 +263,6 @@ def parametric_surface(
         return np.column_stack([(chart(u + e) - chart(u - e)) / (2 * h) for e in h * np.eye(2)])
 
     def normal_at(u):
-        if user_normal is not None:
-            return np.asarray(user_normal(np.asarray(u, dtype=float)), dtype=float)
         T = chart_tangent(u)
         n = np.cross(T[:, 0], T[:, 1])
         nn = np.linalg.norm(n)
@@ -297,7 +288,7 @@ def parametric_surface(
         rows = [rolling_at(x, w) for x, w in zip(U.reshape(-1, 2), V.reshape(-1, 2))]
         return np.reshape(rows, U.shape[:-1] + (3,))
 
-    return Surface(kind, chart, chart_tangent, normal_at, shape_derivative_at, rolling)
+    return Surface("parametric", chart, chart_tangent, normal_at, shape_derivative_at, rolling)
 
 
 def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
@@ -312,17 +303,10 @@ def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
     outward normal this reduces to omega = -(1/r)(1 + 1/r) (x x v_emb);
     :func:`sphere_surface` evaluates it in that closed form.
     """
-
-    radius = None
-    if surface.kind.startswith("sphere-"):
-        # recover the radius from the chart for the curvature catalog
-        radius = float(np.linalg.norm(surface.chart(np.array([np.pi / 2, 0.0]))))
-
     return LocalConnectionForm(
         base_dim=2,
         evaluate=lambda u, v: -surface.rolling(u, v),
         descriptor=surface.kind,
-        radius=radius,
         surface=surface,
     )
 
@@ -333,7 +317,7 @@ def curvature_closed_form(form: LocalConnectionForm, x, u, v) -> np.ndarray:
     natural-so3: u x v. plane-rolling: cross product of u and v embedded as
     (u1, u2, 0); the quarter turn inside the form drops out of the bracket.
     sphere-outer / sphere-inner of radius r: (1 - 1/r^2) (U x V) where U, V
-    are the chart pushforwards of u, v.
+    are the chart pushforwards of u, v, and r is read off the chart.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -344,7 +328,7 @@ def curvature_closed_form(form: LocalConnectionForm, x, u, v) -> np.ndarray:
     if d == "plane-rolling":
         return cross(np.array([u[0], u[1], 0.0]), np.array([v[0], v[1], 0.0]))
     if d in ("sphere-outer", "sphere-inner"):
-        r = form.radius
+        r = float(np.linalg.norm(form.surface.chart(np.array([np.pi / 2, 0.0]))))
         T = form.surface.chart_tangent(x)
         return (1.0 - 1.0 / (r * r)) * cross(T @ u, T @ v)
     raise ValueError(f"no closed-form curvature catalogued for '{d}'")

@@ -35,16 +35,14 @@ def hat(v) -> np.ndarray:
     )
 
 
-def vee(M, tol: float = 1e-10) -> np.ndarray:
-    """Inverse of :func:`hat`. Rejects matrices that are not skew-symmetric.
-
-    ``tol`` bounds the allowed Frobenius norm of ``M + M.T``.
-    """
+def vee(M) -> np.ndarray:
+    """Inverse of :func:`hat`. Rejects matrices that are not skew-symmetric,
+    those with Frobenius norm of ``M + M.T`` above 1e-10."""
     M = np.asarray(M, dtype=float)
     if M.shape != (3, 3):
         raise ValueError(f"vee expects a 3x3 matrix, got shape {M.shape}")
     asym = np.linalg.norm(M + M.T)
-    if asym > tol:
+    if asym > 1e-10:
         raise ValueError(f"vee: matrix is not skew-symmetric (|M + M^T| = {asym:.3e})")
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
@@ -191,8 +189,8 @@ def rotation_to_quat(R) -> np.ndarray:
 
     Uses Shepperd's branch selection for stability and returns the canonical
     representative (:func:`canonical_quat`). A stack of shape (..., 3, 3) gives
-    a stack of shape (..., 4); each matrix must pass :func:`check_rotation` at
-    tolerance 1e-8, and a refusal names the first that does not.
+    a stack of shape (..., 4); each matrix must pass :func:`check_rotation`'s
+    test with 1e-8 in place of 1e-10, and a refusal names the first that does not.
     """
     R = np.asarray(R, dtype=float)
     if R.shape[-2:] != (3, 3):
@@ -238,21 +236,21 @@ def lie_hom_derivative(u) -> np.ndarray:
     return 2.0 * u
 
 
-def check_rotation(R, tol: float = 1e-10) -> np.ndarray:
+def check_rotation(R) -> np.ndarray:
     """Validate that ``R`` is a rotation matrix; returns it as float64.
 
-    ``tol`` bounds the Frobenius norm of R^T R - I; det must be positive.
+    The Frobenius norm of R^T R - I must be at most 1e-10 and det positive.
     """
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation matrix, got shape {R.shape}")
-    _checked_entries(R, tol)
+    _checked_entries(R, tol=1e-10)
     return R
 
 
 def _checked_entries(R: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`check_rotation` (NaN refused) on each matrix of a (..., 3, 3) stack,
-    naming the first that fails; returns the (3, 3, n) entries of the flattened stack."""
+    """:func:`check_rotation`'s test at ``tol`` (NaN refused) on each matrix of a (..., 3, 3)
+    stack, naming the first that fails; returns the (3, 3, n) entries of the flattened stack."""
     r = np.ascontiguousarray(R.reshape(-1, 3, 3).transpose(1, 2, 0))
     D = (r[:, :, None] * r[:, None, :]).sum(axis=0) - np.eye(3)[:, :, None]  # R^T R - I
     defect = np.sqrt((D * D).sum(axis=(0, 1)))

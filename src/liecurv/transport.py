@@ -393,8 +393,13 @@ def small_loop_curvature(
     holonomy logarithm. With ``richardson`` the leading O(eps) error term is
     extrapolated away using a second run at eps/2, leaving O(eps^2).
 
-    Raises the :func:`liecurv.liecore.log_so3` domain error when eps is so
-    large that the holonomy angle approaches pi.
+    A loop whose holonomy angle nears pi raises the
+    :func:`liecurv.liecore.log_so3` domain error, but one past pi wraps and
+    gives a wrong estimate without an error. So with ``richardson`` a loop too
+    large to be small is refused: when the eps/2 loop's holonomy angle
+    |est(eps/2)| (eps/2)^2 exceeds pi/8, which keeps the eps loop, about four
+    times larger, below pi/2. This guards against the wrap; it does not bound
+    the error.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -404,9 +409,14 @@ def small_loop_curvature(
         hol = transport(form, loop, np.eye(3), config).final
         return -log_so3(hol) / (e * e)
 
-    if richardson:
-        return 2.0 * estimate(eps / 2.0) - estimate(eps)
-    return estimate(eps)
+    if not richardson:
+        return estimate(eps)
+    half = estimate(eps / 2.0)
+    angle = float(np.linalg.norm(half)) * (eps / 2.0) ** 2
+    if angle > np.pi / 8.0:
+        raise ValueError(f"eps = {eps!r} is too large for a small loop: the eps/2 loop's "
+                         f"holonomy angle {angle:.3f} exceeds pi/8, so the eps loop's may wrap past pi")
+    return 2.0 * half - estimate(eps)
 
 
 def commutator_by_flows(xi, eta, t: float) -> np.ndarray:
@@ -432,17 +442,17 @@ def convergence_order(
     path: PathSpec,
     method: str = "lie-euler",
     n0: int = 64,
-    g0=None,
 ) -> float:
     """Observed order from runs at n0 and 2 n0 steps against a 16 n0 reference.
 
     Intended for smooth paths where the stepper actually commits truncation
     error. When both runs already sit at roundoff (as on exactly integrable
-    paths) the error ratio is meaningless and a ValueError is raised.
+    paths) the error ratio is meaningless and a ValueError is raised. Runs
+    start from the identity.
     """
-    ref = transport(form, path, g0, IntegratorConfig(method=method, steps=16 * n0)).final
-    e1 = np.linalg.norm(transport(form, path, g0, IntegratorConfig(method=method, steps=n0)).final - ref)
-    e2 = np.linalg.norm(transport(form, path, g0, IntegratorConfig(method=method, steps=2 * n0)).final - ref)
+    ref = transport(form, path, config=IntegratorConfig(method=method, steps=16 * n0)).final
+    e1 = np.linalg.norm(transport(form, path, config=IntegratorConfig(method=method, steps=n0)).final - ref)
+    e2 = np.linalg.norm(transport(form, path, config=IntegratorConfig(method=method, steps=2 * n0)).final - ref)
     if e2 < 1e-14 or e1 <= e2:
         raise ValueError(
             f"reference not converged: error ratio non-monotone (e(n0) = {e1:.3e}, e(2 n0) = {e2:.3e})"
@@ -588,8 +598,8 @@ def parallelogram_loop(x, u, v, eps: float) -> PathSpec:
     return dataclasses.replace(polyline(pts, closed=True), kind="parallelogram")
 
 
-def great_arc(p, q, radius: float | None = None, side: str = "outer") -> tuple[PathSpec, Surface]:
-    """Shortest great-circle arc from p to q on a sphere, as a chart path.
+def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
+    """Shortest great-circle arc from p to q on the sphere of radius |p|, as a chart path.
 
     Builds a sphere chart whose equator contains the arc (so the path stays
     far from the chart's polar caps) and returns the path in that chart's
@@ -601,12 +611,11 @@ def great_arc(p, q, radius: float | None = None, side: str = "outer") -> tuple[P
     q = np.asarray(q, dtype=float)
     if p.shape != (3,) or q.shape != (3,):
         raise ValueError("great_arc expects two points in R^3")
-    r = float(np.linalg.norm(p)) if radius is None else float(radius)
+    r = float(np.linalg.norm(p))
     if r <= 0.0:
         raise ValueError("sphere radius must be positive")
-    for name, pt in (("p", p), ("q", q)):
-        if abs(np.linalg.norm(pt) - r) > 1e-9 * max(r, 1.0):
-            raise ValueError(f"point {name} does not lie on the sphere of radius {r}")
+    if abs(np.linalg.norm(q) - r) > 1e-9 * max(r, 1.0):
+        raise ValueError(f"point q does not lie on the sphere of radius {r}")
 
     w = np.cross(p, q)
     wn = float(np.linalg.norm(w))

@@ -1,10 +1,10 @@
 """Residual checks tying the SO(3) and unit-quaternion pictures together.
 
-Each check returns a :class:`ResidualReport` whose ``passed`` flag is exactly
-``max_residual <= tolerance``. The naturality checks compare the natural
-connections on the two groups through the double cover (whose derivative
-doubles axis vectors); the section checks integrate the quaternion lift of
-sphere rolling; the span check certifies that plane-rolling holonomy
+Each check returns a :class:`ResidualReport`, whose ``passed`` flag is
+computed as ``max_residual <= tolerance``. The naturality checks compare the
+natural connections on the two groups through the double cover (whose
+derivative doubles axis vectors); the section checks integrate the quaternion
+lift of sphere rolling; the span check certifies that plane-rolling holonomy
 logarithms fill out all of so(3). The curvature probe,
 :func:`curvature_probe`, is the one ``liecurv curvature`` runs, so the CLI
 prints the same factor as :func:`sphere_curvature_factor`.
@@ -12,7 +12,7 @@ prints the same factor as :func:`sphere_curvature_factor`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,31 +49,30 @@ from .transport import (
     transport_quat,
 )
 
+NATURALITY_SAMPLES = 100  # random draws per pointwise naturality check
 SPAN_THRESHOLD = 1e-4  # smallest singular value required of normalized holonomy logs
 _BASEPOINT = np.array([0.0, 0.0, 1.0])  # all section lifts start here
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of one check: worst residual over its samples vs a tolerance."""
+    """Outcome of one check: worst residual over its samples vs a tolerance.
+
+    The numbers are stored as Python floats and ints, and ``passed`` is
+    derived from them: ``max_residual <= tolerance``.
+    """
 
     name: str
     max_residual: float
     samples: int
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        if self.passed != (self.max_residual <= self.tolerance):
-            raise ValueError("inconsistent report: passed must equal max_residual <= tolerance")
-
-
-def make_report(name: str, max_residual: float, samples: int, tolerance: float) -> ResidualReport:
-    r = float(max_residual)
-    return ResidualReport(
-        name=name, max_residual=r, samples=int(samples), tolerance=float(tolerance),
-        passed=bool(r <= float(tolerance)),
-    )
+        object.__setattr__(self, "max_residual", float(self.max_residual))
+        object.__setattr__(self, "samples", int(self.samples))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "passed", self.max_residual <= self.tolerance)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -116,17 +115,18 @@ def _s3_bracket(xi, eta) -> np.ndarray:
 # naturality checks
 
 
-def check_alpha_naturality(samples: int = 100, seed: int = 101) -> ResidualReport:
+def check_alpha_naturality(seed: int = 0) -> ResidualReport:
     """Total forms commute with the double cover on randomized tangents.
 
     Sends the S^3 total-space value through the algebra isomorphism and
     compares with the SO(3) total form at the image point: base points and
     base tangents double, a right-invariant tangent w q at q maps to
-    hat(2w) phi(q) at phi(q).
+    hat(2w) phi(q) at phi(q). Draws NATURALITY_SAMPLES samples from
+    RandomState(101 + seed).
     """
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(101 + seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(NATURALITY_SAMPLES):
         x = rng.standard_normal(3)
         v = rng.standard_normal(3)
         w = rng.standard_normal(3)
@@ -141,39 +141,43 @@ def check_alpha_naturality(samples: int = 100, seed: int = 101) -> ResidualRepor
         lhs = lie_hom_derivative(alpha_s3)
         rhs = natural_alpha(2.0 * x, R, 2.0 * v, hat(2.0 * w) @ R)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return make_report("alpha-naturality", worst, samples, 1e-8)
+    return ResidualReport("alpha-naturality", worst, NATURALITY_SAMPLES, 1e-8)
 
 
-def check_omega_naturality(samples: int = 100, seed: int = 202) -> ResidualReport:
-    """Local forms commute with the algebra isomorphism: omega(2v) = 2 omega(v)."""
-    rng = np.random.RandomState(seed)
+def check_omega_naturality(seed: int = 0) -> ResidualReport:
+    """Local forms commute with the algebra isomorphism: omega(2v) = 2 omega(v).
+
+    Draws NATURALITY_SAMPLES samples from RandomState(202 + seed).
+    """
+    rng = np.random.RandomState(202 + seed)
     form = natural_form()
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(NATURALITY_SAMPLES):
         x = rng.standard_normal(3)
         v = rng.standard_normal(3)
         lhs = form(2.0 * x, lie_hom_derivative(v))
         rhs = lie_hom_derivative(-v)  # image of the S^3 local value omega(v) = -v
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return make_report("omega-naturality", worst, samples, 1e-12)
+    return ResidualReport("omega-naturality", worst, NATURALITY_SAMPLES, 1e-12)
 
 
-def check_curvature_naturality(samples: int = 100, seed: int = 303) -> ResidualReport:
+def check_curvature_naturality(seed: int = 0) -> ResidualReport:
     """Curvatures correspond: the image of the S^3 bracket is the doubled cross product.
 
     The S^3 curvature value on (u, v) is the pure-quaternion bracket, computed
     here through 4x4 left-multiplication matrices; its image under the algebra
-    isomorphism must equal the SO(3) curvature cross(2u, 2v).
+    isomorphism must equal the SO(3) curvature cross(2u, 2v). Draws
+    NATURALITY_SAMPLES samples from RandomState(303 + seed).
     """
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(303 + seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(NATURALITY_SAMPLES):
         u = rng.standard_normal(3)
         v = rng.standard_normal(3)
         lhs = lie_hom_derivative(_s3_bracket(u, v))
         rhs = cross(lie_hom_derivative(u), lie_hom_derivative(v))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return make_report("curvature-naturality", worst, samples, 1e-10)
+    return ResidualReport("curvature-naturality", worst, NATURALITY_SAMPLES, 1e-10)
 
 
 def default_naturality_path() -> PathSpec:
@@ -194,21 +198,20 @@ def default_naturality_path() -> PathSpec:
     return polyline(pts, closed=True)
 
 
-def check_transport_naturality(
-    path: PathSpec | None = None, config: IntegratorConfig | None = None
-) -> ResidualReport:
+def check_transport_naturality(config: IntegratorConfig | None = None) -> ResidualReport:
     """Quaternion transport projects onto SO(3) transport along the doubled path.
 
     Because the covering map doubles algebra increments, the S^3 run along c
     corresponds to the SO(3) run along 2c on the same grid; each step maps
-    exactly, so the residual is pure roundoff.
+    exactly, so the residual is pure roundoff. c is
+    :func:`default_naturality_path`.
     """
-    c = path or default_naturality_path()
+    c = default_naturality_path()
     cfg = config or IntegratorConfig()
     q = transport_quat(c, config=cfg).final
     lhs = quat_to_rotation(q)
     rhs = transport(natural_form(), scale_path(c, 2.0), config=cfg).final
-    return make_report("transport-naturality", float(np.linalg.norm(lhs - rhs)), 1, 1e-7)
+    return ResidualReport("transport-naturality", float(np.linalg.norm(lhs - rhs)), 1, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +245,23 @@ def unit_sphere_section(p, config: IntegratorConfig | None = None, legs=None):
     return q, formula
 
 
-def section_residual(p, config: IntegratorConfig | None = None, legs=None) -> float:
-    """Distance (up to global sign) between the integrated and closed-form section."""
-    q, formula = unit_sphere_section(p, config=config, legs=legs)
+def section_residual(q, formula) -> float:
+    """Distance up to global sign, min(|q - f|, |q + f|), between an integrated
+    section ``q`` and its closed form, as :func:`unit_sphere_section` returns them."""
     return float(min(np.linalg.norm(q - formula), np.linalg.norm(q + formula)))
 
 
-def check_section_path_independence(
-    samples: int = 5, seed: int = 404, config: IntegratorConfig | None = None
-) -> ResidualReport:
+def check_section_path_independence(seed: int = 0, config: IntegratorConfig | None = None) -> ResidualReport:
     """The rotation reached at a target does not depend on the great-arc route.
 
-    Each sample compares the direct arc from the basepoint with a two-leg
-    route through a random waypoint, as rotations (so the quaternion sign
-    ambiguity drops out).
+    Each of 5 samples, drawn from RandomState(404 + seed), compares the
+    direct arc from the basepoint with a two-leg route through a random
+    waypoint, as rotations (so the quaternion sign ambiguity drops out).
     """
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(404 + seed)
     worst = 0.0
     done = 0
-    while done < samples:
+    while done < 5:
         p = _unit(rng.standard_normal(3))
         m = _unit(rng.standard_normal(3))
         # keep arcs well defined: no leg may connect near-identical points
@@ -274,19 +275,18 @@ def check_section_path_independence(
         diff = np.linalg.norm(quat_to_rotation(q_direct) - quat_to_rotation(q_via))
         worst = max(worst, float(diff))
         done += 1
-    return make_report("section-path-independence", worst, samples, 1e-6)
+    return ResidualReport("section-path-independence", worst, done, 1e-6)
 
 
-def antipodal_check(
-    samples: int = 3, seed: int = 505, config: IntegratorConfig | None = None
-) -> ResidualReport:
+def antipodal_check(seed: int = 0, config: IntegratorConfig | None = None) -> ResidualReport:
     """Antipodal targets receive the same rotation (the cover kernel is +-1).
 
-    Checks the pole pair (0,0,1) / (0,0,-1) plus randomized pairs.
+    Checks the pole pair (0,0,1) / (0,0,-1) plus two pairs drawn from
+    RandomState(505 + seed).
     """
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(505 + seed)
     points = [_BASEPOINT.copy()]
-    while len(points) < max(samples, 1):
+    while len(points) < 3:
         p = _unit(rng.standard_normal(3))
         if abs(float(p @ _BASEPOINT)) <= 0.99:
             points.append(p)
@@ -296,22 +296,21 @@ def antipodal_check(
         q_minus, _ = unit_sphere_section(-p, config=config)
         diff = np.linalg.norm(quat_to_rotation(q_plus) - quat_to_rotation(q_minus))
         worst = max(worst, float(diff))
-    return make_report("antipodal-sections", worst, len(points), 1e-6)
+    return ResidualReport("antipodal-sections", worst, len(points), 1e-6)
 
 
-def inner_unit_sphere_identity(
-    loop: PathSpec | None = None, config: IntegratorConfig | None = None
-) -> ResidualReport:
+def inner_unit_sphere_identity(config: IntegratorConfig | None = None) -> ResidualReport:
     """Rolling inside the unit sphere transports nothing: holonomy is the identity.
 
     The inner Gauss map cancels every velocity (v + Dn v = 0), so the
-    connection form vanishes identically and any loop returns I exactly.
+    connection form vanishes identically and any loop returns I exactly;
+    the check runs a circle of chart radius 0.4 around (1.2, 0.5).
     """
     form = surface_rolling_form(sphere_surface(1.0, side="inner"))
-    c = loop or circle(center=np.array([1.2, 0.5]), radius=0.4)
+    c = circle(center=np.array([1.2, 0.5]), radius=0.4)
     cfg = config or IntegratorConfig(steps=512)
     residual = float(np.linalg.norm(holonomy(form, c, cfg) - np.eye(3)))
-    return make_report("inner-unit-sphere-identity", residual, 1, 1e-12)
+    return ResidualReport("inner-unit-sphere-identity", residual, 1, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +344,15 @@ def default_span_loops() -> list[PathSpec]:
     ]
 
 
-def holonomy_span_check(
-    loops=None,
-    form: LocalConnectionForm | None = None,
-    config: IntegratorConfig | None = None,
-) -> ResidualReport:
-    """Do the loops' holonomy logarithms span so(3)?
+def holonomy_span_check(loops=None, config: IntegratorConfig | None = None) -> ResidualReport:
+    """Do the loops' plane-rolling holonomy logarithms span so(3)?
 
     Normalizes each log to a unit axis and reports the shortfall of the
     smallest singular value below SPAN_THRESHOLD (0 when the family spans;
     the report fails when any direction is missing, e.g. for repeated or
     translated copies of one loop under a translation-invariant form).
     """
-    form = form or plane_rolling_form()
+    form = plane_rolling_form()
     loops = list(loops) if loops is not None else default_span_loops()
     if len(loops) < 3:
         raise ValueError("span check needs at least three loops")
@@ -369,7 +364,7 @@ def holonomy_span_check(
         cols.append(np.zeros(3) if n < 1e-12 else w / n)
     sigma_min = float(np.linalg.svd(np.column_stack(cols), compute_uv=False)[-1])
     shortfall = max(0.0, SPAN_THRESHOLD - sigma_min)
-    return make_report("plane-rolling-span", shortfall, len(loops), 0.0)
+    return ResidualReport("plane-rolling-span", shortfall, len(loops), 0.0)
 
 
 def degenerate_span_loops() -> list[PathSpec]:
@@ -417,50 +412,46 @@ def sphere_curvature_probe(
     return curvature_probe(surface_rolling_form(surface), x, eps / radius, cross(T @ u, T @ v), config)
 
 
-def sphere_curvature_factor(
-    radius: float, eps: float = 1e-2, config: IntegratorConfig | None = None
-) -> float:
+def sphere_curvature_factor(radius: float, config: IntegratorConfig | None = None) -> float:
     """Measured ratio of outer sphere-rolling curvature to the flat-case curvature, 1 - 1/r^2.
 
-    The factor of :func:`sphere_curvature_probe` on the outer side.
+    The factor of :func:`sphere_curvature_probe` on the outer side at eps = 1e-2.
     """
-    return sphere_curvature_probe(radius, "outer", eps, config)[2]
+    return sphere_curvature_probe(radius, "outer", 1e-2, config)[2]
 
 
 def sphere_factor_report(config: IntegratorConfig | None = None) -> ResidualReport:
     """Report the radius-2 curvature factor against its exact value 0.75."""
     factor = sphere_curvature_factor(2.0, config=config)
-    return make_report("sphere-curvature-factor", abs(factor - 0.75), 1, 7.5e-4)
+    return ResidualReport("sphere-curvature-factor", abs(factor - 0.75), 1, 7.5e-4)
 
 
-# The check registry: name -> (run(seed, config), seed offset, in the battery).
-# Randomized checks run at their offset plus the requested seed; the others
-# ignore the seed. span-degenerate is a control fixture built to fail
+# The check registry: name -> (run(seed, config), in the battery). Randomized
+# checks pass the requested seed on; the others ignore it. span-degenerate is a control fixture built to fail
 # (repeated loops cannot span so(3)), so it stays out of the battery.
 CHECKS = {
-    "alpha-naturality": (lambda s, cfg: check_alpha_naturality(seed=s), 101, True),
-    "omega-naturality": (lambda s, cfg: check_omega_naturality(seed=s), 202, True),
-    "curvature-naturality": (lambda s, cfg: check_curvature_naturality(seed=s), 303, True),
-    "transport-naturality": (lambda s, cfg: check_transport_naturality(config=cfg), 0, True),
-    "section-path-independence": (lambda s, cfg: check_section_path_independence(seed=s, config=cfg), 404, True),
-    "antipodal-sections": (lambda s, cfg: antipodal_check(seed=s, config=cfg), 505, True),
-    "inner-unit-sphere-identity": (lambda s, cfg: inner_unit_sphere_identity(config=cfg), 0, True),
-    "plane-rolling-span": (lambda s, cfg: holonomy_span_check(config=cfg), 0, True),
-    "sphere-curvature-factor": (lambda s, cfg: sphere_factor_report(config=cfg), 0, True),
-    "span-degenerate": (lambda s, cfg: holonomy_span_check(loops=degenerate_span_loops(), config=cfg), 0, False),
+    "alpha-naturality": (lambda s, cfg: check_alpha_naturality(seed=s), True),
+    "omega-naturality": (lambda s, cfg: check_omega_naturality(seed=s), True),
+    "curvature-naturality": (lambda s, cfg: check_curvature_naturality(seed=s), True),
+    "transport-naturality": (lambda s, cfg: check_transport_naturality(config=cfg), True),
+    "section-path-independence": (lambda s, cfg: check_section_path_independence(seed=s, config=cfg), True),
+    "antipodal-sections": (lambda s, cfg: antipodal_check(seed=s, config=cfg), True),
+    "inner-unit-sphere-identity": (lambda s, cfg: inner_unit_sphere_identity(config=cfg), True),
+    "plane-rolling-span": (lambda s, cfg: holonomy_span_check(config=cfg), True),
+    "sphere-curvature-factor": (lambda s, cfg: sphere_factor_report(config=cfg), True),
+    "span-degenerate": (lambda s, cfg: holonomy_span_check(loops=degenerate_span_loops(), config=cfg), False),
 }
 
 
 def run_check(name: str, seed: int = 0, config: IntegratorConfig | None = None) -> ResidualReport:
     """Run the registered check ``name`` (see :data:`CHECKS`)."""
-    run, offset, _ = CHECKS[name]
-    return run(offset + seed, config)
+    return CHECKS[name][0](seed, config)
 
 
 def run_all_checks(config: IntegratorConfig | None = None, seed: int | None = None) -> list[ResidualReport]:
-    """The standard battery, ordered by check name, with fixed default seeds.
+    """The standard battery, ordered by check name.
 
-    ``seed`` offsets every randomized check's seed; ``config`` overrides the
+    ``seed`` is passed to every randomized check; ``config`` overrides the
     integrator for the transport-based checks.
     """
-    return [run_check(name, seed or 0, config) for name, (_, _, in_all) in sorted(CHECKS.items()) if in_all]
+    return [run_check(name, seed or 0, config) for name, (_, in_all) in sorted(CHECKS.items()) if in_all]

@@ -1,12 +1,15 @@
 """Every name the package exports is used by the library, the acceptance gate or the benchmark.
 
 An export that none of them reads is API kept for its own sake. The few kept
-on purpose are listed below, each with the reason it stays. No module reads
-another module's private names either: a rule that two modules need has one
-public owner.
+on purpose are listed below, each with the reason it stays. The same holds
+for settings: every defaulted parameter of a public callable is passed by one
+of those callers, or it is a constant. No module reads another module's
+private names either: a rule that two modules need has one public owner.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,7 +19,6 @@ KEPT = {
     "concat_paths": "the paper's concatenation law T(c1 * c2) = T(c2) T(c1), tested as a property",
     "reverse_path": "the paper's reversal law, reverse transport inverts, tested as a property",
     "parametric_surface": "rolling on an arbitrary oriented surface in R^3, the paper's general setting",
-    "section_residual": "the unit-sphere global section invariant, for checking a lift at any point",
 }
 
 
@@ -26,12 +28,17 @@ def exported_names():
             for alias in node.names}
 
 
-def used_names():
-    files = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
+def caller_trees():
+    """Parsed library modules (``__init__`` aside), acceptance gate and benchmark files."""
+    files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
     files += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "benchmarks").glob("*.py"))]
+    return [ast.parse(f.read_text()) for f in files]
+
+
+def used_names():
     used = set()
-    for f in files:
-        for node in ast.walk(ast.parse(f.read_text())):
+    for tree in caller_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -43,6 +50,45 @@ def test_every_export_is_used_or_kept_for_a_stated_reason():
     exports = exported_names()
     assert set(KEPT) <= exports
     assert exports - used_names() == set(KEPT)
+
+
+def defaulted_parameters():
+    """{public callable: (its parameters, the defaulted ones)} for every callable a liecurv module defines.
+
+    A dataclass's parameters are its init fields, as ``inspect.signature`` gives them.
+    """
+    out = {}
+    for f in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("liecurv" if f.stem == "__init__" else f"liecurv.{f.stem}")
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == module.__name__:
+                params = list(inspect.signature(obj).parameters.values())
+                out[name] = (params, [p for p in params if p.default is not p.empty])
+    return out
+
+
+def passed_arguments():
+    """{callee name: positions, keywords, "*" and "**" passed in any call by the callers}."""
+    passed = {}
+    for tree in caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                seen = passed.setdefault(fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None), set())
+                seen.update("*" if isinstance(a, ast.Starred) else i for i, a in enumerate(node.args))
+                seen.update(k.arg or "**" for k in node.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    passed = passed_arguments()
+    unset = []
+    for name, (params, defaulted) in defaulted_parameters().items():
+        for p in defaulted:
+            ways = {p.name, "**"} | ({params.index(p), "*"} if p.kind is p.POSITIONAL_OR_KEYWORD else set())
+            if not ways & passed.get(name, set()):
+                unset.append(f"{name}({p.name})")
+    assert unset == []
 
 
 def private_reads(path):

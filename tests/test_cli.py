@@ -351,6 +351,14 @@ def test_curvature_eps_is_honoured_and_echoed(tmp_path):
     assert small["curvature"] == default["curvature"]
 
 
+def test_curvature_refuses_a_loop_too_large_to_be_small(capsys):
+    # natural form, 512 steps: the eps/2 loop's holonomy angle is 1.93 rad, above pi/8
+    assert main(["curvature", "--eps", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: eps = 3.0 ") and "angle 1.933 exceeds pi/8" in err
+
+
 def test_curvature_command_sphere(tmp_path):
     code, doc = run_json(
         ["curvature", "--connection", "sphere-outer", "--radius", "2", "--steps", "256"], tmp_path
@@ -395,7 +403,7 @@ def test_verify_all_reports_sorted_and_passing(tmp_path):
 def test_single_checks_match_the_battery(seed, tmp_path):
     _, battery = run_json(["verify", "--all", "--seed", str(seed)], tmp_path, "all.json")
     names = [r["name"] for r in battery["reports"]]
-    assert names == sorted(name for name, (_, _, in_all) in verify.CHECKS.items() if in_all)
+    assert names == sorted(name for name, (_, in_all) in verify.CHECKS.items() if in_all)
     assert "span-degenerate" not in names
     for report in battery["reports"]:
         _, single = run_json(["verify", "--check", report["name"], "--seed", str(seed)], tmp_path, "one.json")
@@ -410,6 +418,14 @@ def test_section_command(tmp_path):
     np.testing.assert_allclose(sec["formula_quat"], [0.0, 0.0, 1.0, 0.0], atol=0.0)
     np.testing.assert_allclose(doc["holonomy"]["angle"], np.pi, atol=1e-6)
     assert doc["reports"][0]["name"] == "section-formula"
+
+
+@pytest.mark.parametrize("point", ["1,0,0", "0.3,-0.5,0.8", "0,0,-1"])
+def test_section_residual_is_the_library_distance(point, tmp_path):
+    _, doc = run_json(["section", "--point", point], tmp_path)
+    p = np.array(doc["section"]["point"])
+    assert doc["section"]["residual"] == verify.section_residual(*verify.unit_sphere_section(p))
+    assert doc["reports"][0]["max_residual"] == doc["section"]["residual"]
 
 
 def test_section_rejects_zero_point(capsys):

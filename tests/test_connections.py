@@ -233,7 +233,7 @@ def test_surface_rolling_sphere_formula():
     s = sphere_surface(r)
     form = surface_rolling_form(s)
     assert form.descriptor == "sphere-outer"
-    assert form.radius == pytest.approx(r)
+    assert form.surface is s
     rng = np.random.RandomState(39)
     for _ in range(10):
         u = np.array([rng.uniform(0.3, np.pi - 0.3), rng.uniform(-np.pi, np.pi)])
@@ -268,7 +268,7 @@ def test_surface_rolling_inner_sphere_formula():
 def test_plane_as_parametric_surface_matches_plane_rolling_up_to_sign():
     """Rolling on a parametrized flat plane agrees with the closed form up to
     the orientation convention of the quarter turn."""
-    plane = parametric_surface(lambda u: np.array([u[0], u[1], 0.0]), kind="plane")
+    plane = parametric_surface(lambda u: np.array([u[0], u[1], 0.0]))
     form = surface_rolling_form(plane)
     rolling = plane_rolling_form()
     rng = np.random.RandomState(41)
@@ -278,7 +278,7 @@ def test_plane_as_parametric_surface_matches_plane_rolling_up_to_sign():
 
 
 def test_surface_rolling_rejects_singular_chart():
-    collapsed = parametric_surface(lambda u: np.array([u[0], u[0], 0.0]), kind="collapsed")
+    collapsed = parametric_surface(lambda u: np.array([u[0], u[0], 0.0]))
     form = surface_rolling_form(collapsed)
     with pytest.raises(ValueError, match="singular"):
         form(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
@@ -391,6 +391,6 @@ def test_curvature_closed_form_sphere_scaling():
 
 
 def test_curvature_closed_form_unknown_descriptor():
-    plane = parametric_surface(lambda u: np.array([u[0], u[1], 0.0]), kind="plane")
+    plane = parametric_surface(lambda u: np.array([u[0], u[1], 0.0]))
     with pytest.raises(ValueError, match="no closed-form curvature"):
         curvature_closed_form(surface_rolling_form(plane), np.zeros(2), np.ones(2), np.ones(2))

@@ -89,7 +89,7 @@ FORMS = {
     "sphere-outer": surface_rolling_form(sphere_surface(2.0, side="outer", frame=rotated_frame())),
     "sphere-inner": surface_rolling_form(sphere_surface(0.5, side="inner")),
     "parametric": surface_rolling_form(
-        parametric_surface(lambda u: np.array([u[0], u[1], 0.3 * np.sin(u[0]) * np.cos(u[1])]), kind="graph")
+        parametric_surface(lambda u: np.array([u[0], u[1], 0.3 * np.sin(u[0]) * np.cos(u[1])]))
     ),
 }
 

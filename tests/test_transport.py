@@ -294,6 +294,20 @@ def test_small_loop_curvature_matches_the_closed_form(name):
     assert np.linalg.norm(est - ref) <= 1e-4 * np.linalg.norm(ref) + 1e-8
 
 
+@pytest.mark.parametrize("eps, angle", [(3.0, "1.933"), (1.5, "0.538")])
+def test_small_loop_curvature_refuses_loops_too_large_to_be_small(eps, angle):
+    # at eps = 3 the eps loop's angle wraps to 0.40 rad and the factor would read 1.04
+    cfg = IntegratorConfig(steps=512)
+    with pytest.raises(ValueError, match=rf"eps = {eps!r} .* angle {angle} exceeds pi/8"):
+        small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, cfg, richardson=True)
+
+
+def test_small_loop_curvature_answers_below_the_wrap_guard():
+    # the eps/2 loop's angle is 0.245 rad, below pi/8
+    est = small_loop_curvature(NAT, np.zeros(3), E1, E2, 1.0, IntegratorConfig(steps=512), richardson=True)
+    assert abs(est[2] - 1.0) <= 0.15
+
+
 def test_small_loop_curvature_validation():
     with pytest.raises(ValueError, match="positive"):
         small_loop_curvature(NAT, np.zeros(3), E1, E2, 0.0)
