@@ -110,34 +110,35 @@ def _parser() -> _Parser:
     parser = _Parser(prog="liecurv", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_path=True):
-        p.add_argument("--connection", choices=_CONNECTIONS, default="natural-so3")
-        p.add_argument("--radius", type=float, default=1.0, help="sphere radius for sphere connections")
-        if with_path:
+    def add_common(p, connection=True, path=True):
+        if connection:
+            p.add_argument("--connection", choices=_CONNECTIONS, default="natural-so3")
+            p.add_argument("--radius", type=float, default=1.0, help="sphere radius for sphere connections")
+            p.add_argument("--eps", type=float, default=None,
+                           help="square side or circle radius (default 1); curvature loop scale (default 1e-2)")
+        if path:
             p.add_argument("--path", choices=_PATHS, default="line")
             p.add_argument("--xi", type=str, default=None, help="line direction, comma separated")
             p.add_argument("--x0", type=str, default=None, help="start point / center, comma separated")
             p.add_argument("--points", type=str, default=None, help="polyline vertices 'x,y;x,y;...'")
             p.add_argument("--file", type=str, default=None, help="CSV path file (header t,x1,...,xd)")
-        p.add_argument("--eps", type=float, default=None,
-                       help="square side or circle radius (default 1); curvature loop scale (default 1e-2)")
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--method", choices=sorted(_METHODS), default="midpoint")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     add_common(sub.add_parser("transport", help="integrate a frame along a path"))
     add_common(sub.add_parser("holonomy", help="transport around a closed path"))
-    add_common(sub.add_parser("curvature", help="small-loop curvature vs closed form"), with_path=False)
+    add_common(sub.add_parser("curvature", help="small-loop curvature vs closed form"), path=False)
 
     pv = sub.add_parser("verify", help="run residual checks")
-    add_common(pv, with_path=False)
+    add_common(pv, connection=False, path=False)
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--check", choices=sorted(_verify.CHECKS), default=None)
     pv.add_argument("--all", action="store_true", dest="all_checks")
 
     ps = sub.add_parser("section", help="unit-sphere rolling section at a point")
-    add_common(ps, with_path=False)
+    add_common(ps, connection=False, path=False)
     ps.add_argument("--point", type=str, default="1,0,0", help="target point on the unit sphere")
     return parser
 
@@ -297,7 +298,7 @@ def run(req: RunRequest) -> dict:
             expected = 1.0 - 1.0 / (req.radius**2)
         else:
             form = _build_connection(req)
-            est, ref, factor = _verify.curvature_probe(form, np.zeros(form.base_dim), req.eps, config=cfg)
+            est, ref, factor = _verify.curvature_probe(form, np.zeros(form.base_dim), req.eps, cfg)
             expected = 1.0
         doc["curvature"] = {
             "estimate": [float(c) for c in est],

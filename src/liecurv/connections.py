@@ -14,8 +14,7 @@ evaluates it in closed form, with one pass of trigonometry per call.
 
 Forms take stacks: ``evaluate`` maps points and tangents of shape (n, d) to
 shape (n, 3), so the transport engine evaluates a whole block of nodes in
-one call. So does each surface's ``rolling`` map, which
-:func:`parametric_surface` runs over the rows of a stack.
+one call. So does every map of a :class:`Surface`, the chart included.
 """
 
 from __future__ import annotations
@@ -140,10 +139,9 @@ class Surface:
 
     ``rolling(u, v)`` is n x (v_emb + Dn(x)(v_emb)) for a chart tangent
     vector v with embedded image v_emb = chart_tangent(u) v; it is minus the
-    rolling connection form (see :func:`surface_rolling_form`). It maps
-    stacks of chart points and vectors of shape (n, 2) to stacks of shape
-    (n, 3), as the form's ``evaluate`` must; the other maps need only take a
-    single chart point.
+    rolling connection form (see :func:`surface_rolling_form`). Every map
+    takes a chart point (2,) or a stack (..., 2), with embedded vectors
+    (..., 3), and returns the matching stack of 3-vectors or 3x2 Jacobians.
     """
 
     kind: str
@@ -244,49 +242,49 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
 def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
     """Surface of kind "parametric" from a chart alone; Gauss map data filled in numerically.
 
-    The chart tangent map is built by central differences with step 1e-5.
-    The normal is the normalized cross product of the chart partials, so the
-    orientation follows the chart. The shape operator value Dn(x)(v_emb)
-    differentiates the normal field along the chart direction that pushes
-    forward to v_emb.
-
-    ``chart`` takes one point; ``rolling`` runs it over the rows of a stack.
+    ``chart`` maps chart points (..., 2) to points (..., 3); any other output
+    shape, such as a chart written for one point meeting a stack, is refused.
+    The chart tangent map is built by central differences with step h = 1e-5.
+    The normal is the normalized cross product of the chart partials t1, t2,
+    so the orientation follows the chart; |t1 x t2| <= 1e-12 |t1| |t2| is
+    refused as singular. The shape operator along a chart direction w is the
+    central difference (n(u + h w) - n(u - h w)) / 2h; ``rolling`` takes w = v.
     """
 
     user_chart, h = chart, 1e-5
 
     def chart(u):
-        return np.asarray(user_chart(np.asarray(u, dtype=float)), dtype=float)
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(user_chart(u), dtype=float)
+        if x.shape != u.shape[:-1] + (3,):
+            raise ValueError(f"chart maps points of shape {u.shape} to shape {x.shape}, not "
+                             f"{u.shape[:-1] + (3,)}: charts must take stacks of chart points")
+        return x
 
     def chart_tangent(u):
-        u = np.asarray(u, dtype=float)
-        return np.column_stack([(chart(u + e) - chart(u - e)) / (2 * h) for e in h * np.eye(2)])
+        return np.stack([(chart(u + e) - chart(u - e)) / (2 * h) for e in h * np.eye(2)], axis=-1)
 
     def normal_at(u):
         T = chart_tangent(u)
-        n = np.cross(T[:, 0], T[:, 1])
-        nn = np.linalg.norm(n)
-        if nn < 1e-12:
-            raise ValueError("chart tangent map singular: cannot orient a normal")
+        n = np.cross(T[..., 0], T[..., 1])
+        nn = np.linalg.norm(n, axis=-1, keepdims=True)
+        singular = nn[..., 0] <= 1e-12 * np.linalg.norm(T, axis=-2).prod(axis=-1)
+        if singular.any():
+            bad = np.reshape(u, (-1, 2))[np.argmax(np.ravel(singular))]
+            raise ValueError(f"chart tangent map singular at chart point {bad.tolist()}: cannot orient a normal")
         return n / nn
 
-    def shape_derivative_at(u, v_emb):
-        u = np.asarray(u, dtype=float)
-        w, *_ = np.linalg.lstsq(chart_tangent(u), np.asarray(v_emb, dtype=float), rcond=None)
+    def normal_derivative(u, w):
         return (normal_at(u + h * w) - normal_at(u - h * w)) / (2 * h)
 
-    def rolling_at(u, v):
-        T = chart_tangent(u)
-        t1, t2 = T[:, 0], T[:, 1]
-        if np.linalg.norm(np.cross(t1, t2)) <= 1e-12 * max(np.linalg.norm(t1) * np.linalg.norm(t2), 1e-300):
-            raise ValueError("chart tangent map singular at the requested point")
-        v_emb = T @ np.asarray(v, dtype=float)
-        return np.cross(normal_at(u), v_emb + shape_derivative_at(u, v_emb))
+    def shape_derivative_at(u, v_emb):
+        w = np.linalg.pinv(chart_tangent(u)) @ np.asarray(v_emb, dtype=float)[..., None]
+        return normal_derivative(u, w[..., 0])
 
     def rolling(u, v):
-        U, V = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        rows = [rolling_at(x, w) for x, w in zip(U.reshape(-1, 2), V.reshape(-1, 2))]
-        return np.reshape(rows, U.shape[:-1] + (3,))
+        v = np.asarray(v, dtype=float)
+        v_emb = (chart_tangent(u) * v[..., None, :]).sum(axis=-1)
+        return np.cross(normal_at(u), v_emb + normal_derivative(u, v))
 
     return Surface("parametric", chart, chart_tangent, normal_at, shape_derivative_at, rolling)
 

@@ -266,13 +266,13 @@ def _checked_entries(R: np.ndarray, tol: float) -> np.ndarray:
     raise ValueError(f"matrix{where} has negative determinant (reflection, not rotation)")
 
 
-def check_unit_quat(q, tol: float = 1e-10) -> np.ndarray:
-    """Validate that ``q`` is a unit quaternion; returns it as float64."""
+def check_unit_quat(q) -> np.ndarray:
+    """Validate that ``q`` is a unit quaternion (| |q|^2 - 1 | <= 1e-9); returns it as float64."""
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise ValueError(f"expected a quaternion (w, x, y, z), got shape {q.shape}")
     with np.errstate(over="ignore"):  # huge entries give inf and NaN gives nan; both are refused
         defect = abs(float(q @ q) - 1.0)
-    if not defect <= tol:
+    if not defect <= 1e-9:
         raise ValueError(f"quaternion is not unit (| |q|^2 - 1 | = {defect:.3e})")
     return q

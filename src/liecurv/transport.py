@@ -326,7 +326,7 @@ def transport_quat(
     """
     if path.base_dim != 3:
         raise ValueError("quaternion transport requires a path in R^3")
-    q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9).copy()
+    q = check_unit_quat(_IDENTITY if q0 is None else q0).copy()
     _probe(path)
     return _run(lambda ts: _on_path(path.velocity, ts), path, config or IntegratorConfig(), 1.0,
                 lambda S: quat_mul(S, q), q)
@@ -347,7 +347,7 @@ def lift_transport(
     ``config`` defaults to exp-midpoint with 512 steps.
     """
     sample = _form_sampler(form, path)
-    q = check_unit_quat(_IDENTITY if q0 is None else q0, tol=1e-9)
+    q = check_unit_quat(_IDENTITY if q0 is None else q0)
     return _run(sample, path, config or IntegratorConfig(steps=512), 0.5, lambda S: quat_mul(S, q), q).final
 
 
@@ -414,8 +414,8 @@ def small_loop_curvature(
     half = estimate(eps / 2.0)
     angle = float(np.linalg.norm(half)) * (eps / 2.0) ** 2
     if angle > np.pi / 8.0:
-        raise ValueError(f"eps = {eps!r} is too large for a small loop: the eps/2 loop's "
-                         f"holonomy angle {angle:.3f} exceeds pi/8, so the eps loop's may wrap past pi")
+        raise ValueError("loop too large to be small: the half-size loop's holonomy angle "
+                         f"{angle:.3f} exceeds pi/8, so the full-size loop's may wrap past pi")
     return 2.0 * half - estimate(eps)
 
 

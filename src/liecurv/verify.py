@@ -374,7 +374,7 @@ def degenerate_span_loops() -> list[PathSpec]:
 
 
 def curvature_probe(
-    form: LocalConnectionForm, x, eps: float, direction=None, config: IntegratorConfig | None = None
+    form: LocalConnectionForm, x, eps: float, config: IntegratorConfig | None, direction=None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Small-loop curvature on the unit sides e1, e2 at x: ``(estimate, closed_form, factor)``.
 
@@ -393,7 +393,7 @@ def curvature_probe(
 
 
 def sphere_curvature_probe(
-    radius: float, side: str = "outer", eps: float = 1e-2, config: IntegratorConfig | None = None
+    radius: float, side: str, eps: float, config: IntegratorConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`curvature_probe` of sphere rolling at the chart point (1, 0.3).
 
@@ -409,7 +409,7 @@ def sphere_curvature_probe(
     x = np.array([1.0, 0.3])
     u, v = np.eye(2)
     T = surface.chart_tangent(x)
-    return curvature_probe(surface_rolling_form(surface), x, eps / radius, cross(T @ u, T @ v), config)
+    return curvature_probe(surface_rolling_form(surface), x, eps / radius, config, cross(T @ u, T @ v))
 
 
 def sphere_curvature_factor(radius: float, config: IntegratorConfig | None = None) -> float:

@@ -180,7 +180,7 @@ def malformed_argv(draw):
     argv = draw(st.sampled_from([["transport"], ["holonomy", "--path=line"], ["transport", "--path=polyline"],
                                  ["holonomy", "--path=polyline"]]))
     extra = draw(st.lists(st.sampled_from(["--steps=16", "--method=euler", "--connection=plane-rolling",
-                                           "--seed=3", "--format=csv", "--x0=0.5,0.5"]), unique=True))
+                                           "--eps=0.5", "--format=csv", "--x0=0.5,0.5"]), unique=True))
     return argv + extra
 
 
@@ -201,6 +201,29 @@ def capture(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# Valid requests, and options their subcommands do not read: each is refused, not ignored.
+VALID_ARGV = {
+    "transport": ["transport", "--xi=1,0,0", "--steps=8"],
+    "holonomy": ["holonomy", "--path=square", "--steps=8"],
+    "curvature": ["curvature", "--steps=8"],
+    "verify": ["verify", "--check=omega-naturality"],
+    "section": ["section", "--steps=8"],
+}
+UNREAD_OPTIONS = [(command, "--seed=3") for command in ("transport", "holonomy", "curvature", "section")] + [
+    (command, option)
+    for command in ("verify", "section")
+    for option in ("--connection=sphere-outer", "--radius=2", "--eps=0.5")
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+def test_an_option_the_subcommand_does_not_read_is_refused(command, option):
+    assert capture(VALID_ARGV[command])[0] == 0
+    code, out, err = capture([*VALID_ARGV[command], option])
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {option}\n"
 
 
 COMPONENT = st.floats(-2.0, 2.0).map(repr)
@@ -351,12 +374,17 @@ def test_curvature_eps_is_honoured_and_echoed(tmp_path):
     assert small["curvature"] == default["curvature"]
 
 
-def test_curvature_refuses_a_loop_too_large_to_be_small(capsys):
-    # natural form, 512 steps: the eps/2 loop's holonomy angle is 1.93 rad, above pi/8
-    assert main(["curvature", "--eps", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: eps = 3.0 ") and "angle 1.933 exceeds pi/8" in err
+def test_curvature_refuses_a_loop_too_large_to_be_small():
+    for argv, angle in (
+        # natural form, 512 steps: the eps/2 loop's holonomy angle is 1.93 rad, above pi/8
+        (["--eps", "3"], "1.933"),
+        # the sphere's chart loop has side eps / r = 2.0, a value the request never gave
+        (["--connection", "sphere-outer", "--radius", "0.5", "--eps", "1.0"], "0.701"),
+    ):
+        assert capture(["curvature", *argv]) == (
+            1, "", f"error: loop too large to be small: the half-size loop's holonomy angle {angle} "
+                   "exceeds pi/8, so the full-size loop's may wrap past pi\n",
+        )
 
 
 def test_curvature_command_sphere(tmp_path):
@@ -378,7 +406,7 @@ def test_curvature_command_prints_the_library_sphere_factor(radius, tmp_path):
 
 def test_curvature_command_prints_the_inner_sphere_probe(tmp_path):
     code, doc = run_json(["curvature", "--connection", "sphere-inner", "--radius", "2"], tmp_path)
-    est, _, factor = verify.sphere_curvature_probe(2.0, side="inner")
+    est, _, factor = verify.sphere_curvature_probe(2.0, side="inner", eps=1e-2)
     assert code == 0
     assert doc["curvature"]["estimate"] == est.tolist() and doc["curvature"]["factor"] == factor
 

@@ -148,6 +148,24 @@ def test_pullback_validation():
 # ---------------------------------------------------------------------------
 # surfaces
 
+# Charts for parametric_surface, written for stacks of chart points (..., 2).
+
+
+def plane_chart(u):
+    return np.stack([u[..., 0], u[..., 1], np.zeros_like(u[..., 0])], axis=-1)
+
+
+def graph_chart(u):
+    return np.stack([u[..., 0], u[..., 1], 0.3 * np.sin(u[..., 0]) * np.cos(u[..., 1])], axis=-1)
+
+
+def sphere_chart(r):
+    def chart(u):
+        th, ph = u[..., 0], u[..., 1]
+        return r * np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+
+    return chart
+
 
 def test_sphere_surface_chart_points():
     s = sphere_surface(2.0)
@@ -207,20 +225,20 @@ def test_sphere_surface_validation():
 
 def test_parametric_surface_matches_analytic_sphere():
     r = 1.3
-
-    def chart(u):
-        th, ph = u
-        return r * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-
-    num = parametric_surface(chart)
-    ana = sphere_surface(r)
-    u = np.array([0.9, -0.6])
-    np.testing.assert_allclose(num.chart_tangent(u), ana.chart_tangent(u), atol=1e-8)
-    np.testing.assert_allclose(num.normal_at(u), ana.normal_at(u), atol=1e-8)
-    v_emb = ana.chart_tangent(u) @ np.array([0.4, -1.1])
-    np.testing.assert_allclose(
-        num.shape_derivative_at(u, v_emb), ana.shape_derivative_at(u, v_emb), atol=1e-6
-    )
+    rng = np.random.RandomState(43)
+    u = np.column_stack([rng.uniform(0.3, np.pi - 0.3, 40), rng.uniform(-np.pi, np.pi, 40)])
+    v = rng.standard_normal((40, 2))
+    outer = sphere_surface(r)
+    # a chart's normal follows its orientation: swapping x and y turns it to the center
+    inner = sphere_surface(r, side="inner", frame=([0, 1.0, 0], [1.0, 0, 0], [0, 0, 1.0]))
+    for num, ana in ((parametric_surface(sphere_chart(r)), outer), (parametric_surface(inner.chart), inner)):
+        np.testing.assert_allclose(num.chart_tangent(u), ana.chart_tangent(u), atol=1e-8)
+        np.testing.assert_allclose(num.normal_at(u), ana.normal_at(u), atol=1e-8)
+        v_emb = (ana.chart_tangent(u) * v[:, None, :]).sum(axis=-1)
+        np.testing.assert_allclose(
+            num.shape_derivative_at(u, v_emb), ana.shape_derivative_at(u, v_emb), atol=1e-6
+        )
+        np.testing.assert_allclose(num.rolling(u, v), ana.rolling(u, v), rtol=0.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +286,7 @@ def test_surface_rolling_inner_sphere_formula():
 def test_plane_as_parametric_surface_matches_plane_rolling_up_to_sign():
     """Rolling on a parametrized flat plane agrees with the closed form up to
     the orientation convention of the quarter turn."""
-    plane = parametric_surface(lambda u: np.array([u[0], u[1], 0.0]))
-    form = surface_rolling_form(plane)
+    form = surface_rolling_form(parametric_surface(plane_chart))
     rolling = plane_rolling_form()
     rng = np.random.RandomState(41)
     for _ in range(10):
@@ -278,10 +295,58 @@ def test_plane_as_parametric_surface_matches_plane_rolling_up_to_sign():
 
 
 def test_surface_rolling_rejects_singular_chart():
-    collapsed = parametric_surface(lambda u: np.array([u[0], u[0], 0.0]))
+    collapsed = parametric_surface(lambda u: np.stack([u[..., 0], u[..., 0], np.zeros_like(u[..., 0])], axis=-1))
     form = surface_rolling_form(collapsed)
     with pytest.raises(ValueError, match="singular"):
         form(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
+    # on a stack, the first singular point is named: the partial along u1 vanishes where u1 = 0
+    folded = parametric_surface(lambda u: np.stack([u[..., 0] ** 2, u[..., 1], np.zeros_like(u[..., 0])], axis=-1))
+    u = np.array([[0.5, 0.1], [0.0, 0.25], [0.0, 0.75], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=re.escape("chart tangent map singular at chart point [0.0, 0.25]")):
+        folded.rolling(u, np.ones((4, 2)))
+    with pytest.raises(ValueError, match=re.escape("singular at chart point [0.0, 0.75]")):
+        folded.normal_at(u[2:])
+
+
+# ---------------------------------------------------------------------------
+# parametric surfaces take stacks
+
+PARAMETRIC_CHARTS = {"plane": plane_chart, "graph": graph_chart, "sphere": sphere_chart(2.0)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    chart=st.sampled_from(sorted(PARAMETRIC_CHARTS)),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parametric_maps_on_a_stack_equal_them_row_by_row(chart, n, seed):
+    rng = np.random.RandomState(seed)
+    s = parametric_surface(PARAMETRIC_CHARTS[chart])
+    u = np.column_stack([rng.uniform(0.3, np.pi - 0.3, n), rng.uniform(-3.0, 3.0, n)])
+    v = rng.standard_normal((n, 2)) * rng.uniform(0.01, 100.0)
+    rolled = s.rolling(u, v)
+    assert rolled.shape == (n, 3)
+    assert np.array_equal(rolled, [s.rolling(ui, vi) for ui, vi in zip(u, v)])
+    T = s.chart_tangent(u)
+    assert T.shape == (n, 3, 2)
+    assert np.array_equal(T, [s.chart_tangent(ui) for ui in u])
+    assert np.array_equal(s.normal_at(u), [s.normal_at(ui) for ui in u])
+    # the direction comes back through a pseudo-inverse; an ulp there moves the difference by about eps / h
+    v_emb = (T * v[:, None, :]).sum(axis=-1)
+    np.testing.assert_allclose(
+        s.shape_derivative_at(u, v_emb), [s.shape_derivative_at(ui, ei) for ui, ei in zip(u, v_emb)],
+        rtol=0.0, atol=1e-10 * np.abs(v).max(),
+    )
+
+
+def test_point_only_chart_is_refused_by_its_shapes():
+    s = parametric_surface(lambda u: np.array([u[0], u[1], 0.3 * np.sin(u[0]) * np.cos(u[1])]))
+    s.rolling(np.array([0.1, 0.2]), np.array([1.0, 0.0]))  # one point still works
+    message = r"chart maps points of shape (4, 2) to shape (3, 2), not (4, 3)"
+    for f in (s.chart, s.chart_tangent, s.normal_at, lambda u: s.rolling(u, u)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            f(np.ones((4, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +456,6 @@ def test_curvature_closed_form_sphere_scaling():
 
 
 def test_curvature_closed_form_unknown_descriptor():
-    plane = parametric_surface(lambda u: np.array([u[0], u[1], 0.0]))
+    plane = parametric_surface(plane_chart)
     with pytest.raises(ValueError, match="no closed-form curvature"):
         curvature_closed_form(surface_rolling_form(plane), np.zeros(2), np.ones(2), np.ones(2))

@@ -89,7 +89,7 @@ FORMS = {
     "sphere-outer": surface_rolling_form(sphere_surface(2.0, side="outer", frame=rotated_frame())),
     "sphere-inner": surface_rolling_form(sphere_surface(0.5, side="inner")),
     "parametric": surface_rolling_form(
-        parametric_surface(lambda u: np.array([u[0], u[1], 0.3 * np.sin(u[0]) * np.cos(u[1])]))
+        parametric_surface(lambda u: np.stack([u[..., 0], u[..., 1], 0.3 * np.sin(u[..., 0]) * np.cos(u[..., 1])], -1))
     ),
 }
 
@@ -243,7 +243,9 @@ ENTRY_POINTS = {
     "time_ordered_product": lambda form, path: time_ordered_product(form, path, 3),
     "lift_transport": lambda form, path: lift_transport(form, path, config=PROBE_CFG),
     "convergence_order": lambda form, path: convergence_order(form, path, n0=3),
-    "small_loop_curvature": lambda form, path: small_loop_curvature(form, np.zeros(3), *np.eye(3)[:2], 1e-2, PROBE_CFG),
+    "small_loop_curvature": lambda form, path: small_loop_curvature(
+        form, np.zeros(form.base_dim), *np.eye(form.base_dim)[:2], 1e-2, PROBE_CFG
+    ),
     "transport_quat": lambda form, path: transport_quat(path, config=PROBE_CFG),
 }
 POINT_ONLY_LOOP = PathSpec(
@@ -254,10 +256,23 @@ POINT_ONLY_LOOP = PathSpec(
 )
 
 
+# A form that takes stacks on a chart written for one point: the chart refuses the stack.
+POINT_ONLY_CHART = surface_rolling_form(
+    parametric_surface(lambda u: np.array([u[0], u[1], 0.3 * np.sin(u[0]) * np.cos(u[1])]))
+)
+# (form, a closed path in its base, the refusal)
+POINT_ONLY_FORMS = [
+    (POINT_ONLY_FORM, tilted_circle(), r"form 'point-only' maps 4 points to shape \(3, 3\)"),
+    (POINT_ONLY_CHART, circle(np.array([0.3, -0.2]), 0.8),
+     r"chart maps points of shape \(4, 2\) to shape \(3, 2\), not \(4, 3\)"),
+]
+
+
 @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"transport_quat"}))
 def test_every_entry_point_refuses_a_point_only_form(entry):
-    with pytest.raises(ValueError, match=r"form 'point-only' maps 4 points to shape \(3, 3\)"):
-        ENTRY_POINTS[entry](POINT_ONLY_FORM, tilted_circle())
+    for form, path, message in POINT_ONLY_FORMS:
+        with pytest.raises(ValueError, match=message):
+            ENTRY_POINTS[entry](form, path)
 
 
 @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"small_loop_curvature"}))

@@ -298,7 +298,8 @@ def test_small_loop_curvature_matches_the_closed_form(name):
 def test_small_loop_curvature_refuses_loops_too_large_to_be_small(eps, angle):
     # at eps = 3 the eps loop's angle wraps to 0.40 rad and the factor would read 1.04
     cfg = IntegratorConfig(steps=512)
-    with pytest.raises(ValueError, match=rf"eps = {eps!r} .* angle {angle} exceeds pi/8"):
+    with pytest.raises(ValueError, match=rf"^loop too large to be small: the half-size loop's holonomy angle {angle} "
+                                         r"exceeds pi/8, so the full-size loop's may wrap past pi$"):
         small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, cfg, richardson=True)
 
 
