@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .liecore import cross, hat, vee
+from .liecore import cross, first_failure, hat, vee
 
 POLAR_CAP = 1e-3  # spherical charts exclude colatitudes within this of 0 or pi
 
@@ -80,20 +80,21 @@ def natural_alpha(x, g, v, xi) -> np.ndarray:
     alpha_(x,g)(v, xi) = vee(g^T xi) - vee(g^T hat(v) g). Horizontal vectors
     (v, hat(v) g) are annihilated; vertical generators (0, g hat(w)) return w.
     A ``xi`` not tangent to SO(3) at g (g^T xi not skew within 1e-8) is refused.
+    Stacks (..., 3) and (..., 3, 3) are evaluated row by row; a refusal names the first bad row.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    v = np.asarray(v, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if x.shape != (3,) or v.shape != (3,):
+    x, g, v, xi = (np.asarray(a, dtype=float) for a in (x, g, v, xi))
+    if x.shape[-1:] != (3,) or v.shape[-1:] != (3,):
         raise ValueError("natural_alpha expects base point and tangent in R^3")
-    if g.shape != (3, 3) or xi.shape != (3, 3):
+    if g.shape[-2:] != (3, 3) or xi.shape[-2:] != (3, 3):
         raise ValueError("natural_alpha expects 3x3 group element and tangent matrix")
-    M = g.T @ xi
-    asym = np.linalg.norm(M + M.T)
-    if asym > 1e-8:
-        raise ValueError(f"vector is not tangent to SO(3) at g (|g^T xi + (g^T xi)^T| = {asym:.3e})")
-    return vee(0.5 * (M - M.T)) - vee(g.T @ hat(v) @ g)
+    gT = np.swapaxes(g, -1, -2)
+    M = gT @ xi
+    MT = np.swapaxes(M, -1, -2)
+    asym = np.linalg.norm(M + MT, axis=(-2, -1))
+    if (asym > 1e-8).any():
+        i, where = first_failure(asym > 1e-8)
+        raise ValueError(f"vector{where} is not tangent to SO(3) at g (|g^T xi + (g^T xi)^T| = {asym[i]:.3e})")
+    return vee(0.5 * (M - MT)) - vee(gT @ hat(v) @ g)
 
 
 def plane_rolling_form() -> LocalConnectionForm:
@@ -242,8 +243,9 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
 def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
     """Surface of kind "parametric" from a chart alone; Gauss map data filled in numerically.
 
-    ``chart`` maps chart points (..., 2) to points (..., 3); any other output
-    shape, such as a chart written for one point meeting a stack, is refused.
+    ``chart`` maps chart points (..., 2) to points (..., 3). Every map refuses a
+    point whose last axis is not 2, and the chart any other output shape, such
+    as a chart written for one point meeting a stack.
     The chart tangent map is built by central differences with step h = 1e-5.
     The normal is the normalized cross product of the chart partials t1, t2,
     so the orientation follows the chart; |t1 x t2| <= 1e-12 |t1| |t2| is
@@ -253,8 +255,14 @@ def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
 
     user_chart, h = chart, 1e-5
 
-    def chart(u):
+    def points(u):
         u = np.asarray(u, dtype=float)
+        if u.shape[-1:] != (2,):
+            raise ValueError(f"chart points must have shape (..., 2), got shape {u.shape}")
+        return u
+
+    def chart(u):
+        u = points(u)
         x = np.asarray(user_chart(u), dtype=float)
         if x.shape != u.shape[:-1] + (3,):
             raise ValueError(f"chart maps points of shape {u.shape} to shape {x.shape}, not "
@@ -262,6 +270,7 @@ def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
         return x
 
     def chart_tangent(u):
+        u = points(u)
         return np.stack([(chart(u + e) - chart(u - e)) / (2 * h) for e in h * np.eye(2)], axis=-1)
 
     def normal_at(u):

@@ -11,6 +11,9 @@ Conventions used throughout the package:
   ``quat_to_rotation(quat_exp(u)) == exp_so3(2 * u)``.
 
 All functions accept array-likes and return fresh ``float64`` arrays.
+``exp_so3``, ``log_so3``, ``check_rotation`` and ``check_unit_quat`` take one
+input; every other kernel also takes a stack of vectors (..., 3), matrices
+(..., 3, 3) or quaternions (..., 4) and equals its row-by-row calls bit for bit.
 """
 
 from __future__ import annotations
@@ -19,39 +22,37 @@ import numpy as np
 
 _EPS_ANGLE = 1e-6  # switch to Taylor series below this rotation angle
 _LOG_DOMAIN_MARGIN = 1e-6  # log_so3 refuses angles above pi minus this
+_HAT_INDEX = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])  # hat(v) = signs times (x, y, z, 0)[index]
+_HAT_SIGN = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
 
 
 def hat(v) -> np.ndarray:
     """Return the skew-symmetric matrix of ``v``, i.e. hat(v) @ w = v x w."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise ValueError(f"hat expects a 3-vector, got shape {v.shape}")
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    return np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)[..., _HAT_INDEX] * _HAT_SIGN
 
 
 def vee(M) -> np.ndarray:
     """Inverse of :func:`hat`. Rejects matrices that are not skew-symmetric,
-    those with Frobenius norm of ``M + M.T`` above 1e-10."""
+    those with Frobenius norm of ``M + M.T`` above 1e-10; a refusal on a
+    stack names the first."""
     M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3):
+    if M.shape[-2:] != (3, 3):
         raise ValueError(f"vee expects a 3x3 matrix, got shape {M.shape}")
-    asym = np.linalg.norm(M + M.T)
-    if asym > 1e-10:
-        raise ValueError(f"vee: matrix is not skew-symmetric (|M + M^T| = {asym:.3e})")
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
+    asym = np.linalg.norm(M + np.swapaxes(M, -1, -2), axis=(-2, -1))
+    if (asym > 1e-10).any():
+        i, where = first_failure(asym > 1e-10)
+        raise ValueError(f"vee: matrix{where} is not skew-symmetric (|M + M^T| = {asym[i]:.3e})")
+    return M[..., [2, 0, 1], [1, 2, 0]]
 
 
 def cross(u, v) -> np.ndarray:
     """Cross product on R^3 (the Lie bracket in hat coordinates)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != (3,) or v.shape != (3,):
+    if u.shape[-1:] != (3,) or v.shape[-1:] != (3,):
         raise ValueError("cross expects two 3-vectors")
     return np.cross(u, v)
 
@@ -60,7 +61,7 @@ def commutator(A, B) -> np.ndarray:
     """Matrix commutator AB - BA."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape != B.shape:
         raise ValueError("commutator expects two square matrices of equal shape")
     return A @ B - B @ A
 
@@ -138,9 +139,9 @@ def quat_mul(p, q) -> np.ndarray:
 def quat_conj(q) -> np.ndarray:
     """Quaternion conjugate (w, -x, -y, -z)."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
+    if q.shape[-1:] != (4,):
         raise ValueError("quat_conj expects a 4-vector")
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_exp(u) -> np.ndarray:
@@ -175,13 +176,14 @@ def quat_to_rotation(q) -> np.ndarray:
     if np.any(bad):
         first = float(np.ravel(n2)[np.argmax(np.ravel(bad))])
         raise ValueError(f"quat_to_rotation: |q|^2 = {first:.12f} is not 1")
-    w, x, y, z = np.moveaxis(q / np.sqrt(n2)[..., None], -1, 0)
-    rows = [
-        [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
+    n = np.sqrt(n2)
+    w, x, y, z = (q[..., i] / n for i in range(4))
+    entries = [
+        w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z,
     ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def rotation_to_quat(R) -> np.ndarray:
@@ -231,7 +233,7 @@ def lie_hom_derivative(u) -> np.ndarray:
     """Derivative at the identity of the double cover: pure quaternion
     imaginary part ``u`` maps to the so(3) axis vector ``2 u``."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (3,):
+    if u.shape[-1:] != (3,):
         raise ValueError("lie_hom_derivative expects a 3-vector")
     return 2.0 * u
 
@@ -260,10 +262,17 @@ def _checked_entries(R: np.ndarray, tol: float) -> np.ndarray:
     if not bad.any():
         return r
     i = int(np.argmax(bad))
-    where = "" if R.ndim == 2 else f" at index {tuple(map(int, np.unravel_index(i, R.shape[:-2])))}"
+    where = first_failure(bad.reshape(R.shape[:-2]))[1]
     if not defect[i] <= tol:
         raise ValueError(f"matrix{where} is not orthonormal (|R^T R - I| = {defect[i]:.3e})")
     raise ValueError(f"matrix{where} has negative determinant (reflection, not rotation)")
+
+
+def first_failure(bad) -> tuple[tuple[int, ...], str]:
+    """Index of the first True of the boolean stack ``bad`` and the phrase a refusal names it by:
+    " at index (i, ...)" for a stack, "" for a single input (``bad`` 0-d)."""
+    i = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+    return i, f" at index {tuple(map(int, i))}" if np.ndim(bad) else ""
 
 
 def check_unit_quat(q) -> np.ndarray:

@@ -87,32 +87,37 @@ def _random_unit_quat(rng) -> np.ndarray:
             return q / n
 
 
+def _worst(D: np.ndarray) -> float:
+    """Largest row norm of the residual stack D, each row's norm taken as for a single vector
+    (``np.linalg.norm(D, axis=-1)`` sums in another order and can differ in the last bit)."""
+    return max(0.0, *(float(np.linalg.norm(d)) for d in D))
+
+
+def _pure(u: np.ndarray) -> np.ndarray:
+    """Pure quaternions (0, u) for a stack of 3-vectors u."""
+    return np.concatenate([np.zeros(u.shape[:-1] + (1,)), u], axis=-1)
+
+
 def _left_matrix(q) -> np.ndarray:
-    """4x4 matrix of left Hamilton multiplication by q (basis w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+    """4x4 matrices of left Hamilton multiplication by a stack of quaternions q (basis w, x, y, z)."""
+    w, x, y, z = (q[..., i] for i in range(4))
+    rows = [w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w]
+    return np.stack(rows, axis=-1).reshape(q.shape[:-1] + (4, 4))
 
 
 def _s3_bracket(xi, eta) -> np.ndarray:
-    """Bracket of pure quaternions through the left-multiplication matrices.
+    """Bracket of (stacks of) pure quaternions through the left-multiplication matrices.
 
     [L(xi), L(eta)] = L(xi eta - eta xi); the first column of a left matrix
     is the quaternion itself, so the pure part of that column is returned.
     """
-    Lx = _left_matrix(np.concatenate([[0.0], np.asarray(xi, dtype=float)]))
-    Le = _left_matrix(np.concatenate([[0.0], np.asarray(eta, dtype=float)]))
-    return commutator(Lx, Le)[:, 0][1:]
+    Lx = _left_matrix(_pure(np.asarray(xi, dtype=float)))
+    Le = _left_matrix(_pure(np.asarray(eta, dtype=float)))
+    return commutator(Lx, Le)[..., 1:, 0]
 
 
 # ---------------------------------------------------------------------------
-# naturality checks
+# naturality checks: each draws its samples in stream order and evaluates them as one stack
 
 
 def check_alpha_naturality(seed: int = 0) -> ResidualReport:
@@ -121,44 +126,31 @@ def check_alpha_naturality(seed: int = 0) -> ResidualReport:
     Sends the S^3 total-space value through the algebra isomorphism and
     compares with the SO(3) total form at the image point: base points and
     base tangents double, a right-invariant tangent w q at q maps to
-    hat(2w) phi(q) at phi(q). Draws NATURALITY_SAMPLES samples from
-    RandomState(101 + seed).
+    hat(2w) phi(q) at phi(q). Draws NATURALITY_SAMPLES samples (x, v, w,
+    then a unit quaternion q) from RandomState(101 + seed).
     """
     rng = np.random.RandomState(101 + seed)
-    worst = 0.0
-    for _ in range(NATURALITY_SAMPLES):
-        x = rng.standard_normal(3)
-        v = rng.standard_normal(3)
-        w = rng.standard_normal(3)
-        q = _random_unit_quat(rng)
-        R = quat_to_rotation(q)
+    draws = [(rng.standard_normal(9), _random_unit_quat(rng)) for _ in range(NATURALITY_SAMPLES)]
+    xvw, q = map(np.stack, zip(*draws))
+    x, v, w = xvw.reshape(-1, 3, 3).transpose(1, 0, 2)
+    R = quat_to_rotation(q)
 
-        xi_quat = quat_mul(np.concatenate([[0.0], w]), q)
-        alpha_s3 = (
-            quat_mul(quat_conj(q), xi_quat)
-            - quat_mul(quat_mul(quat_conj(q), np.concatenate([[0.0], v])), q)
-        )[1:]
-        lhs = lie_hom_derivative(alpha_s3)
-        rhs = natural_alpha(2.0 * x, R, 2.0 * v, hat(2.0 * w) @ R)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return ResidualReport("alpha-naturality", worst, NATURALITY_SAMPLES, 1e-8)
+    xi_quat = quat_mul(_pure(w), q)
+    alpha_s3 = (quat_mul(quat_conj(q), xi_quat) - quat_mul(quat_mul(quat_conj(q), _pure(v)), q))[:, 1:]
+    lhs = lie_hom_derivative(alpha_s3)
+    rhs = natural_alpha(2.0 * x, R, 2.0 * v, hat(2.0 * w) @ R)
+    return ResidualReport("alpha-naturality", _worst(lhs - rhs), NATURALITY_SAMPLES, 1e-8)
 
 
 def check_omega_naturality(seed: int = 0) -> ResidualReport:
     """Local forms commute with the algebra isomorphism: omega(2v) = 2 omega(v).
 
-    Draws NATURALITY_SAMPLES samples from RandomState(202 + seed).
+    Draws NATURALITY_SAMPLES samples (x, v) from RandomState(202 + seed).
     """
-    rng = np.random.RandomState(202 + seed)
-    form = natural_form()
-    worst = 0.0
-    for _ in range(NATURALITY_SAMPLES):
-        x = rng.standard_normal(3)
-        v = rng.standard_normal(3)
-        lhs = form(2.0 * x, lie_hom_derivative(v))
-        rhs = lie_hom_derivative(-v)  # image of the S^3 local value omega(v) = -v
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return ResidualReport("omega-naturality", worst, NATURALITY_SAMPLES, 1e-12)
+    x, v = np.random.RandomState(202 + seed).standard_normal((NATURALITY_SAMPLES, 2, 3)).transpose(1, 0, 2)
+    lhs = natural_form().evaluate(2.0 * x, lie_hom_derivative(v))
+    rhs = lie_hom_derivative(-v)  # image of the S^3 local value omega(v) = -v
+    return ResidualReport("omega-naturality", _worst(lhs - rhs), NATURALITY_SAMPLES, 1e-12)
 
 
 def check_curvature_naturality(seed: int = 0) -> ResidualReport:
@@ -167,17 +159,12 @@ def check_curvature_naturality(seed: int = 0) -> ResidualReport:
     The S^3 curvature value on (u, v) is the pure-quaternion bracket, computed
     here through 4x4 left-multiplication matrices; its image under the algebra
     isomorphism must equal the SO(3) curvature cross(2u, 2v). Draws
-    NATURALITY_SAMPLES samples from RandomState(303 + seed).
+    NATURALITY_SAMPLES samples (u, v) from RandomState(303 + seed).
     """
-    rng = np.random.RandomState(303 + seed)
-    worst = 0.0
-    for _ in range(NATURALITY_SAMPLES):
-        u = rng.standard_normal(3)
-        v = rng.standard_normal(3)
-        lhs = lie_hom_derivative(_s3_bracket(u, v))
-        rhs = cross(lie_hom_derivative(u), lie_hom_derivative(v))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return ResidualReport("curvature-naturality", worst, NATURALITY_SAMPLES, 1e-10)
+    u, v = np.random.RandomState(303 + seed).standard_normal((NATURALITY_SAMPLES, 2, 3)).transpose(1, 0, 2)
+    lhs = lie_hom_derivative(_s3_bracket(u, v))
+    rhs = cross(lie_hom_derivative(u), lie_hom_derivative(v))
+    return ResidualReport("curvature-naturality", _worst(lhs - rhs), NATURALITY_SAMPLES, 1e-10)
 
 
 def default_naturality_path() -> PathSpec:

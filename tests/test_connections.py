@@ -92,6 +92,29 @@ def test_natural_alpha_rejects_non_tangent_vectors():
         natural_alpha(np.zeros(2), np.eye(3), np.zeros(3), np.zeros((3, 3)))
 
 
+def test_stacked_natural_alpha_matches_rowwise():
+    rng = np.random.RandomState(35)
+    x, v, w = rng.standard_normal((3, 12, 3))
+    g = np.array([exp_so3(a) for a in rng.standard_normal((12, 3))])
+    xi = hat(w) @ g
+    got = natural_alpha(x, g, v, xi)
+    want = np.array([natural_alpha(*row) for row in zip(x, g, v, xi)])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(natural_alpha(x.reshape(3, 4, 3), g.reshape(3, 4, 3, 3), v.reshape(3, 4, 3),
+                                        xi.reshape(3, 4, 3, 3)), got.reshape(3, 4, 3))
+
+
+def test_stacked_natural_alpha_refusal_names_the_first_bad_index():
+    g = np.stack([np.eye(3)] * 5)
+    xi = hat(np.ones((5, 3)))
+    xi[[2, 4]] = np.eye(3)  # g^T xi = I is symmetric: |I + I^T| = 2 sqrt(3)
+    message = r"^vector at index \(2,\) is not tangent to SO\(3\) at g \(\|g\^T xi \+ \(g\^T xi\)\^T\| = 3\.464e\+00\)$"
+    with pytest.raises(ValueError, match=message):
+        natural_alpha(np.zeros((5, 3)), g, np.zeros((5, 3)), xi)
+    with pytest.raises(ValueError, match=message.replace(r" at index \(2,\)", "")):
+        natural_alpha(np.zeros(3), g[2], np.zeros(3), xi[2])
+
+
 # ---------------------------------------------------------------------------
 # plane rolling and pullbacks
 
@@ -338,6 +361,17 @@ def test_parametric_maps_on_a_stack_equal_them_row_by_row(chart, n, seed):
         s.shape_derivative_at(u, v_emb), [s.shape_derivative_at(ui, ei) for ui, ei in zip(u, v_emb)],
         rtol=0.0, atol=1e-10 * np.abs(v).max(),
     )
+
+
+def test_parametric_maps_refuse_a_point_whose_last_axis_is_not_two():
+    s = parametric_surface(lambda u: np.stack([u[..., 0], u[..., 1], u[..., 0] * u[..., 1]], axis=-1))
+    for f in (s.chart, s.chart_tangent, s.normal_at, lambda u: s.rolling(u, u),
+              lambda u: s.shape_derivative_at(u, np.zeros(3))):
+        for shape in ((3,), (4, 3), ()):
+            message = f"chart points must have shape (..., 2), got shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                f(np.zeros(shape))
+    assert s.chart(np.zeros((4, 2))).shape == (4, 3)
 
 
 def test_point_only_chart_is_refused_by_its_shapes():

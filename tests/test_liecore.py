@@ -6,6 +6,7 @@ representation for quaternions, and quaternion conjugation for rotation
 images.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -577,3 +578,52 @@ def test_stacked_canonical_quat_applies_the_sign_rule_per_row(Q):
     assert np.array_equal(out, np.array([reference_canonical(q) for q in Q]))
     assert np.array_equal(out, np.array([canonical_quat(q) for q in Q]))
     assert np.array_equal(canonical_quat(Q[None]), out[None])
+
+
+VECTOR_STACKS = st.integers(1, 12).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, 3), elements=st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])))
+
+
+def bitwise_equal(a, b):
+    """Equal values with equal signs of zero."""
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@SETTINGS
+@given(U=VECTOR_STACKS, data=st.data())
+def test_stacked_kernels_match_rowwise(U, data):
+    # the liecore twin of test_engine's stacked quaternion kernels: every kernel that
+    # takes stacks gives, row for row, the bits of its single-input call
+    V = U[::-1] * 0.5
+    Q = unit_rows(data.draw(hnp.arrays(np.float64, (len(U), 4), elements=st.floats(-1.0, 1.0))))
+    A = data.draw(hnp.arrays(np.float64, (len(U), 4, 4), elements=st.floats(-2.0, 2.0)))
+    H = hat(U)
+    stacked = {
+        "hat": (H, [hat(u) for u in U]),
+        "vee": (vee(H), [vee(h) for h in H]),
+        "cross": (cross(U, V), [cross(u, v) for u, v in zip(U, V)]),
+        "commutator 3x3": (commutator(H, hat(V)), [commutator(hat(u), hat(v)) for u, v in zip(U, V)]),
+        "commutator 4x4": (commutator(A, A[::-1]), [commutator(a, b) for a, b in zip(A, A[::-1])]),
+        "quat_conj": (quat_conj(Q), [quat_conj(q) for q in Q]),
+        "lie_hom_derivative": (lie_hom_derivative(U), [lie_hom_derivative(u) for u in U]),
+        "quat_to_rotation": (quat_to_rotation(Q), [quat_to_rotation(q) for q in Q]),
+    }
+    for name, (got, rows) in stacked.items():
+        assert bitwise_equal(got, np.array(rows)), name
+    assert bitwise_equal(vee(H), U)
+    m = len(U) // 2 * 2  # a 2-D stack too
+    assert bitwise_equal(hat(U[:m].reshape(2, -1, 3)), H[:m].reshape(2, -1, 3, 3))
+    R = stacked["quat_to_rotation"][0]
+    assert bitwise_equal(quat_to_rotation(Q[:m].reshape(2, -1, 4)), R[:m].reshape(2, -1, 3, 3))
+
+
+def test_stacked_vee_refusal_names_the_first_bad_index():
+    M = hat(np.random.RandomState(40).standard_normal((2, 3, 3)))
+    M[1, 2] += 1e-3 * np.eye(3)
+    M[1, 0, 0, 0] = 0.25  # |M + M^T| = 2 * 0.25
+    message = "vee: matrix{} is not skew-symmetric (|M + M^T| = 5.000e-01)"
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(" at index (1, 0)")) + "$"):
+        vee(M)
+    with pytest.raises(ValueError, match="^" + re.escape(message.format("")) + "$"):
+        vee(M[1, 0])
+    vee(M[0])  # the good rows alone pass

@@ -13,8 +13,11 @@ from liecurv import (
     check_section_path_independence,
     check_transport_naturality,
     circle,
+    commutator,
+    cross,
     degenerate_span_loops,
     exp_so3,
+    hat,
     holonomy,
     holonomy_span_check,
     inner_unit_sphere_identity,
@@ -23,9 +26,12 @@ from liecurv import (
     lift_transport,
     line,
     log_so3,
+    natural_alpha,
     natural_form,
     plane_rolling_form,
     polyline,
+    quat_conj,
+    quat_mul,
     quat_to_rotation,
     run_all_checks,
     scale_path,
@@ -94,6 +100,90 @@ def test_s3_bracket_matches_doubled_cross_product():
     rng = np.random.RandomState(60)
     u, v = rng.standard_normal(3), rng.standard_normal(3)
     np.testing.assert_allclose(_s3_bracket(u, v), 2.0 * np.cross(u, v), atol=1e-12)
+
+
+# The sampled checks one draw at a time, as they were written before they took stacks: the
+# stacked checks must print the same max_residual, so these loops are their reference.
+
+
+def reference_unit_quat(rng):
+    while True:
+        q = rng.standard_normal(4)
+        n = np.linalg.norm(q)
+        if n > 1e-3:
+            return q / n
+
+
+def reference_s3_bracket(xi, eta):
+    def left(q):
+        w, x, y, z = q
+        return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+
+    Lx, Le = left(np.concatenate([[0.0], xi])), left(np.concatenate([[0.0], eta]))
+    return commutator(Lx, Le)[:, 0][1:]
+
+
+def reference_alpha_naturality(seed):
+    rng = np.random.RandomState(101 + seed)
+    worst = 0.0
+    for _ in range(100):
+        x = rng.standard_normal(3)
+        v = rng.standard_normal(3)
+        w = rng.standard_normal(3)
+        q = reference_unit_quat(rng)
+        R = quat_to_rotation(q)
+        xi_quat = quat_mul(np.concatenate([[0.0], w]), q)
+        alpha_s3 = (
+            quat_mul(quat_conj(q), xi_quat)
+            - quat_mul(quat_mul(quat_conj(q), np.concatenate([[0.0], v])), q)
+        )[1:]
+        lhs = lie_hom_derivative(alpha_s3)
+        rhs = natural_alpha(2.0 * x, R, 2.0 * v, hat(2.0 * w) @ R)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def reference_omega_naturality(seed):
+    rng = np.random.RandomState(202 + seed)
+    form = natural_form()
+    worst = 0.0
+    for _ in range(100):
+        x = rng.standard_normal(3)
+        v = rng.standard_normal(3)
+        lhs = form(2.0 * x, lie_hom_derivative(v))
+        rhs = lie_hom_derivative(-v)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def reference_curvature_naturality(seed):
+    rng = np.random.RandomState(303 + seed)
+    worst = 0.0
+    for _ in range(100):
+        u = rng.standard_normal(3)
+        v = rng.standard_normal(3)
+        lhs = lie_hom_derivative(reference_s3_bracket(u, v))
+        rhs = cross(lie_hom_derivative(u), lie_hom_derivative(v))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "check, reference",
+    [
+        (check_alpha_naturality, reference_alpha_naturality),
+        (check_omega_naturality, reference_omega_naturality),
+        (check_curvature_naturality, reference_curvature_naturality),
+    ],
+    ids=["alpha", "omega", "curvature"],
+)
+def test_stacked_naturality_check_equals_its_per_sample_loop(check, reference):
+    seeds = [*range(0, 350, 7), 20261017]  # 51 seeds
+    got = [check(seed=s).max_residual for s in seeds]
+    want = [reference(s) for s in seeds]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    if check is not check_omega_naturality:  # omega's two sides agree exactly, so 0 there says nothing
+        assert min(want) > 0.0
 
 
 def test_transport_naturality_default_and_line():
