@@ -43,23 +43,13 @@ class LocalConnectionForm:
     :func:`curvature_closed_form`. ``surface`` is the surface a rolling
     form rolls on. ``evaluate`` maps stacks of points and
     tangents of shape (n, base_dim) to stacks of shape (n, 3), and single
-    points to 3-vectors; calling the form checks and evaluates one point.
+    points to 3-vectors.
     """
 
     base_dim: int
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     descriptor: str
     surface: "Surface | None" = None
-
-    def __call__(self, x, v) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.shape != (self.base_dim,) or v.shape != (self.base_dim,):
-            raise ValueError(
-                f"form '{self.descriptor}' expects point and tangent of "
-                f"dimension {self.base_dim}, got {x.shape} and {v.shape}"
-            )
-        return self.evaluate(x, v)
 
 
 def natural_form() -> LocalConnectionForm:
@@ -131,25 +121,23 @@ def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
 
 @dataclass(frozen=True)
 class Surface:
-    """An embedded surface given by a chart, with its Gauss map data.
+    """An embedded surface given by a chart, with its rolling map.
 
     ``chart`` maps chart coordinates u = (u1, u2) to a point in R^3 and
-    ``chart_tangent`` gives the 3x2 Jacobian there. ``normal_at`` and
-    ``shape_derivative_at`` evaluate the unit normal n and the value
-    Dn(x)(v_emb) at the chart point u (v_emb is an embedded tangent vector).
+    ``chart_tangent`` gives the 3x2 Jacobian there.
 
     ``rolling(u, v)`` is n x (v_emb + Dn(x)(v_emb)) for a chart tangent
-    vector v with embedded image v_emb = chart_tangent(u) v; it is minus the
-    rolling connection form (see :func:`surface_rolling_form`). Every map
-    takes a chart point (2,) or a stack (..., 2), with embedded vectors
-    (..., 3), and returns the matching stack of 3-vectors or 3x2 Jacobians.
+    vector v with embedded image v_emb = chart_tangent(u) v, where n is the
+    unit normal and Dn its derivative (the shape operator) at x = chart(u);
+    it is minus the rolling connection form (see :func:`surface_rolling_form`).
+    Every map takes a chart point (2,) or a stack (..., 2), with chart
+    tangents (..., 2), and returns the matching stack of 3-vectors or 3x2
+    Jacobians.
     """
 
     kind: str
     chart: Callable[[np.ndarray], np.ndarray]
     chart_tangent: Callable[[np.ndarray], np.ndarray]
-    normal_at: Callable[[np.ndarray], np.ndarray]
-    shape_derivative_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rolling: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -217,10 +205,6 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         d_ph = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1) @ F.T
         return r * np.stack([d_th, d_ph], axis=-1)
 
-    def shape_derivative_at(u, v_emb):
-        colatitude(u, "chart point")  # Dn is the same at every point; only the refusal needs u
-        return sign * np.asarray(v_emb, dtype=float) / r
-
     def rolling(u, v):
         # the chart tangent's polar-cap refusal, so both report a cap point alike
         th, ph = colatitude(u, "chart tangent")
@@ -230,14 +214,7 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         b = a * ct
         return np.stack([-sp * v_th - b * cp, cp * v_th - b * sp, a * st], axis=-1) @ rolling_map
 
-    return Surface(
-        kind=f"sphere-{side}",
-        chart=chart,
-        chart_tangent=chart_tangent,
-        normal_at=lambda u: sign * chart(u) / r,
-        shape_derivative_at=shape_derivative_at,
-        rolling=rolling,
-    )
+    return Surface(kind=f"sphere-{side}", chart=chart, chart_tangent=chart_tangent, rolling=rolling)
 
 
 def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
@@ -249,8 +226,8 @@ def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
     The chart tangent map is built by central differences with step h = 1e-5.
     The normal is the normalized cross product of the chart partials t1, t2,
     so the orientation follows the chart; |t1 x t2| <= 1e-12 |t1| |t2| is
-    refused as singular. The shape operator along a chart direction w is the
-    central difference (n(u + h w) - n(u - h w)) / 2h; ``rolling`` takes w = v.
+    refused as singular. The shape operator along the chart tangent v is the
+    central difference (n(u + h v) - n(u - h v)) / 2h.
     """
 
     user_chart, h = chart, 1e-5
@@ -273,7 +250,7 @@ def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
         u = points(u)
         return np.stack([(chart(u + e) - chart(u - e)) / (2 * h) for e in h * np.eye(2)], axis=-1)
 
-    def normal_at(u):
+    def normal(u):
         T = chart_tangent(u)
         n = np.cross(T[..., 0], T[..., 1])
         nn = np.linalg.norm(n, axis=-1, keepdims=True)
@@ -283,19 +260,12 @@ def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
             raise ValueError(f"chart tangent map singular at chart point {bad.tolist()}: cannot orient a normal")
         return n / nn
 
-    def normal_derivative(u, w):
-        return (normal_at(u + h * w) - normal_at(u - h * w)) / (2 * h)
-
-    def shape_derivative_at(u, v_emb):
-        w = np.linalg.pinv(chart_tangent(u)) @ np.asarray(v_emb, dtype=float)[..., None]
-        return normal_derivative(u, w[..., 0])
-
     def rolling(u, v):
         v = np.asarray(v, dtype=float)
         v_emb = (chart_tangent(u) * v[..., None, :]).sum(axis=-1)
-        return np.cross(normal_at(u), v_emb + normal_derivative(u, v))
+        return np.cross(normal(u), v_emb + (normal(u + h * v) - normal(u - h * v)) / (2 * h))
 
-    return Surface("parametric", chart, chart_tangent, normal_at, shape_derivative_at, rolling)
+    return Surface("parametric", chart, chart_tangent, rolling)
 
 
 def surface_rolling_form(surface: Surface) -> LocalConnectionForm:

@@ -16,18 +16,20 @@ How the product is evaluated
 ----------------------------
 Every public stepper (:func:`transport`, :func:`transport_quat`,
 :func:`lift_transport` and :func:`time_ordered_product`) runs through one
-engine, :func:`_compose`. It walks the grid one block of at most a few
-thousand intervals at a time, so memory stays flat on long runs, and for
-each block it
+engine, :func:`_compose`, with one step rule. It walks the grid one block of
+at most a few thousand intervals at a time, so memory stays flat on long
+runs, and for each block it
 
 1. samples a(t*) at every node of the block in one call: paths map an
    array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3)
    (:func:`_probe` refuses maps that take one point at a time);
-2. exponentiates all steps at once as unit quaternions, refusing non-finite
-   ones. The SO(3) steppers use half angles, quat_exp(dt a / 2), whose image
-   under the double cover is exactly exp_so3(dt a); the same product is
-   therefore the SO(3) frame (through :func:`liecurv.liecore.quat_to_rotation`)
-   and its continuous quaternion lift;
+2. exponentiates all steps at once as unit quaternions by half angles,
+   quat_exp(dt a / 2), refusing non-finite ones. The image of that step under
+   the double cover is exactly exp_so3(dt a), so one product is both the
+   SO(3) frame (through :func:`liecurv.liecore.quat_to_rotation`) and its
+   continuous quaternion lift. Quaternion transport is such a lift: its so(3)
+   input is lie_hom_derivative(v) = 2 v for the path velocity v, so its step
+   is quat_exp(dt v);
 3. multiplies the factors, later ones on the left, by a pairwise (tree)
    reduction within chunks of ``stride`` steps, the sample-recording stride.
 
@@ -58,7 +60,8 @@ from typing import Callable
 import numpy as np
 
 from .connections import LocalConnectionForm, Surface, sphere_surface
-from .liecore import check_rotation, check_unit_quat, exp_so3, log_so3, quat_exp, quat_mul, quat_to_rotation
+from .liecore import (check_rotation, check_unit_quat, exp_so3, lie_hom_derivative, log_so3, quat_exp, quat_mul,
+                      quat_to_rotation)
 
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
@@ -86,13 +89,6 @@ class PathSpec:
     corners: tuple[float, ...] = ()
 
 
-def _check_step_count(name: str, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {n}")
-    if n > MAX_STEPS:
-        raise ValueError(f"{name} = {n} exceeds the limit of {MAX_STEPS} steps")
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Stepper selection: method and uniform step count (at most ``MAX_STEPS``)."""
@@ -103,7 +99,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("lie-euler", "exp-midpoint"):
             raise ValueError(f"unknown method {self.method!r}; use 'lie-euler' or 'exp-midpoint'")
-        _check_step_count("steps", self.steps)
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps = {self.steps} exceeds the limit of {MAX_STEPS} steps")
 
 
 def integration_grid(steps: int, corners: tuple[float, ...] = ()) -> np.ndarray:
@@ -197,17 +196,12 @@ def _last_product(P: np.ndarray) -> np.ndarray:
     return P[0]
 
 
-def _compose(
-    sample: Callable[[np.ndarray], np.ndarray],
-    nodes: np.ndarray,
-    midpoint: bool,
-    scale: float,
-) -> tuple[np.ndarray, int]:
-    """The ordered products of quat_exp(scale dt_k a(t*_k)) over chunks of the grid.
+def _compose(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int]:
+    """The ordered products of the half-angle steps quat_exp(dt_k a(t*_k) / 2) over chunks of the grid.
 
-    ``sample`` maps an array of times to the (n, 3) algebra inputs there;
-    ``scale`` is 1/2 for SO(3) transport (half angles) and 1 for quaternion
-    transport. Returns ``(C, stride)``: ``C[j]`` is the product over the
+    ``sample`` maps an array of times to the (n, 3) so(3) inputs there. Each
+    step lifts exp_so3(dt a) through the double cover, for every caller.
+    Returns ``(C, stride)``: ``C[j]`` is the product over the
     intervals ``[j stride, (j + 1) stride)`` (the last chunk may be shorter),
     where stride is the smallest step keeping at most _MAX_RECORDED chunks.
     The state after chunk j is C_j ... C_0. Non-finite samples or step
@@ -226,7 +220,7 @@ def _compose(
         if a.shape != (k1 - k0, 3):
             raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            steps = quat_exp((scale * dt)[:, None] * a)
+            steps = quat_exp((0.5 * dt)[:, None] * a)
         if not np.isfinite(steps).all():  # a non-finite a(t*) gives a non-finite step, as dt > 0
             if (k := _first_bad(a)) >= 0:
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
@@ -281,11 +275,16 @@ class TransportResult:
         return ((0.0, X[0], self._start),) + tuple(zip(self._times[1:].tolist(), X[1:], G))
 
 
-def _run(sample, path: PathSpec, cfg: IntegratorConfig, scale: float, frame, start) -> TransportResult:
+def _run(sample, path: PathSpec, cfg: IntegratorConfig, frame, start) -> TransportResult:
     """Run the engine over the path's grid; ``frame`` maps chunk states to results (see :func:`_compose`)."""
     nodes = integration_grid(cfg.steps, path.corners)
-    run = _compose(sample, nodes, cfg.method == "exp-midpoint", scale)
-    return TransportResult(path, nodes, run, frame, start)
+    return TransportResult(path, nodes, _compose(sample, nodes, cfg.method == "exp-midpoint"), frame, start)
+
+
+def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
+    """The run as unit quaternions: the chunk states applied to q0 (identity if None)."""
+    q = check_unit_quat(_IDENTITY if q0 is None else q0).copy()  # frames are built after the return
+    return _run(sample, path, cfg, lambda S: quat_mul(S, q), q)
 
 
 def transport(
@@ -309,7 +308,7 @@ def transport(
     """
     sample = _form_sampler(form, path)
     g = check_rotation(np.eye(3) if g0 is None else g0).copy()  # frames are built after the return
-    return _run(sample, path, config or IntegratorConfig(), 0.5, lambda S: quat_to_rotation(S) @ g, g)
+    return _run(sample, path, config or IntegratorConfig(), lambda S: quat_to_rotation(S) @ g, g)
 
 
 def transport_quat(
@@ -319,17 +318,21 @@ def transport_quat(
 ) -> TransportResult:
     """Transport on the unit-quaternion group under its natural connection.
 
-    The algebra increment is the path velocity itself; steps compose as
-    q <- quat_exp(dt a(t*)) q. Projecting the result through the double
-    cover reproduces :func:`transport` with the natural SO(3) form on a
-    doubled path.
+    The S^3 algebra input is the path velocity v, whose image in so(3) is
+    lie_hom_derivative(v) = 2 v; the engine's half-angle step of 2 v is
+    q <- quat_exp(dt v(t*)) q. So this is the lift of :func:`transport` with
+    the natural SO(3) form on the doubled path, and projects onto it through
+    the double cover.
     """
     if path.base_dim != 3:
         raise ValueError("quaternion transport requires a path in R^3")
-    q = check_unit_quat(_IDENTITY if q0 is None else q0).copy()
     _probe(path)
-    return _run(lambda ts: _on_path(path.velocity, ts), path, config or IntegratorConfig(), 1.0,
-                lambda S: quat_mul(S, q), q)
+
+    def sample(ts):
+        with np.errstate(over="ignore"):  # a doubled velocity past the float range is refused as non-finite
+            return lie_hom_derivative(_on_path(path.velocity, ts))
+
+    return _lift(sample, path, q0, config or IntegratorConfig())
 
 
 def lift_transport(
@@ -346,9 +349,7 @@ def lift_transport(
     This is the quaternion product that :func:`transport` projects to SO(3).
     ``config`` defaults to exp-midpoint with 512 steps.
     """
-    sample = _form_sampler(form, path)
-    q = check_unit_quat(_IDENTITY if q0 is None else q0)
-    return _run(sample, path, config or IntegratorConfig(steps=512), 0.5, lambda S: quat_mul(S, q), q).final
+    return _lift(_form_sampler(form, path), path, q0, config or IntegratorConfig(steps=512)).final
 
 
 def holonomy(
@@ -368,13 +369,12 @@ def time_ordered_product(form: LocalConnectionForm, path: PathSpec, n: int) -> n
     Returns exp(dt a(t_{n-1})) ... exp(dt a(t_0)) with dt = 1/n and left
     endpoint sampling; corners are deliberately not merged in, so this equals
     a lie-euler run exactly only when the path is smooth (or its corners land
-    on the grid). ``n`` may be at most ``MAX_STEPS``.
+    on the grid). ``n`` may be at most ``MAX_STEPS``. This is the lift of a
+    lie-euler run on the corner-free path, from the identity, projected to SO(3).
     """
-    sample = _form_sampler(form, path)
-    _check_step_count("n", n)
-    C, _ = _compose(sample, integration_grid(n), False, 0.5)
-    # the product with the identity turns some -0.0 entries into 0.0, as it always has
-    return quat_to_rotation(quat_mul(_last_product(C), _IDENTITY))
+    flat = dataclasses.replace(path, corners=())
+    # the lift's frame, a product with the identity quaternion, fixes the signs of zero entries
+    return quat_to_rotation(_lift(_form_sampler(form, flat), flat, None, IntegratorConfig("lie-euler", n)).final)
 
 
 def small_loop_curvature(

@@ -150,7 +150,7 @@ def test_criterion_05_plane_rolling_curvature_and_pullback():
             for b in np.linspace(-2.0, 2.0, 10):
                 x = np.array([a, b])
                 for v in tangents:
-                    assert np.linalg.norm(pulled(x, v) - pl(x, v)) <= 1e-12
+                    assert np.linalg.norm(pulled.evaluate(x, v) - pl.evaluate(x, v)) <= 1e-12
 
 
 def test_criterion_06_sphere_curvature_factors():

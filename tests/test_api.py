@@ -4,7 +4,8 @@ An export that none of them reads is API kept for its own sake. The few kept
 on purpose are listed below, each with the reason it stays. The same holds
 for settings: every defaulted parameter of a public callable is passed by one
 of those callers, or it is a constant. No module reads another module's
-private names either: a rule that two modules need has one public owner.
+private names either: a rule that two modules need has one public owner. And
+no module imports a name it never reads, since no linter runs here.
 """
 
 import ast
@@ -115,3 +116,19 @@ def private_reads(path):
 def test_no_module_reads_another_modules_private_names():
     reads = {f.name: private_reads(f) for f in sorted(PACKAGE.glob("*.py"))}
     assert {name: r for name, r in reads.items() if r} == {}
+
+
+def unread_imports(path):
+    """(line, name) of each name ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(alias.asname or alias.name).split(".")[0]: node.lineno for alias in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    unread = {f.name: unread_imports(f) for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"}
+    assert {name: u for name, u in unread.items() if u} == {}

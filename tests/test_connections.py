@@ -34,15 +34,7 @@ def test_natural_form_negates_velocity():
     rng = np.random.RandomState(30)
     for _ in range(10):
         x, v = rng.standard_normal(3), rng.standard_normal(3)
-        np.testing.assert_allclose(form(x, v), -v, atol=0.0)
-
-
-def test_form_call_validates_shapes():
-    form = natural_form()
-    with pytest.raises(ValueError, match="dimension 3"):
-        form(np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError, match="dimension 3"):
-        form(np.zeros(3), np.zeros(4))
+        np.testing.assert_allclose(form.evaluate(x, v), -v, atol=0.0)
 
 
 def test_natural_alpha_reduces_to_local_form():
@@ -124,8 +116,8 @@ def test_plane_rolling_values():
     assert form.base_dim == 2
     assert form.descriptor == "plane-rolling"
     x = np.array([5.0, -2.0])  # constant in x
-    np.testing.assert_allclose(form(x, np.array([1.0, 0.0])), [0.0, 1.0, 0.0], atol=0.0)
-    np.testing.assert_allclose(form(x, np.array([0.0, 1.0])), [-1.0, 0.0, 0.0], atol=0.0)
+    np.testing.assert_allclose(form.evaluate(x, np.array([1.0, 0.0])), [0.0, 1.0, 0.0], atol=0.0)
+    np.testing.assert_allclose(form.evaluate(x, np.array([0.0, 1.0])), [-1.0, 0.0, 0.0], atol=0.0)
 
 
 def test_plane_rolling_linearity():
@@ -134,7 +126,7 @@ def test_plane_rolling_linearity():
     x = rng.standard_normal(2)
     u, v = rng.standard_normal(2), rng.standard_normal(2)
     np.testing.assert_allclose(
-        form(x, 2.0 * u - 3.0 * v), 2.0 * form(x, u) - 3.0 * form(x, v), atol=1e-10
+        form.evaluate(x, 2.0 * u - 3.0 * v), 2.0 * form.evaluate(x, u) - 3.0 * form.evaluate(x, v), atol=1e-10
     )
 
 
@@ -148,7 +140,7 @@ def test_plane_rolling_is_a_pullback_of_the_natural_form():
         for x2 in np.linspace(-2.0, 2.0, 10):
             x = np.array([x1, x2])
             for v in tangents:
-                np.testing.assert_allclose(pulled(x, v), rolling(x, v), atol=1e-12)
+                np.testing.assert_allclose(pulled.evaluate(x, v), rolling.evaluate(x, v), atol=1e-12)
 
 
 def test_pullback_through_identity_and_zero():
@@ -157,8 +149,8 @@ def test_pullback_through_identity_and_zero():
     zero = pullback_form(np.zeros((3, 3)), natural_form())
     for _ in range(5):
         x, v = rng.standard_normal(3), rng.standard_normal(3)
-        np.testing.assert_allclose(ident(x, v), natural_form()(x, v), atol=0.0)
-        np.testing.assert_allclose(zero(x, v), np.zeros(3), atol=0.0)
+        np.testing.assert_allclose(ident.evaluate(x, v), natural_form().evaluate(x, v), atol=0.0)
+        np.testing.assert_allclose(zero.evaluate(x, v), np.zeros(3), atol=0.0)
 
 
 def test_pullback_validation():
@@ -211,19 +203,18 @@ def test_sphere_surface_chart_tangent_matches_finite_differences():
 
 
 def test_sphere_surface_gauss_map():
+    # the sphere's Gauss map in closed form: n = s x / r and Dn v = s v / r, with side sign s
     rng = np.random.RandomState(38)
     for side, sign in (("outer", 1.0), ("inner", -1.0)):
         s = sphere_surface(2.0, side=side)
         for _ in range(5):
             u = np.array([rng.uniform(0.3, np.pi - 0.3), rng.uniform(-np.pi, np.pi)])
-            x = s.chart(u)
-            n = s.normal_at(u)
-            np.testing.assert_allclose(n, sign * x / 2.0, atol=1e-12)
+            n = sign * s.chart(u) / 2.0
             np.testing.assert_allclose(np.linalg.norm(n), 1.0, atol=1e-10)
-            v_emb = s.chart_tangent(u) @ rng.standard_normal(2)
-            # the shape derivative of a tangent vector stays tangent
-            assert abs(n @ s.shape_derivative_at(u, v_emb)) <= 1e-8
-            np.testing.assert_allclose(s.shape_derivative_at(u, v_emb), sign * v_emb / 2.0, atol=1e-12)
+            np.testing.assert_allclose(n @ s.chart_tangent(u), np.zeros(2), atol=1e-12)
+            v = rng.standard_normal(2)
+            v_emb = s.chart_tangent(u) @ v
+            np.testing.assert_allclose(s.rolling(u, v), np.cross(n, v_emb + sign * v_emb / 2.0), atol=1e-12)
 
 
 def test_sphere_surface_polar_cap_refused():
@@ -256,11 +247,6 @@ def test_parametric_surface_matches_analytic_sphere():
     inner = sphere_surface(r, side="inner", frame=([0, 1.0, 0], [1.0, 0, 0], [0, 0, 1.0]))
     for num, ana in ((parametric_surface(sphere_chart(r)), outer), (parametric_surface(inner.chart), inner)):
         np.testing.assert_allclose(num.chart_tangent(u), ana.chart_tangent(u), atol=1e-8)
-        np.testing.assert_allclose(num.normal_at(u), ana.normal_at(u), atol=1e-8)
-        v_emb = (ana.chart_tangent(u) * v[:, None, :]).sum(axis=-1)
-        np.testing.assert_allclose(
-            num.shape_derivative_at(u, v_emb), ana.shape_derivative_at(u, v_emb), atol=1e-6
-        )
         np.testing.assert_allclose(num.rolling(u, v), ana.rolling(u, v), rtol=0.0, atol=1e-6)
 
 
@@ -282,7 +268,7 @@ def test_surface_rolling_sphere_formula():
         x = s.chart(u)
         v_emb = s.chart_tangent(u) @ v
         want = -(1.0 / r) * (1.0 + 1.0 / r) * cross(x, v_emb)
-        np.testing.assert_allclose(form(u, v), want, atol=1e-12)
+        np.testing.assert_allclose(form.evaluate(u, v), want, atol=1e-12)
 
 
 def test_surface_rolling_inner_unit_sphere_vanishes():
@@ -290,7 +276,7 @@ def test_surface_rolling_inner_unit_sphere_vanishes():
     rng = np.random.RandomState(40)
     for _ in range(10):
         u = np.array([rng.uniform(0.3, np.pi - 0.3), rng.uniform(-np.pi, np.pi)])
-        np.testing.assert_allclose(form(u, rng.standard_normal(2)), np.zeros(3), atol=0.0)
+        np.testing.assert_allclose(form.evaluate(u, rng.standard_normal(2)), np.zeros(3), atol=0.0)
 
 
 def test_surface_rolling_inner_sphere_formula():
@@ -303,7 +289,7 @@ def test_surface_rolling_inner_sphere_formula():
     x = s.chart(u)
     v_emb = s.chart_tangent(u) @ v
     want = (1.0 / r) * (1.0 - 1.0 / r) * cross(x, v_emb)
-    np.testing.assert_allclose(form(u, v), want, atol=1e-12)
+    np.testing.assert_allclose(form.evaluate(u, v), want, atol=1e-12)
 
 
 def test_plane_as_parametric_surface_matches_plane_rolling_up_to_sign():
@@ -314,21 +300,21 @@ def test_plane_as_parametric_surface_matches_plane_rolling_up_to_sign():
     rng = np.random.RandomState(41)
     for _ in range(10):
         x, v = rng.standard_normal(2), rng.standard_normal(2)
-        np.testing.assert_allclose(form(x, v), -rolling(x, v), atol=1e-8)
+        np.testing.assert_allclose(form.evaluate(x, v), -rolling.evaluate(x, v), atol=1e-8)
 
 
 def test_surface_rolling_rejects_singular_chart():
     collapsed = parametric_surface(lambda u: np.stack([u[..., 0], u[..., 0], np.zeros_like(u[..., 0])], axis=-1))
     form = surface_rolling_form(collapsed)
     with pytest.raises(ValueError, match="singular"):
-        form(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
+        form.evaluate(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
     # on a stack, the first singular point is named: the partial along u1 vanishes where u1 = 0
     folded = parametric_surface(lambda u: np.stack([u[..., 0] ** 2, u[..., 1], np.zeros_like(u[..., 0])], axis=-1))
     u = np.array([[0.5, 0.1], [0.0, 0.25], [0.0, 0.75], [1.0, 1.0]])
     with pytest.raises(ValueError, match=re.escape("chart tangent map singular at chart point [0.0, 0.25]")):
         folded.rolling(u, np.ones((4, 2)))
     with pytest.raises(ValueError, match=re.escape("singular at chart point [0.0, 0.75]")):
-        folded.normal_at(u[2:])
+        folded.rolling(u[2:], np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +340,11 @@ def test_parametric_maps_on_a_stack_equal_them_row_by_row(chart, n, seed):
     T = s.chart_tangent(u)
     assert T.shape == (n, 3, 2)
     assert np.array_equal(T, [s.chart_tangent(ui) for ui in u])
-    assert np.array_equal(s.normal_at(u), [s.normal_at(ui) for ui in u])
-    # the direction comes back through a pseudo-inverse; an ulp there moves the difference by about eps / h
-    v_emb = (T * v[:, None, :]).sum(axis=-1)
-    np.testing.assert_allclose(
-        s.shape_derivative_at(u, v_emb), [s.shape_derivative_at(ui, ei) for ui, ei in zip(u, v_emb)],
-        rtol=0.0, atol=1e-10 * np.abs(v).max(),
-    )
 
 
 def test_parametric_maps_refuse_a_point_whose_last_axis_is_not_two():
     s = parametric_surface(lambda u: np.stack([u[..., 0], u[..., 1], u[..., 0] * u[..., 1]], axis=-1))
-    for f in (s.chart, s.chart_tangent, s.normal_at, lambda u: s.rolling(u, u),
-              lambda u: s.shape_derivative_at(u, np.zeros(3))):
+    for f in (s.chart, s.chart_tangent, lambda u: s.rolling(u, u)):
         for shape in ((3,), (4, 3), ()):
             message = f"chart points must have shape (..., 2), got shape {shape}"
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -378,7 +356,7 @@ def test_point_only_chart_is_refused_by_its_shapes():
     s = parametric_surface(lambda u: np.array([u[0], u[1], 0.3 * np.sin(u[0]) * np.cos(u[1])]))
     s.rolling(np.array([0.1, 0.2]), np.array([1.0, 0.0]))  # one point still works
     message = r"chart maps points of shape (4, 2) to shape (3, 2), not (4, 3)"
-    for f in (s.chart, s.chart_tangent, s.normal_at, lambda u: s.rolling(u, u)):
+    for f in (s.chart, s.chart_tangent, lambda u: s.rolling(u, u)):
         with pytest.raises(ValueError, match=re.escape(message)):
             f(np.ones((4, 2)))
 
@@ -389,13 +367,14 @@ def test_point_only_chart_is_refused_by_its_shapes():
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def generic_rolling_form(surface, u, v):
-    """-n x (v_emb + Dn v_emb), assembled point by point from the chart pieces."""
+def generic_rolling_form(surface, normal, shape_derivative, u, v):
+    """-n x (v_emb + Dn v_emb), assembled point by point from the chart tangent and the Gauss map
+    n = normal(u), Dn v_emb = shape_derivative(v_emb)."""
     u, v = np.atleast_2d(u), np.atleast_2d(v)
     rows = []
     for ui, vi in zip(u, v):
         v_emb = surface.chart_tangent(ui) @ vi
-        rows.append(-np.cross(surface.normal_at(ui), v_emb + surface.shape_derivative_at(ui, v_emb)))
+        rows.append(-np.cross(normal(ui), v_emb + shape_derivative(v_emb)))
     return np.array(rows)
 
 
@@ -424,7 +403,9 @@ def test_sphere_rolling_closed_form_matches_the_generic_formula(r, side, left_ha
     got = surface_rolling_form(s).evaluate(u, v)
     assert got.shape == shape[:-1] + (3,)
     tol = 1e-14 * np.linalg.norm(np.atleast_2d(v), axis=-1, keepdims=True) * max(r, 1.0)
-    assert np.all(np.abs(np.atleast_2d(got) - generic_rolling_form(s, u, v)) <= tol)
+    sign = 1.0 if side == "outer" else -1.0  # the sphere's Gauss map: n = s x / r, Dn v = s v / r
+    want = generic_rolling_form(s, lambda ui: sign * s.chart(ui) / r, lambda e: sign * e / r, u, v)
+    assert np.all(np.abs(np.atleast_2d(got) - want) <= tol)
 
 
 @SETTINGS

@@ -122,7 +122,7 @@ def sequential_transport(form, path, steps, method):
     for k in range(n):
         dt = nodes[k + 1] - nodes[k]
         t = nodes[k] + 0.5 * dt if method == "exp-midpoint" else nodes[k]
-        g = exp_so3(-dt * form(path.position(t), path.velocity(t))) @ g
+        g = exp_so3(-dt * form.evaluate(path.position(t), path.velocity(t))) @ g
         if (k + 1) % stride == 0 or k + 1 == n:
             recorded.append(float(nodes[k + 1]))
     return g, recorded
@@ -158,7 +158,7 @@ def test_batched_form_evaluation_matches_pointwise(name, data):
     batch = form.evaluate(X, V)
     assert batch.shape == (n, 3)
     for x, v, row in zip(X, V, batch):
-        np.testing.assert_allclose(row, form(x, v), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(row, form.evaluate(x, v), rtol=1e-13, atol=1e-13)
 
 
 @SETTINGS
@@ -524,6 +524,9 @@ def test_overflowing_step_angle_is_refused():
         transport(NAT, huge, config=IntegratorConfig(steps=10))
     with pytest.raises(ValueError, match="overflows"):
         transport_quat(huge, config=IntegratorConfig(steps=10))
+    # a finite velocity whose so(3) image 2 v overflows is refused as well, with no RuntimeWarning
+    with pytest.raises(ValueError, match=re.escape(f"non-finite algebra increment at t = {0.05!r}")):
+        transport_quat(line(np.zeros(3), np.full(3, 1e308)), config=IntegratorConfig(steps=10))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +567,7 @@ def test_reverse_path_inverts_transport_on_random_polylines(P, steps):
 
 # Naturality under the double cover: the quaternion transport steps by
 # quat_exp(dt v) with the full velocity, which is the half-angle step of the
-# natural SO(3) form along the doubled path 2c.
+# natural SO(3) form along the doubled path 2c; it is that run's lift, bit for bit.
 
 
 @SETTINGS
@@ -583,3 +586,4 @@ def test_double_cover_naturality_on_random_paths(curve, steps, method):
     q = transport_quat(curve, config=cfg).final
     g = transport(NAT, scale_path(curve, 2.0), config=cfg).final
     np.testing.assert_allclose(quat_to_rotation(q), g, rtol=0.0, atol=1e-12)
+    assert q.tobytes() == lift_transport(NAT, scale_path(curve, 2.0), None, cfg).tobytes()

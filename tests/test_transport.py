@@ -7,6 +7,8 @@ derived tolerance below was first measured against such an independent
 product (or a much finer run) before being frozen.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -352,10 +354,14 @@ def test_time_ordered_product_single_factor():
 
 
 def test_time_ordered_product_equals_lie_euler_on_smooth_paths():
-    c = tilted_circle()
-    top = time_ordered_product(NAT, c, 200)
-    eul = transport(NAT, c, config=IntegratorConfig(method="lie-euler", steps=200)).final
-    np.testing.assert_allclose(top, eul, atol=1e-13)
+    # corners are deliberately not merged in: a cornered polyline, whose corners
+    # 1/3 and 2/3 miss the grid, equals the lie-euler run on its corner-free copy
+    cfg = IntegratorConfig(method="lie-euler", steps=200)
+    cornered = polyline(np.array([[0.0, 0.0, 0.0], [1.0, 0.3, 0.0], [1.2, 1.0, -0.5], [0.4, 0.2, 0.9]]))
+    for c in (tilted_circle(), cornered):
+        top = time_ordered_product(NAT, c, 200)
+        assert np.array_equal(top, transport(NAT, dataclasses.replace(c, corners=()), config=cfg).final)
+    assert not np.allclose(time_ordered_product(NAT, cornered, 200), transport(NAT, cornered, config=cfg).final)
 
 
 def test_time_ordered_product_first_order():

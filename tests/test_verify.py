@@ -82,7 +82,7 @@ def test_omega_naturality_passes_and_frozen_value():
     assert rep.passed and rep.tolerance == 1e-12
     # the identity both sides reduce to: v = e1 gives -2 e1 on each
     v = np.array([1.0, 0.0, 0.0])
-    lhs = natural_form()(np.zeros(3), lie_hom_derivative(v))
+    lhs = natural_form().evaluate(np.zeros(3), lie_hom_derivative(v))
     rhs = lie_hom_derivative(-v)
     np.testing.assert_allclose(lhs, [-2.0, 0.0, 0.0], atol=0.0)
     np.testing.assert_allclose(rhs, [-2.0, 0.0, 0.0], atol=0.0)
@@ -150,7 +150,7 @@ def reference_omega_naturality(seed):
     for _ in range(100):
         x = rng.standard_normal(3)
         v = rng.standard_normal(3)
-        lhs = form(2.0 * x, lie_hom_derivative(v))
+        lhs = form.evaluate(2.0 * x, lie_hom_derivative(v))
         rhs = lie_hom_derivative(-v)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
