@@ -323,7 +323,10 @@ def run(req: RunRequest) -> dict:
         p = np.asarray(req.point, dtype=float)
         if p.shape != (3,) or not np.all(np.isfinite(p)):
             raise ValueError("--point must be a finite 3-vector")
-        n = np.linalg.norm(p)
+        with np.errstate(over="ignore"):  # refused just below
+            n = np.linalg.norm(p)
+        if n == np.inf:
+            raise ValueError(f"--point is too large: the norm of {req.point} overflows")
         if n < 1e-12:
             raise ValueError("--point must be a nonzero 3-vector")
         p = p / n

@@ -169,10 +169,14 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
     F (v_th e_ph - v_ph sin(th) e_th), with e_th = (cos th cos ph, cos th sin ph,
     -sin th) and e_ph = (-sin ph, cos ph, 0). det(F) = -1 for a left-handed
     frame, and s r + 1 is exactly 0 on the inner unit sphere.
+
+    A radius is refused unless r^2 and 1/r^2 are finite, nonzero floats (about
+    1e-154 < r < 1e154), so that the curvature factor 1 - 1/r^2 of
+    :func:`curvature_closed_form` is a finite float.
     """
     r = float(radius)
-    if not 0.0 < r < np.inf:
-        raise ValueError(f"sphere radius must be positive and finite, got {r}")
+    if not (0.0 < r and 0.0 < r * r < np.inf and 1.0 / (r * r) < np.inf):
+        raise ValueError(f"sphere radius must be positive and finite, with finite r^2 and 1/r^2, got {r}")
     if side not in ("outer", "inner"):
         raise ValueError(f"side must be 'outer' or 'inner', got {side!r}")
     F = _orthonormal_frame(frame)

@@ -154,11 +154,21 @@ def quat_exp(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (3,):
         raise ValueError(f"quat_exp expects vectors of shape (..., 3), got shape {u.shape}")
-    theta = np.linalg.norm(u, axis=-1)
-    t2 = theta * theta
+    # per-node arithmetic on the components, each ufunc loop running along the stack;
+    # (x x + y y) + z z is np.linalg.norm's summation order over the last axis
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    theta = np.sqrt((x * x + y * y) + z * z)
     small = theta < _EPS_ANGLE
-    sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / np.where(small, 1.0, theta))
-    return np.concatenate([np.cos(theta)[..., None], sinc[..., None] * u], axis=-1)
+    sinc = np.sin(theta) / np.where(small, 1.0, theta)
+    if small.any():
+        t2 = theta * theta
+        sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sinc)
+    q = np.empty(u.shape[:-1] + (4,))
+    q[..., 0] = np.cos(theta)
+    q[..., 1] = sinc * x
+    q[..., 2] = sinc * y
+    q[..., 3] = sinc * z
+    return q
 
 
 def quat_to_rotation(q) -> np.ndarray:

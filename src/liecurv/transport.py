@@ -22,7 +22,11 @@ runs, and for each block it
 
 1. samples a(t*) at every node of the block in one call: paths map an
    array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3)
-   (:func:`_probe` refuses maps that take one point at a time);
+   (:func:`_probe` refuses maps that take one point at a time). Per-node
+   arithmetic runs along the node axis: the catalog paths compute their
+   (n, d) values as (d, n) and return the transpose, and dt a / 2 is formed
+   as (3, n), so each numpy loop covers the whole block, not one node's
+   2 to 4 components;
 2. exponentiates all steps at once as unit quaternions by half angles,
    quat_exp(dt a / 2), refusing non-finite ones. The image of that step under
    the double cover is exactly exp_so3(dt a), so one product is both the
@@ -220,7 +224,8 @@ def _compose(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midp
         if a.shape != (k1 - k0, 3):
             raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            steps = quat_exp((0.5 * dt)[:, None] * a)
+            # dt a / 2 laid out (3, n), so the product runs along the nodes; quat_exp reads its columns
+            steps = quat_exp(np.multiply(0.5 * dt, a.T, out=np.empty((3, k1 - k0))).T)
         if not np.isfinite(steps).all():  # a non-finite a(t*) gives a non-finite step, as dt > 0
             if (k := _first_bad(a)) >= 0:
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
@@ -400,14 +405,21 @@ def small_loop_curvature(
     |est(eps/2)| (eps/2)^2 exceeds pi/8, which keeps the eps loop, about four
     times larger, below pi/2. This guards against the wrap; it does not bound
     the error.
+
+    A loop whose area e^2 (e = eps, and eps/2 with ``richardson``) underflows,
+    falling below the smallest normal float, is refused before any transport.
+    Above that the estimate, at most pi / e^2, is finite.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
 
     def estimate(e: float) -> np.ndarray:
+        area = e * e
+        if area < np.finfo(float).tiny:
+            raise ValueError(f"eps = {eps!r} is too small: the loop area ({e!r})^2 underflows")
         loop = parallelogram_loop(x, u, v, e)
         hol = transport(form, loop, np.eye(3), config).final
-        return -log_so3(hol) / (e * e)
+        return -log_so3(hol) / area
 
     if not richardson:
         return estimate(eps)
@@ -470,6 +482,18 @@ def _check_finite(what: str, *values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _node_major(t, values: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per-node values at the times ``t``, as an array of shape ``t.shape + (d,)``.
+
+    ``values`` maps the flattened times, shape (n,), to a (d, n) array, so each
+    of its ufunc loops runs along the n nodes rather than over the d
+    components of every node; the result is its transpose, not a copy.
+    """
+    t = np.asarray(t, dtype=float)
+    V = values(t.reshape(-1))
+    return V.T.reshape(t.shape + V.shape[:1])
+
+
 def line(x0, xi) -> PathSpec:
     """Straight path c(t) = x0 + t xi."""
     x0 = np.asarray(x0, dtype=float)
@@ -477,10 +501,11 @@ def line(x0, xi) -> PathSpec:
     if x0.shape != xi.shape or x0.ndim != 1:
         raise ValueError("line expects a point and a displacement of equal dimension")
     _check_finite("line point and displacement", x0, xi)
+    x0, xi = x0[:, None], xi[:, None]
     return PathSpec(
         base_dim=len(x0),
-        position=lambda t: x0 + np.multiply.outer(t, xi),
-        velocity=lambda t: np.broadcast_to(xi, np.shape(t) + xi.shape).copy(),
+        position=lambda t: _node_major(t, lambda s: x0 + xi * s),
+        velocity=lambda t: _node_major(t, lambda s: np.repeat(xi, len(s), axis=1)),
         closed=not np.any(xi),
         kind="line",
     )
@@ -515,14 +540,20 @@ def circle(center, radius: float, plane=None) -> PathSpec:
         raise ValueError("degenerate circle plane: spanning vectors are parallel")
     b2 = b2 / n2
     tau = 2.0 * np.pi
+    center, b1, b2, speed = center[:, None], b1[:, None], b2[:, None], radius * tau
 
-    def angle(t):
-        return tau * np.asarray(t, dtype=float)[..., None]
+    def position(s):
+        angle = tau * s
+        return center + radius * (b1 * np.cos(angle) + b2 * np.sin(angle))
+
+    def velocity(s):
+        angle = tau * s
+        return speed * (b1 * -np.sin(angle) + b2 * np.cos(angle))
 
     return PathSpec(
         base_dim=d,
-        position=lambda t: center + radius * (np.cos(angle(t)) * b1 + np.sin(angle(t)) * b2),
-        velocity=lambda t: radius * tau * (-np.sin(angle(t)) * b1 + np.cos(angle(t)) * b2),
+        position=lambda t: _node_major(t, position),
+        velocity=lambda t: _node_major(t, velocity),
         closed=True,
         kind="circle",
     )
@@ -563,24 +594,24 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
     elif closed and gap > 1e-9:
         raise ValueError(f"polyline declared closed but endpoints differ by {gap:.3e}")
 
-    def segment_of(t):
-        return np.clip(np.searchsorted(T, t, side="right") - 1, 0, m - 2)
+    # vertices and slopes one row per coordinate, so a segment lookup is a take along the nodes
+    P, slopes, knots = P.T.copy(), slopes.T.copy(), T[1:-1]
 
-    def position(t):
-        t = np.asarray(t, dtype=float)
-        i = segment_of(t)
-        return P[i] + (t - T[i])[..., None] * slopes[i]
+    def segment_of(s):
+        # the number of interior knots at or before s: the clamped segment containing s
+        return np.searchsorted(knots, s, side="right")
 
-    def velocity(t):
-        return np.take(slopes, segment_of(t), axis=0)
+    def position(s):
+        i = segment_of(s)
+        return P.take(i, axis=1) + (s - T.take(i)) * slopes.take(i, axis=1)
 
     return PathSpec(
         base_dim=d,
-        position=position,
-        velocity=velocity,
+        position=lambda t: _node_major(t, position),
+        velocity=lambda t: _node_major(t, lambda s: slopes.take(segment_of(s), axis=1)),
         closed=bool(closed),
         kind="polyline",
-        corners=tuple(float(t) for t in T[1:-1]),
+        corners=tuple(float(t) for t in knots),
     )
 
 

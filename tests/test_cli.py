@@ -480,14 +480,24 @@ def test_non_finite_requests_exit_one_with_empty_stdout(argv, capsys):
     assert "error:" in captured.err
 
 
-def test_overflowing_polyline_exits_one_without_a_warning(capsys):
-    argv = ["transport", "--path", "polyline", "--points", "0,0,0;1e308,-1e308,0", "--steps", "8"]
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["transport", "--path", "polyline", "--points", "0,0,0;1e308,-1e308,0", "--steps", "8"], "overflows"),
+        (["curvature", "--connection", "sphere-outer", "--radius", "1e200"], "got 1e+200"),  # r^2 overflows
+        (["curvature", "--connection", "sphere-outer", "--radius", "1e-200"], "got 1e-200"),  # r^2 underflows
+        (["curvature", "--eps", "1e-300"], "eps = 1e-300"),  # the loop area underflows
+        (["section", "--point", "1e300,1e300,1e300"], "overflows"),  # a finite point whose norm overflows
+    ],
+    ids=["polyline", "radius-1e200", "radius-1e-200", "eps-1e-300", "point-1e300"],
+)
+def test_out_of_range_requests_exit_one_without_a_warning(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "overflows" in captured.err
+    assert captured.err.startswith("error:") and named in captured.err
 
 
 def test_write_result_refuses_non_finite_numbers():

@@ -228,9 +228,11 @@ def test_sphere_surface_polar_cap_refused():
 def test_sphere_surface_validation():
     with pytest.raises(ValueError, match="positive"):
         sphere_surface(0.0)
-    for r in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
+    for r in (np.inf, np.nan, 1e200, 1e-200, 1.4e154, 7e-155):  # r^2 or 1/r^2 past the float range
+        with pytest.raises(ValueError, match=re.escape(f"positive and finite, with finite r^2 and 1/r^2, got {r}") + "$"):
             sphere_surface(r)
+    for r in (1.3e154, 8e-155):
+        assert sphere_surface(r).kind == "sphere-outer"
     with pytest.raises(ValueError, match="side"):
         sphere_surface(1.0, side="top")
     with pytest.raises(ValueError, match="orthonormal"):

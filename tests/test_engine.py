@@ -144,6 +144,81 @@ def test_batched_path_evaluation_matches_scalar(name, ts):
             np.testing.assert_allclose(row, fn(float(t)), rtol=1e-14, atol=1e-14)
 
 
+def broadcast_line(x0, xi):
+    """The line maps as once written, each operation broadcast over the trailing coordinate axis."""
+    return (lambda t: x0 + np.multiply.outer(t, xi),
+            lambda t: np.broadcast_to(xi, np.shape(t) + xi.shape).copy())
+
+
+def broadcast_circle(center, radius, b1, b2):
+    tau = 2.0 * np.pi
+
+    def angle(t):
+        return tau * np.asarray(t, dtype=float)[..., None]
+
+    return (lambda t: center + radius * (np.cos(angle(t)) * b1 + np.sin(angle(t)) * b2),
+            lambda t: radius * tau * (-np.sin(angle(t)) * b1 + np.cos(angle(t)) * b2))
+
+
+def broadcast_polyline(P, T):
+    slopes = (P[1:] - P[:-1]) / np.diff(T)[:, None]
+
+    def segment_of(t):
+        return np.clip(np.searchsorted(T, t, side="right") - 1, 0, len(P) - 2)
+
+    def position(t):
+        t = np.asarray(t, dtype=float)
+        i = segment_of(t)
+        return P[i] + (t - T[i])[..., None] * slopes[i]
+
+    return position, lambda t: np.take(slopes, segment_of(t), axis=0)
+
+
+COORDS = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])
+PIN_TIMES = st.one_of(
+    st.floats(-0.5, 1.5) | st.sampled_from([0.0, -0.0, 1.0]),  # a single time
+    st.integers(0, 2).flatmap(lambda ndim: hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=12),
+        elements=st.floats(-0.5, 1.5) | st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]))),
+)
+
+
+@pytest.mark.parametrize("kind", ["line", "circle", "polyline"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), t=PIN_TIMES)
+def test_catalog_maps_give_the_bits_of_the_broadcast_expressions(kind, data, t):
+    # each map now runs its arithmetic along the node axis; the values and
+    # signed zeros must be those of the trailing-axis broadcasts above. A NaN's
+    # sign bit is not compared: numpy's SIMD and scalar loops already set it
+    # differently for the same expression at different places in one array.
+    d = data.draw(st.integers(2 if kind == "circle" else 1, 4))
+    coords = lambda *shape: data.draw(hnp.arrays(np.float64, shape, elements=COORDS))
+    if kind == "line":
+        x0, xi = coords(d), coords(d)
+        path, reference = line(x0, xi), broadcast_line(x0, xi)
+    elif kind == "circle":
+        center, radius = coords(d), data.draw(st.floats(0.1, 3.0))
+        plane = None if data.draw(st.booleans()) else np.eye(d)[:2] + 0.1 * coords(2, d)  # never parallel
+        path = circle(center, radius, plane=plane)
+        b1, b2 = np.eye(d)[:2] if plane is None else plane
+        b1 = b1 / np.linalg.norm(b1)  # the orthonormalization circle() does
+        b2 = b2 - (b2 @ b1) * b1
+        reference = broadcast_circle(center, radius, b1, b2 / np.linalg.norm(b2))
+    else:
+        P = coords(data.draw(st.integers(2, 6)), d)
+        T = np.linspace(0.0, 1.0, len(P))
+        if data.draw(st.booleans()):
+            T = np.cumsum([0.0] + data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(P) - 1, max_size=len(P) - 1)))
+            T = T / T[-1]
+        path, reference = polyline(P, times=T), broadcast_polyline(P, T)
+    with np.errstate(invalid="ignore"):  # infinite and NaN times give NaN entries
+        for got, want in zip((path.position(t), path.velocity(t)), (reference[0](t), reference[1](t))):
+            assert got.shape == want.shape == np.shape(t) + (d,)
+            assert np.array_equal(got, want, equal_nan=True)
+            number = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
 @pytest.mark.parametrize("name", sorted(FORMS))
 @SETTINGS
 @given(data=st.data())

@@ -617,6 +617,37 @@ def test_stacked_kernels_match_rowwise(U, data):
     assert bitwise_equal(quat_to_rotation(Q[:m].reshape(2, -1, 4)), R[:m].reshape(2, -1, 3, 3))
 
 
+def broadcast_quat_exp(u):
+    """quat_exp as once written: np.linalg.norm over the last axis, then a concatenate of broadcasts."""
+    u = np.asarray(u, dtype=float)
+    theta = np.linalg.norm(u, axis=-1)
+    t2 = theta * theta
+    small = theta < 1e-6
+    sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / np.where(small, 1.0, theta))
+    return np.concatenate([np.cos(theta)[..., None], sinc[..., None] * u], axis=-1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(U=st.integers(1, 12).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, 3), elements=st.floats(-4.0, 4.0) | st.floats(-1e-6, 1e-6)
+    | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e-300]))))
+def test_quat_exp_gives_the_bits_of_the_norm_and_concatenate_expression(U):
+    # the norm is now summed from components in norm's order and the result
+    # written into one array; values and signed zeros must not move. A NaN's
+    # sign bit is not compared: numpy's SIMD and scalar loops set it differently.
+    if np.isfinite(U[0]).all():
+        U[0] *= 1e-7  # a small-angle row
+    m = len(U) // 2 * 2
+    inputs = [U, U[:1], U[:m].reshape(2, -1, 3), *U]
+    with np.errstate(over="ignore", invalid="ignore"):  # the non-finite rows
+        for u in inputs:
+            got, want = quat_exp(u), broadcast_quat_exp(u)
+            assert got.shape == want.shape == u.shape[:-1] + (4,)
+            assert np.array_equal(got, want, equal_nan=True)
+            number = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
 def test_stacked_vee_refusal_names_the_first_bad_index():
     M = hat(np.random.RandomState(40).standard_normal((2, 3, 3)))
     M[1, 2] += 1e-3 * np.eye(3)

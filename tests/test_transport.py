@@ -314,6 +314,12 @@ def test_small_loop_curvature_answers_below_the_wrap_guard():
 def test_small_loop_curvature_validation():
     with pytest.raises(ValueError, match="positive"):
         small_loop_curvature(NAT, np.zeros(3), E1, E2, 0.0)
+    # the loop area e^2 underflows below the smallest normal float, ~2.2e-308
+    for eps, richardson, e in ((1e-300, True, "5e-301"), (1e-155, False, "1e-155"), (2e-154, True, "1e-154")):
+        with pytest.raises(ValueError, match=rf"^eps = {eps!r} is too small: the loop area \({e}\)\^2 underflows$"):
+            small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, IntegratorConfig(steps=8), richardson=richardson)
+    est = small_loop_curvature(NAT, np.zeros(3), E1, E2, 3e-154, IntegratorConfig(steps=8), richardson=True)
+    assert np.isfinite(est).all()
     with pytest.raises(ValueError, match="nonzero"):
         parallelogram_loop(np.zeros(3), np.zeros(3), E2, 0.1)
 
