@@ -193,10 +193,8 @@ def _build_connection(req: RunRequest) -> LocalConnectionForm:
         return natural_form()
     if req.connection == "plane-rolling":
         return plane_rolling_form()
-    if req.connection == "sphere-outer":
-        return surface_rolling_form(sphere_surface(req.radius, side="outer"))
-    if req.connection == "sphere-inner":
-        return surface_rolling_form(sphere_surface(req.radius, side="inner"))
+    if req.connection in ("sphere-outer", "sphere-inner"):
+        return surface_rolling_form(sphere_surface(req.radius, side=req.connection.split("-")[1]))
     if req.connection == "pullback-rhoJ":
         return pullback_form(PLANE_ROLLING_PULLBACK, natural_form())
     raise ValueError(f"unknown connection {req.connection!r}")
@@ -294,8 +292,8 @@ def run(req: RunRequest) -> dict:
         cfg = _config(req)
         if req.connection in ("sphere-outer", "sphere-inner"):
             # eps names the embedded loop scale; the factor recovers 1 - 1/r^2
-            est, ref, factor = _verify.sphere_curvature_probe(req.radius, req.connection.split("-")[1], req.eps, cfg)
-            expected = 1.0 - 1.0 / (req.radius**2)
+            est, ref, factor, expected = _verify.sphere_curvature_probe(
+                req.radius, req.connection.split("-")[1], req.eps, cfg)
         else:
             form = _build_connection(req)
             est, ref, factor = _verify.curvature_probe(form, np.zeros(form.base_dim), req.eps, cfg)
@@ -304,7 +302,7 @@ def run(req: RunRequest) -> dict:
             "estimate": [float(c) for c in est],
             "closed_form": [float(c) for c in ref],
             "factor": factor,
-            "expected_factor": float(expected),
+            "expected_factor": expected,
         }
         return doc
 
@@ -328,7 +326,7 @@ def run(req: RunRequest) -> dict:
         if n == np.inf:
             raise ValueError(f"--point is too large: the norm of {req.point} overflows")
         if n < 1e-12:
-            raise ValueError("--point must be a nonzero 3-vector")
+            raise ValueError(f"--point must have norm at least 1e-12; the norm of {req.point} is below it")
         p = p / n
         cfg = _config(req)
         computed, formula = _verify.unit_sphere_section(p, config=cfg)

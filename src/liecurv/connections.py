@@ -10,7 +10,8 @@ with the same structure group.
 Base points for surface forms live in chart coordinates. Each
 :class:`Surface` carries its rolling map: :func:`parametric_surface` builds it
 from the chart tangent, normal and shape operator; :func:`sphere_surface`
-evaluates it in closed form, with one pass of trigonometry per call.
+evaluates it in closed form, with one pass of trigonometry per call. Each
+form states its own curvature where a closed form is known.
 
 Forms take stacks: ``evaluate`` maps points and tangents of shape (n, d) to
 shape (n, 3), so the transport engine evaluates a whole block of nodes in
@@ -39,17 +40,16 @@ class LocalConnectionForm:
     """so(3)-valued one-form on a base domain of dimension ``base_dim``.
 
     ``evaluate(x, v)`` must be linear in ``v``; ``descriptor`` names the
-    construction and drives the curvature catalog in
-    :func:`curvature_closed_form`. ``surface`` is the surface a rolling
-    form rolls on. ``evaluate`` maps stacks of points and
-    tangents of shape (n, base_dim) to stacks of shape (n, 3), and single
-    points to 3-vectors.
+    construction. ``evaluate`` maps stacks of points and tangents of shape
+    (n, base_dim) to stacks of shape (n, 3), and single points to 3-vectors.
+    ``curvature(x, u, v)`` is the exact curvature Omega_x(u, v) at one point,
+    or None when no closed form is known.
     """
 
     base_dim: int
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     descriptor: str
-    surface: "Surface | None" = None
+    curvature: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def natural_form() -> LocalConnectionForm:
@@ -61,6 +61,7 @@ def natural_form() -> LocalConnectionForm:
         base_dim=3,
         evaluate=lambda x, v: -v,
         descriptor="natural-so3",
+        curvature=lambda x, u, v: cross(u, v),
     )
 
 
@@ -92,20 +93,22 @@ def plane_rolling_form() -> LocalConnectionForm:
 
     omega_x(v) = -(J(v), 0) in axis coordinates: a displacement v of the
     contact point rotates the sphere about the quarter-turned horizontal
-    axis. The form is constant in x; its curvature is the bracket term only.
+    axis. The form is constant in x, so its curvature (u1, u2, 0) x (v1, v2, 0) is the bracket term only.
     """
 
     def evaluate(x, v):
         # -(J(v), 0) with J(v1, v2) = (v2, -v1), on the last axis
         return np.stack([-v[..., 1], v[..., 0], np.zeros_like(v[..., 0])], axis=-1)
 
-    return LocalConnectionForm(base_dim=2, evaluate=evaluate, descriptor="plane-rolling")
+    return LocalConnectionForm(base_dim=2, evaluate=evaluate, descriptor="plane-rolling",
+                               curvature=lambda x, u, v: cross([u[0], u[1], 0.0], [v[0], v[1], 0.0]))
 
 
 def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
     """Pull back a form on R^3 through a linear map f: R^d -> R^3.
 
-    (f* omega)_x(v) = omega_{f(x)}(f(v)). ``f`` is a 3 x d matrix.
+    (f* omega)_x(v) = omega_{f(x)}(f(v)). ``f`` is a 3 x d matrix. The
+    curvature is the inner form's at the images, Omega_{f(x)}(f(u), f(v)).
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != 3:
@@ -116,6 +119,7 @@ def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
         base_dim=f.shape[1],
         evaluate=lambda x, v: inner.evaluate(x @ f.T, v @ f.T),
         descriptor=f"pullback[{inner.descriptor}]",
+        curvature=None if inner.curvature is None else lambda x, u, v: inner.curvature(x @ f.T, u @ f.T, v @ f.T),
     )
 
 
@@ -132,13 +136,15 @@ class Surface:
     it is minus the rolling connection form (see :func:`surface_rolling_form`).
     Every map takes a chart point (2,) or a stack (..., 2), with chart
     tangents (..., 2), and returns the matching stack of 3-vectors or 3x2
-    Jacobians.
+    Jacobians. ``gauss_curvature`` is the constant Gauss curvature K, or
+    None when it is not known in closed form.
     """
 
     kind: str
     chart: Callable[[np.ndarray], np.ndarray]
     chart_tangent: Callable[[np.ndarray], np.ndarray]
     rolling: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    gauss_curvature: float | None
 
 
 def _orthonormal_frame(frame) -> np.ndarray:
@@ -171,8 +177,7 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
     frame, and s r + 1 is exactly 0 on the inner unit sphere.
 
     A radius is refused unless r^2 and 1/r^2 are finite, nonzero floats (about
-    1e-154 < r < 1e154), so that the curvature factor 1 - 1/r^2 of
-    :func:`curvature_closed_form` is a finite float.
+    1e-154 < r < 1e154), so that the Gauss curvature K = 1/r^2 and 1 - K are finite.
     """
     r = float(radius)
     if not (0.0 < r and 0.0 < r * r < np.inf and 1.0 / (r * r) < np.inf):
@@ -218,7 +223,7 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         b = a * ct
         return np.stack([-sp * v_th - b * cp, cp * v_th - b * sp, a * st], axis=-1) @ rolling_map
 
-    return Surface(kind=f"sphere-{side}", chart=chart, chart_tangent=chart_tangent, rolling=rolling)
+    return Surface(f"sphere-{side}", chart, chart_tangent, rolling, gauss_curvature=1.0 / (r * r))
 
 
 def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
@@ -269,7 +274,7 @@ def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
         v_emb = (chart_tangent(u) * v[..., None, :]).sum(axis=-1)
         return np.cross(normal(u), v_emb + (normal(u + h * v) - normal(u - h * v)) / (2 * h))
 
-    return Surface("parametric", chart, chart_tangent, rolling)
+    return Surface("parametric", chart, chart_tangent, rolling, None)
 
 
 def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
@@ -282,34 +287,24 @@ def surface_rolling_form(surface: Surface) -> LocalConnectionForm:
 
     which is minus ``surface.rolling(u, v)``. For the radius-r sphere with
     outward normal this reduces to omega = -(1/r)(1 + 1/r) (x x v_emb);
-    :func:`sphere_surface` evaluates it in that closed form.
+    :func:`sphere_surface` evaluates it in that closed form. The curvature is
+    (1 - K) (U x V), U and V the chart pushforwards of u and v, when K is known.
     """
+
+    def curvature(x, u, v):
+        T = surface.chart_tangent(x)
+        return (1.0 - surface.gauss_curvature) * cross(T @ u, T @ v)
+
     return LocalConnectionForm(
         base_dim=2,
         evaluate=lambda u, v: -surface.rolling(u, v),
         descriptor=surface.kind,
-        surface=surface,
+        curvature=None if surface.gauss_curvature is None else curvature,
     )
 
 
 def curvature_closed_form(form: LocalConnectionForm, x, u, v) -> np.ndarray:
-    """Exact curvature Omega_x(u, v) for the catalog connections.
-
-    natural-so3: u x v. plane-rolling: cross product of u and v embedded as
-    (u1, u2, 0); the quarter turn inside the form drops out of the bracket.
-    sphere-outer / sphere-inner of radius r: (1 - 1/r^2) (U x V) where U, V
-    are the chart pushforwards of u, v, and r is read off the chart.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = form.descriptor
-    if d == "natural-so3":
-        return cross(u, v)
-    if d == "plane-rolling":
-        return cross(np.array([u[0], u[1], 0.0]), np.array([v[0], v[1], 0.0]))
-    if d in ("sphere-outer", "sphere-inner"):
-        r = float(np.linalg.norm(form.surface.chart(np.array([np.pi / 2, 0.0]))))
-        T = form.surface.chart_tangent(x)
-        return (1.0 - 1.0 / (r * r)) * cross(T @ u, T @ v)
-    raise ValueError(f"no closed-form curvature catalogued for '{d}'")
+    """Exact curvature Omega_x(u, v), the form's own; a form without one is refused by its descriptor."""
+    if form.curvature is None:
+        raise ValueError(f"no closed-form curvature catalogued for '{form.descriptor}'")
+    return form.curvature(*(np.asarray(a, dtype=float) for a in (x, u, v)))

@@ -70,6 +70,7 @@ from .liecore import (check_rotation, check_unit_quat, exp_so3, lie_hom_derivati
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
 _BLOCK = 4096  # intervals evaluated per block (rounded to whole recording chunks)
+SIDE_ROUNDING = 1e-6  # largest relative error rounding at the corner may leave on a parallelogram side
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY.flags.writeable = False
 
@@ -389,26 +390,22 @@ def small_loop_curvature(
     v,
     eps: float,
     config: IntegratorConfig | None = None,
-    richardson: bool = False,
 ) -> np.ndarray:
     """Estimate the curvature Omega_x(u, v) from parallelogram holonomies.
 
     The circuit x -> x+eps u -> x+eps u+eps v -> x+eps v -> x transports to
-    exp(-eps^2 Omega_x(u, v)) up to O(eps^3), so the estimate negates the
-    holonomy logarithm. With ``richardson`` the leading O(eps) error term is
-    extrapolated away using a second run at eps/2, leaving O(eps^2).
+    exp(-eps^2 Omega_x(u, v)) up to O(eps^3), so the negated holonomy
+    logarithm over eps^2 is off by O(eps). Extrapolating from a second loop
+    at eps/2 (Richardson) leaves O(eps^2).
 
-    A loop whose holonomy angle nears pi raises the
-    :func:`liecurv.liecore.log_so3` domain error, but one past pi wraps and
-    gives a wrong estimate without an error. So with ``richardson`` a loop too
-    large to be small is refused: when the eps/2 loop's holonomy angle
-    |est(eps/2)| (eps/2)^2 exceeds pi/8, which keeps the eps loop, about four
-    times larger, below pi/2. This guards against the wrap; it does not bound
-    the error.
+    A loop past pi in holonomy angle wraps into a wrong estimate without an
+    error, so a loop too large to be small is refused: when the eps/2 loop's
+    angle |est(eps/2)| (eps/2)^2 exceeds pi/8, which keeps the eps loop, about
+    four times larger, below pi/2. This guards the wrap, not the error.
 
-    A loop whose area e^2 (e = eps, and eps/2 with ``richardson``) underflows,
-    falling below the smallest normal float, is refused before any transport.
-    Above that the estimate, at most pi / e^2, is finite.
+    A loop whose area e^2 (e = eps or eps/2) underflows below the smallest
+    normal float, or whose sides are lost in rounding at x, is refused before
+    any transport; above that the estimate, at most pi / e^2, is finite.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -421,8 +418,6 @@ def small_loop_curvature(
         hol = transport(form, loop, np.eye(3), config).final
         return -log_so3(hol) / area
 
-    if not richardson:
-        return estimate(eps)
     half = estimate(eps / 2.0)
     angle = float(np.linalg.norm(half)) * (eps / 2.0) ** 2
     if angle > np.pi / 8.0:
@@ -616,17 +611,27 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
 
 
 def parallelogram_loop(x, u, v, eps: float) -> PathSpec:
-    """Closed parallelogram circuit x -> x+eps u -> x+eps u+eps v -> x+eps v -> x."""
+    """Closed parallelogram circuit x -> x+eps u -> x+eps u+eps v -> x+eps v -> x.
+
+    A side that rounding at the corners moves off eps u or eps v by more than
+    ``SIDE_ROUNDING`` of its length (max norm) is refused; a unit side at x = 1e20 is lost whole.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_finite("parallelogram corner, sides and eps", x, u, v, eps)
-    if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
+    sides = eps * np.array([u, v, -u, -v])
+    if not sides.any(axis=1).all():
         raise ValueError("parallelogram sides must be nonzero")
     pts = np.array([x, x + eps * u, x + eps * u + eps * v, x + eps * v, x])
-    return dataclasses.replace(polyline(pts, closed=True), kind="parallelogram")
+    loop = polyline(pts, closed=True)  # refuses corners that overflow, so the sides below are finite
+    off = np.abs(np.diff(pts, axis=0) - sides).max(axis=1) / np.abs(sides).max(axis=1)
+    if off.max() > SIDE_ROUNDING:
+        raise ValueError(f"parallelogram side {np.argmax(off) + 1} is lost in rounding at corner {x.tolist()} (eps = "
+                         f"{eps!r}): it is off by {off.max():.3e} of its length, over the bound {SIDE_ROUNDING:g}")
+    return dataclasses.replace(loop, kind="parallelogram")
 
 
 def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:

@@ -365,7 +365,7 @@ def curvature_probe(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Small-loop curvature on the unit sides e1, e2 at x: ``(estimate, closed_form, factor)``.
 
-    The estimate of Omega_x(e1, e2) is Richardson-extrapolated at loop scale
+    The estimate of Omega_x(e1, e2) is small_loop_curvature's at loop scale
     ``eps`` (512 exp-midpoint steps unless ``config`` is given). The closed
     form is :func:`liecurv.connections.curvature_closed_form`'s, which
     refuses forms without one. The factor is the estimate's signed
@@ -375,18 +375,18 @@ def curvature_probe(
     u, v = np.eye(form.base_dim)[:2]
     ref = curvature_closed_form(form, x, u, v)
     d = ref if direction is None else direction
-    est = small_loop_curvature(form, x, u, v, eps, config or IntegratorConfig(steps=512), richardson=True)
+    est = small_loop_curvature(form, x, u, v, eps, config or IntegratorConfig(steps=512))
     return est, ref, float((est @ d) / (d @ d))
 
 
 def sphere_curvature_probe(
     radius: float, side: str, eps: float, config: IntegratorConfig | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`curvature_probe` of sphere rolling at the chart point (1, 0.3).
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """:func:`curvature_probe` of sphere rolling at the chart point (1, 0.3), and the exact factor.
 
     The factor is the projection onto the flat value cross(U, V) of the
-    chart pushforwards of the unit chart sides, so it recovers 1 - 1/r^2 on
-    either side, including its sign (-3 at r = 1/2, 0 at r = 1).
+    chart pushforwards of the unit chart sides, so it recovers the exact
+    factor 1 - 1/r^2 on either side, including its sign (-3 at r = 1/2, 0 at r = 1).
 
     ``eps`` is the embedded size of the probing loops; chart tangents scale
     with the radius, so the chart-coordinate parallelogram uses eps / r
@@ -394,9 +394,10 @@ def sphere_curvature_probe(
     """
     surface = sphere_surface(radius, side=side)
     x = np.array([1.0, 0.3])
-    u, v = np.eye(2)
     T = surface.chart_tangent(x)
-    return curvature_probe(surface_rolling_form(surface), x, eps / radius, config, cross(T @ u, T @ v))
+    r = float(radius)
+    return (*curvature_probe(surface_rolling_form(surface), x, eps / r, config, cross(T[:, 0], T[:, 1])),
+            1.0 - 1.0 / (r * r))
 
 
 def sphere_curvature_factor(radius: float, config: IntegratorConfig | None = None) -> float:

@@ -123,7 +123,7 @@ def test_criterion_04_small_loop_curvature_recovers_cross():
             if np.linalg.norm(target) < 0.3:
                 continue  # skip nearly-parallel pairs; relative error is ill-posed
             x = rng.standard_normal(3)
-            est = small_loop_curvature(NAT, x, u, v, 1e-2, cfg, richardson=True)
+            est = small_loop_curvature(NAT, x, u, v, 1e-2, cfg)
             rel = np.linalg.norm(est - target) / np.linalg.norm(target)
             assert rel <= 1e-4
             pairs.append((u, v))
@@ -141,7 +141,7 @@ def test_criterion_05_plane_rolling_curvature_and_pullback():
         e2 = np.array([0.0, 1.0])
         for _ in range(5):
             x = rng.uniform(-3, 3, size=2)
-            est = small_loop_curvature(pl, x, e1, e2, 1e-2, cfg, richardson=True)
+            est = small_loop_curvature(pl, x, e1, e2, 1e-2, cfg)
             ref = curvature_closed_form(pl, x, e1, e2)
             assert np.linalg.norm(est - ref) / np.linalg.norm(ref) <= 1e-4
         pulled = pullback_form(PLANE_ROLLING_PULLBACK, NAT)

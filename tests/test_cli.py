@@ -406,9 +406,27 @@ def test_curvature_command_prints_the_library_sphere_factor(radius, tmp_path):
 
 def test_curvature_command_prints_the_inner_sphere_probe(tmp_path):
     code, doc = run_json(["curvature", "--connection", "sphere-inner", "--radius", "2"], tmp_path)
-    est, _, factor = verify.sphere_curvature_probe(2.0, side="inner", eps=1e-2)
+    est, _, factor, expected = verify.sphere_curvature_probe(2.0, side="inner", eps=1e-2)
     assert code == 0
     assert doc["curvature"]["estimate"] == est.tolist() and doc["curvature"]["factor"] == factor
+    assert doc["curvature"]["expected_factor"] == expected == 0.75
+
+
+def test_pullback_curvature_reads_the_plane_rolling_factor(tmp_path):
+    code, doc = run_json(["curvature", "--connection", "pullback-rhoJ"], tmp_path)
+    _, plane = run_json(["curvature", "--connection", "plane-rolling"], tmp_path, "plane.json")
+    assert code == 0
+    assert doc["curvature"]["expected_factor"] == 1.0
+    assert abs(doc["curvature"]["factor"] - 1.0) <= 1e-4
+    assert abs(doc["curvature"]["factor"] - plane["curvature"]["factor"]) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", ["1e8", "1e9"])
+def test_curvature_answers_while_the_chart_loop_survives_rounding(radius, tmp_path):
+    # the chart loop scale is eps / r = 1e-11 at r = 1e9: rounding at the corner moves its sides by 8.3e-8
+    code, doc = run_json(["curvature", "--connection", "sphere-outer", "--radius", radius], tmp_path)
+    assert code == 0
+    assert abs(doc["curvature"]["factor"] - 1.0) <= 2e-5
 
 
 def test_verify_single_check(tmp_path):
@@ -488,8 +506,16 @@ def test_non_finite_requests_exit_one_with_empty_stdout(argv, capsys):
         (["curvature", "--connection", "sphere-outer", "--radius", "1e-200"], "got 1e-200"),  # r^2 underflows
         (["curvature", "--eps", "1e-300"], "eps = 1e-300"),  # the loop area underflows
         (["section", "--point", "1e300,1e300,1e300"], "overflows"),  # a finite point whose norm overflows
+        (["section", "--point", "1e-200,0,0"], "norm at least 1e-12"),  # a nonzero point whose norm underflows
+        # the chart loop's sides are lost in rounding at the corner: the factor read 1.0428, 0.0 with a warning
+        (["curvature", "--connection", "sphere-outer", "--radius", "1e10"], "off by 8.890e-05"),
+        (["curvature", "--connection", "sphere-outer", "--radius", "1e12"], "over the bound 1e-06"),
+        (["curvature", "--connection", "sphere-outer", "--radius", "1e100"], "over the bound 1e-06"),
+        # the natural form is translation invariant, but 1e20 + 1 == 1e20: the angle read 0.0, not 0.9277
+        (["holonomy", "--path", "square", "--x0", "1e20,0,0", "--eps", "1"], "over the bound 1e-06"),
     ],
-    ids=["polyline", "radius-1e200", "radius-1e-200", "eps-1e-300", "point-1e300"],
+    ids=["polyline", "radius-1e200", "radius-1e-200", "eps-1e-300", "point-1e300", "point-1e-200",
+         "radius-1e10", "radius-1e12", "radius-1e100", "square-x0-1e20"],
 )
 def test_out_of_range_requests_exit_one_without_a_warning(argv, named, capsys):
     with warnings.catch_warnings():

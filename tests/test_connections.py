@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from liecurv import (
     PLANE_ROLLING_PULLBACK,
+    LocalConnectionForm,
     cross,
     curvature_closed_form,
     exp_so3,
@@ -262,7 +263,6 @@ def test_surface_rolling_sphere_formula():
     s = sphere_surface(r)
     form = surface_rolling_form(s)
     assert form.descriptor == "sphere-outer"
-    assert form.surface is s
     rng = np.random.RandomState(39)
     for _ in range(10):
         u = np.array([rng.uniform(0.3, np.pi - 0.3), rng.uniform(-np.pi, np.pi)])
@@ -470,9 +470,33 @@ def test_curvature_closed_form_sphere_scaling():
     np.testing.assert_allclose(
         curvature_closed_form(form1, x, u, v), np.zeros(3), atol=1e-12
     )
+    # K = 1/r^2 comes from the radius the sphere was built with, not read back
+    # through a rotated chart, so the unit sphere is flat to the bit in any frame
+    R = exp_so3(np.array([0.4, -1.1, 0.7]))
+    for side in ("outer", "inner"):
+        rotated = surface_rolling_form(sphere_surface(1.0, side=side, frame=tuple(R.T)))
+        assert not curvature_closed_form(rotated, x, u, v).any()
+
+
+def test_pullback_curvature_is_the_inner_curvature_at_the_images():
+    rng = np.random.RandomState(44)
+    f = rng.standard_normal((3, 2))
+    inner = natural_form()
+    for _ in range(10):
+        x, u, v = rng.standard_normal((3, 2))
+        want = curvature_closed_form(inner, x @ f.T, u @ f.T, v @ f.T)
+        assert np.array_equal(curvature_closed_form(pullback_form(f, inner), x, u, v), want)
+    rho_j = pullback_form(PLANE_ROLLING_PULLBACK, inner)
+    np.testing.assert_allclose(curvature_closed_form(rho_j, np.zeros(2), u, v),
+                               curvature_closed_form(plane_rolling_form(), np.zeros(2), u, v), atol=1e-15)
 
 
 def test_curvature_closed_form_unknown_descriptor():
     plane = parametric_surface(plane_chart)
-    with pytest.raises(ValueError, match="no closed-form curvature"):
+    with pytest.raises(ValueError, match="no closed-form curvature catalogued for 'parametric'"):
         curvature_closed_form(surface_rolling_form(plane), np.zeros(2), np.ones(2), np.ones(2))
+    # a form built by hand states no curvature, and neither does its pullback
+    user = LocalConnectionForm(base_dim=3, evaluate=lambda x, v: -v, descriptor="user")
+    for form, name in ((user, "user"), (pullback_form(PLANE_ROLLING_PULLBACK, user), "pullback[user]")):
+        with pytest.raises(ValueError, match=re.escape(f"no closed-form curvature catalogued for '{name}'")):
+            curvature_closed_form(form, np.zeros(form.base_dim), *np.eye(form.base_dim)[:2])

@@ -228,7 +228,7 @@ def test_batched_form_evaluation_matches_pointwise(name, data):
     d = form.base_dim
     X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-3.0, 3.0)))
     V = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-3.0, 3.0)))
-    if form.surface is not None:
+    if name.startswith("sphere-"):
         X[:, 0] = 0.1 + (np.pi - 0.2) * np.abs(X[:, 0]) / 3.0  # colatitudes clear of the caps
     batch = form.evaluate(X, V)
     assert batch.shape == (n, 3)

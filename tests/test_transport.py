@@ -8,11 +8,13 @@ product (or a much finer run) before being frozen.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from liecurv import (
+    PLANE_ROLLING_PULLBACK,
     IntegratorConfig,
     PathSpec,
     circle,
@@ -30,6 +32,7 @@ from liecurv import (
     parallelogram_loop,
     plane_rolling_form,
     polyline,
+    pullback_form,
     quat_exp,
     quat_to_rotation,
     reverse_path,
@@ -232,28 +235,24 @@ def test_holonomy_parallelogram_leading_term():
 def test_small_loop_curvature_recovers_cross_product():
     u = np.array([0.8, 0.1, -0.4])
     v = np.array([-0.2, 0.9, 0.3])
-    est = small_loop_curvature(
-        NAT, np.zeros(3), u, v, 1e-2, IntegratorConfig(steps=256), richardson=True
-    )
+    est = small_loop_curvature(NAT, np.zeros(3), u, v, 1e-2, IntegratorConfig(steps=256))
     ref = cross(u, v)
     assert np.linalg.norm(est - ref) / np.linalg.norm(ref) <= 1e-4
 
 
 def test_small_loop_curvature_orders():
-    """Plain estimates converge at first order, Richardson at second."""
+    """The extrapolated estimate converges at second order."""
     x0 = np.array([0.2, -0.4, 0.9])
     u = np.array([0.8, 0.1, -0.4])
     v = np.array([-0.2, 0.9, 0.3])
     want = cross(u, v)
     cfg = IntegratorConfig(steps=256)
 
-    def err(eps, rich):
-        est = small_loop_curvature(NAT, x0, u, v, eps, cfg, richardson=rich)
+    def err(eps):
+        est = small_loop_curvature(NAT, x0, u, v, eps, cfg)
         return float(np.linalg.norm(est - want))
 
-    plain = np.log2(err(0.02, False) / err(0.01, False))
-    extrapolated = np.log2(err(0.02, True) / err(0.01, True))
-    assert abs(plain - 1.0) <= 0.3
+    extrapolated = np.log2(err(0.02) / err(0.01))
     assert abs(extrapolated - 2.0) <= 0.3
 
 
@@ -261,8 +260,8 @@ def test_small_loop_curvature_antisymmetry():
     u = np.array([0.8, 0.1, -0.4])
     v = np.array([-0.2, 0.9, 0.3])
     cfg = IntegratorConfig(steps=256)
-    a = small_loop_curvature(NAT, np.zeros(3), u, v, 1e-2, cfg, richardson=True)
-    b = small_loop_curvature(NAT, np.zeros(3), v, u, 1e-2, cfg, richardson=True)
+    a = small_loop_curvature(NAT, np.zeros(3), u, v, 1e-2, cfg)
+    b = small_loop_curvature(NAT, np.zeros(3), v, u, 1e-2, cfg)
     np.testing.assert_allclose(a, -b, atol=1e-4)
 
 
@@ -275,6 +274,7 @@ CHART_POINT, CHART_U, CHART_V = np.array([1.1, 0.4]), np.array([0.6, 0.2]), np.a
 CURVATURE_CASES = {
     "natural": (NAT, np.array([0.2, -0.4, 0.9]), np.array([0.8, 0.1, -0.4]), np.array([-0.2, 0.9, 0.3])),
     "plane-rolling": (plane_rolling_form(), np.array([1.3, -0.7]), CHART_U, CHART_V),
+    "pullback-rhoJ": (pullback_form(PLANE_ROLLING_PULLBACK, NAT), np.array([1.3, -0.7]), CHART_U, CHART_V),
     **{
         f"sphere-{side}-r{r}": (rotated_sphere(r, side), CHART_POINT, CHART_U, CHART_V)
         for side in ("outer", "inner")
@@ -287,11 +287,11 @@ CURVATURE_CASES = {
 def test_small_loop_curvature_matches_the_closed_form(name):
     """Holonomy of small loops measures the catalogued curvature, the flat unit spheres included.
 
-    Measured relative errors at eps = 1e-2 with Richardson are 5e-6 to 5e-5;
-    on the unit spheres (curvature 0) the error is below 2e-9.
+    Measured relative errors at eps = 1e-2 are 5e-6 to 5e-5; on the unit
+    spheres (curvature 0) the error is below 2e-9.
     """
     form, x, u, v = CURVATURE_CASES[name]
-    est = small_loop_curvature(form, x, u, v, 1e-2, IntegratorConfig(steps=256), richardson=True)
+    est = small_loop_curvature(form, x, u, v, 1e-2, IntegratorConfig(steps=256))
     ref = curvature_closed_form(form, x, u, v)
     assert np.linalg.norm(est - ref) <= 1e-4 * np.linalg.norm(ref) + 1e-8
 
@@ -302,12 +302,12 @@ def test_small_loop_curvature_refuses_loops_too_large_to_be_small(eps, angle):
     cfg = IntegratorConfig(steps=512)
     with pytest.raises(ValueError, match=rf"^loop too large to be small: the half-size loop's holonomy angle {angle} "
                                          r"exceeds pi/8, so the full-size loop's may wrap past pi$"):
-        small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, cfg, richardson=True)
+        small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, cfg)
 
 
 def test_small_loop_curvature_answers_below_the_wrap_guard():
     # the eps/2 loop's angle is 0.245 rad, below pi/8
-    est = small_loop_curvature(NAT, np.zeros(3), E1, E2, 1.0, IntegratorConfig(steps=512), richardson=True)
+    est = small_loop_curvature(NAT, np.zeros(3), E1, E2, 1.0, IntegratorConfig(steps=512))
     assert abs(est[2] - 1.0) <= 0.15
 
 
@@ -315,13 +315,15 @@ def test_small_loop_curvature_validation():
     with pytest.raises(ValueError, match="positive"):
         small_loop_curvature(NAT, np.zeros(3), E1, E2, 0.0)
     # the loop area e^2 underflows below the smallest normal float, ~2.2e-308
-    for eps, richardson, e in ((1e-300, True, "5e-301"), (1e-155, False, "1e-155"), (2e-154, True, "1e-154")):
+    for eps, e in ((1e-300, "5e-301"), (2e-154, "1e-154")):
         with pytest.raises(ValueError, match=rf"^eps = {eps!r} is too small: the loop area \({e}\)\^2 underflows$"):
-            small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, IntegratorConfig(steps=8), richardson=richardson)
-    est = small_loop_curvature(NAT, np.zeros(3), E1, E2, 3e-154, IntegratorConfig(steps=8), richardson=True)
+            small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, IntegratorConfig(steps=8))
+    est = small_loop_curvature(NAT, np.zeros(3), E1, E2, 3e-154, IntegratorConfig(steps=8))
     assert np.isfinite(est).all()
     with pytest.raises(ValueError, match="nonzero"):
         parallelogram_loop(np.zeros(3), np.zeros(3), E2, 0.1)
+    with pytest.raises(ValueError, match="nonzero"):
+        parallelogram_loop(np.zeros(3), 1e-200 * E1, E2, 1e-150)  # eps u underflows to zero
 
 
 def test_commutator_by_flows_basis_vectors():
@@ -519,6 +521,28 @@ def test_catalog_paths_refuse_non_finite_parameters(bad):
     if not bad < 0.0:
         with pytest.raises(ValueError, match="parallelogram corner, sides and eps must be finite"):
             parallelogram_loop(np.zeros(3), E1, E2, bad)
+
+
+@pytest.mark.parametrize("corner, eps, lost", [
+    ((1e20, 0.0, 0.0), 1.0, "1.000e+00"),  # the unit side is erased: 1e20 + 1 == 1e20
+    ((1e10 + 0.3, 0.0, 0.0), 0.7, "1.090e-06"),  # just over the bound
+    ((8e9 + 0.3, 0.0, 0.0), 0.7, None),  # just under it: off by 2.7e-7
+    ((4e15, 0.0, 0.0), 1.0, None),  # integers below 2^53 add exactly
+])
+def test_parallelogram_loop_refuses_sides_lost_in_rounding(corner, eps, lost):
+    if lost is None:
+        assert parallelogram_loop(np.array(corner), E1, E2, eps).closed
+        return
+    message = (f"parallelogram side 1 is lost in rounding at corner {list(corner)} (eps = {eps!r}): "
+               f"it is off by {lost} of its length, over the bound 1e-06")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parallelogram_loop(np.array(corner), E1, E2, eps)
+
+
+def test_small_loop_curvature_refuses_a_loop_lost_in_rounding():
+    # the natural form is translation invariant, so only rounding can tell x = 1e20 from x = 0
+    with pytest.raises(ValueError, match="lost in rounding"):
+        small_loop_curvature(NAT, np.array([1e20, 0.0, 0.0]), E1, E2, 1e-2, IntegratorConfig(steps=8))
 
 
 def test_parallelogram_loop_structure():
