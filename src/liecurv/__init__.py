@@ -44,7 +44,6 @@ from .transport import (
     TransportResult,
     circle,
     commutator_by_flows,
-    concat_paths,
     convergence_order,
     great_arc,
     holonomy,
@@ -53,8 +52,6 @@ from .transport import (
     line,
     parallelogram_loop,
     polyline,
-    reverse_path,
-    scale_path,
     small_loop_curvature,
     time_ordered_product,
     transport,

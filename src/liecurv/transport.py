@@ -83,7 +83,10 @@ class PathSpec:
     the library calls them only with arrays, whole blocks of grid times at
     once. (The catalog paths also map a single time to a d-vector.)
     ``corners`` lists interior parameter values where the velocity may jump;
-    the integrators place grid nodes there. ``closed`` declares c(1) = c(0).
+    the integrators place grid nodes there. At a corner time ``velocity``
+    must return the outgoing velocity, the one on the segment that starts
+    there, because lie-euler samples each interval at its left node.
+    ``closed`` declares c(1) = c(0).
     """
 
     base_dim: int
@@ -674,65 +677,3 @@ def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
     # along the chart's equator: colatitude pi/2, longitude from 0 to s
     path = dataclasses.replace(line(np.array([0.5 * np.pi, 0.0]), np.array([0.0, s])), kind="great-arc")
     return path, surface
-
-
-def reverse_path(path: PathSpec) -> PathSpec:
-    """Traverse a path backwards; transport along it inverts the original."""
-    return PathSpec(
-        base_dim=path.base_dim,
-        position=lambda t: path.position(1.0 - t),
-        velocity=lambda t: -np.asarray(path.velocity(1.0 - t), dtype=float),
-        closed=path.closed,
-        kind=path.kind,
-        corners=tuple(sorted(1.0 - t for t in path.corners)),
-    )
-
-
-def concat_paths(first: PathSpec, second: PathSpec) -> PathSpec:
-    """Run ``first`` on [0, 1/2] and ``second`` on [1/2, 1].
-
-    The endpoint of ``first`` must meet the start of ``second``. An array of
-    times is split by a mask, so each piece maps its share in one call.
-    """
-    if first.base_dim != second.base_dim:
-        raise ValueError("cannot concatenate paths of different base dimension")
-    ends = np.array([0.0, 1.0])
-    (a0, a1), (b0, b1) = _on_path(first.position, ends), _on_path(second.position, ends)
-    gap = float(np.linalg.norm(b0 - a1))
-    if gap > 1e-9:
-        raise ValueError(f"paths do not meet: gap {gap:.3e}")
-
-    def piecewise(first_map, second_map, t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + (first.base_dim,))
-        left = t < 0.5
-        if left.any():
-            out[left] = first_map(2.0 * t[left])
-        if not left.all():
-            out[~left] = second_map(2.0 * t[~left] - 1.0)
-        return out
-
-    corners = tuple(sorted(
-        [0.5 * t for t in first.corners] + [0.5] + [0.5 + 0.5 * t for t in second.corners]
-    ))
-    gap_loop = float(np.linalg.norm(b1 - a0))
-    return PathSpec(
-        base_dim=first.base_dim,
-        position=lambda t: piecewise(first.position, second.position, t),
-        velocity=lambda t: 2.0 * piecewise(first.velocity, second.velocity, t),
-        closed=gap_loop <= 1e-9,
-        kind="concat",
-        corners=corners,
-    )
-
-
-def scale_path(path: PathSpec, factor: float) -> PathSpec:
-    """Scale a path pointwise by a constant factor."""
-    return PathSpec(
-        base_dim=path.base_dim,
-        position=lambda t: factor * np.asarray(path.position(t), dtype=float),
-        velocity=lambda t: factor * np.asarray(path.velocity(t), dtype=float),
-        closed=path.closed,
-        kind=path.kind,
-        corners=path.corners,
-    )

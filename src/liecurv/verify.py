@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connections import (
+    POLAR_CAP,
     LocalConnectionForm,
     curvature_closed_form,
     natural_alpha,
@@ -43,7 +44,6 @@ from .transport import (
     holonomy,
     lift_transport,
     polyline,
-    scale_path,
     small_loop_curvature,
     transport,
     transport_quat,
@@ -52,6 +52,9 @@ from .transport import (
 NATURALITY_SAMPLES = 100  # random draws per pointwise naturality check
 SPAN_THRESHOLD = 1e-4  # smallest singular value required of normalized holonomy logs
 _BASEPOINT = np.array([0.0, 0.0, 1.0])  # all section lifts start here
+# vertices of the non-planar figure-eight that the transport naturality check runs
+_FIGURE_EIGHT = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                          [1.0, -1.0, 0.0], [0.0, -2.0, 1.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -169,20 +172,7 @@ def check_curvature_naturality(seed: int = 0) -> ResidualReport:
 
 def default_naturality_path() -> PathSpec:
     """Non-planar figure-eight polyline used by the transport naturality check."""
-    pts = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [1.0, 1.0, 0.0],
-            [0.0, 2.0, 1.0],
-            [-1.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0],
-            [1.0, -1.0, 0.0],
-            [0.0, -2.0, 1.0],
-            [-1.0, -1.0, 0.0],
-            [0.0, 0.0, 0.0],
-        ]
-    )
-    return polyline(pts, closed=True)
+    return polyline(_FIGURE_EIGHT, closed=True)
 
 
 def check_transport_naturality(config: IntegratorConfig | None = None) -> ResidualReport:
@@ -191,13 +181,12 @@ def check_transport_naturality(config: IntegratorConfig | None = None) -> Residu
     Because the covering map doubles algebra increments, the S^3 run along c
     corresponds to the SO(3) run along 2c on the same grid; each step maps
     exactly, so the residual is pure roundoff. c is
-    :func:`default_naturality_path`.
+    :func:`default_naturality_path`, and 2c the polyline through its doubled vertices.
     """
-    c = default_naturality_path()
     cfg = config or IntegratorConfig()
-    q = transport_quat(c, config=cfg).final
+    q = transport_quat(default_naturality_path(), config=cfg).final
     lhs = quat_to_rotation(q)
-    rhs = transport(natural_form(), scale_path(c, 2.0), config=cfg).final
+    rhs = transport(natural_form(), polyline(2.0 * _FIGURE_EIGHT, closed=True), config=cfg).final
     return ResidualReport("transport-naturality", float(np.linalg.norm(lhs - rhs)), 1, 1e-7)
 
 
@@ -391,13 +380,26 @@ def sphere_curvature_probe(
     ``eps`` is the embedded size of the probing loops; chart tangents scale
     with the radius, so the chart-coordinate parallelogram uses eps / r
     (otherwise large spheres would wrap the holonomy angle past pi).
+
+    A refusal names the radius and eps as given, as ``liecurv curvature``'s
+    ``--radius`` and ``--eps``; one from the chart loop also states its side eps / r.
     """
-    surface = sphere_surface(radius, side=side)
-    x = np.array([1.0, 0.3])
-    T = surface.chart_tangent(x)
+    given = f"sphere curvature at --radius {radius!r} and --eps {eps!r} is refused"
+    try:
+        surface = sphere_surface(radius, side=side)
+    except ValueError as e:
+        raise ValueError(f"{given}: {e}") from None
     r = float(radius)
-    return (*curvature_probe(surface_rolling_form(surface), x, eps / r, config, cross(T[:, 0], T[:, 1])),
-            1.0 - 1.0 / (r * r))
+    x, h = np.array([1.0, 0.3]), eps / r
+    loop = f"{given}: its chart loop at (1, 0.3) has side eps / r = {h:.6g}"
+    if 1.0 + h > np.pi - POLAR_CAP:  # the loop's far side lies at colatitude 1 + h
+        raise ValueError(f"{loop}, which reaches past the polar cap at colatitude pi - {POLAR_CAP}")
+    T = surface.chart_tangent(x)
+    try:
+        probe = curvature_probe(surface_rolling_form(surface), x, h, config, cross(T[:, 0], T[:, 1]))
+    except ValueError as e:
+        raise ValueError(f"{loop}, and {e}") from None
+    return (*probe, 1.0 - 1.0 / (r * r))
 
 
 def sphere_curvature_factor(radius: float, config: IntegratorConfig | None = None) -> float:

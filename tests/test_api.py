@@ -17,8 +17,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liecurv"
 
 KEPT = {
-    "concat_paths": "the paper's concatenation law T(c1 * c2) = T(c2) T(c1), tested as a property",
-    "reverse_path": "the paper's reversal law, reverse transport inverts, tested as a property",
     "parametric_surface": "rolling on an arbitrary oriented surface in R^3, the paper's general setting",
 }
 

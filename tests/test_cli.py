@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -375,14 +376,16 @@ def test_curvature_eps_is_honoured_and_echoed(tmp_path):
 
 
 def test_curvature_refuses_a_loop_too_large_to_be_small():
-    for argv, angle in (
+    for argv, angle, given in (
         # natural form, 512 steps: the eps/2 loop's holonomy angle is 1.93 rad, above pi/8
-        (["--eps", "3"], "1.933"),
-        # the sphere's chart loop has side eps / r = 2.0, a value the request never gave
-        (["--connection", "sphere-outer", "--radius", "0.5", "--eps", "1.0"], "0.701"),
+        (["--eps", "3"], "1.933", ""),
+        # the sphere's chart loop has side eps / r = 2.0, so the refusal names the request's values too
+        (["--connection", "sphere-outer", "--radius", "0.5", "--eps", "1.0"], "0.701",
+         "sphere curvature at --radius 0.5 and --eps 1.0 is refused: its chart loop at (1, 0.3) has side "
+         "eps / r = 2, and "),
     ):
         assert capture(["curvature", *argv]) == (
-            1, "", f"error: loop too large to be small: the half-size loop's holonomy angle {angle} "
+            1, "", f"error: {given}loop too large to be small: the half-size loop's holonomy angle {angle} "
                    "exceeds pi/8, so the full-size loop's may wrap past pi\n",
         )
 
@@ -524,6 +527,24 @@ def test_out_of_range_requests_exit_one_without_a_warning(argv, named, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and named in captured.err
+
+
+@pytest.mark.parametrize(
+    "radius, eps",
+    [
+        ("1e-100", "0.01"),  # eps / r = 1e98 reached colatitude 1.95e95, printed with 96 digits
+        ("5e9", "0.01"),  # the message named only the chart corner [1.0, 0.3] and eps / 2r = 1e-12
+        ("2", "-1"),  # the message said "got -0.5" and did not say that this is eps / r
+        ("2", "1e300"),
+        ("1e-200", "0.01"),
+    ],
+)
+def test_sphere_curvature_refusals_name_the_radius_and_eps_as_given(radius, eps):
+    code, out, err = capture(["curvature", "--connection", "sphere-outer", "--radius", radius, "--eps", eps])
+    assert (code, out) == (1, "")
+    assert f"--radius {float(radius)!r} and --eps {float(eps)!r}" in err
+    digits = [m.replace(".", "").lstrip("0") for m in re.findall(r"\d[\d.]*", err)]
+    assert max(map(len, digits)) <= 17
 
 
 def test_write_result_refuses_non_finite_numbers():

@@ -19,7 +19,6 @@ from liecurv import (
     PathSpec,
     circle,
     commutator_by_flows,
-    concat_paths,
     convergence_order,
     cross,
     curvature_closed_form,
@@ -35,8 +34,6 @@ from liecurv import (
     pullback_form,
     quat_exp,
     quat_to_rotation,
-    reverse_path,
-    scale_path,
     small_loop_curvature,
     sphere_surface,
     surface_rolling_form,
@@ -190,10 +187,10 @@ def test_transport_quat_line_is_quat_exp():
 
 def test_transport_quat_projects_onto_group_transport():
     # the cover doubles increments, so the matching base path is 2c
-    c = polyline(np.array([[0, 0, 0], [1, 0.5, -0.3], [0.4, 1.2, 0.9], [0, 0, 0]], float), closed=True)
+    P = np.array([[0, 0, 0], [1, 0.5, -0.3], [0.4, 1.2, 0.9], [0, 0, 0]], float)
     cfg = IntegratorConfig(steps=10_000)
-    q = transport_quat(c, config=cfg).final
-    R = transport(NAT, scale_path(c, 2.0), config=cfg).final
+    q = transport_quat(polyline(P, closed=True), config=cfg).final
+    R = transport(NAT, polyline(2.0 * P, closed=True), config=cfg).final
     np.testing.assert_allclose(quat_to_rotation(q), R, atol=1e-8)
 
 
@@ -482,6 +479,17 @@ def test_polyline_custom_times():
     assert c.corners == (0.8,)
 
 
+@pytest.mark.parametrize("times", [None, [0.0, 0.1234567, 0.4, 0.77777, 1.0]], ids=["uniform", "irregular"])
+def test_polyline_velocity_at_each_knot_is_the_outgoing_slope(times):
+    # lie-euler samples each interval at its left node, so a corner must read the segment it starts
+    P = np.array([[0.0, 0.0], [1.0, 0.5], [0.4, 1.2], [-0.2, 0.3], [0.7, -0.6]])
+    c = polyline(P, times=times)
+    T = np.linspace(0.0, 1.0, len(P)) if times is None else np.array(times)
+    slopes = np.diff(P, axis=0) / np.diff(T)[:, None]
+    np.testing.assert_array_equal(c.velocity(T), np.vstack([slopes, slopes[-1:]]))  # the end keeps the last slope
+    np.testing.assert_array_equal(c.position(T[:-1]), P[:-1])  # each knot starts its own segment
+
+
 def test_polyline_validation():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="at least two"):
@@ -592,46 +600,3 @@ def test_great_arc_validation():
         great_arc(p, np.array([2.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="positive"):
         great_arc(np.zeros(3), p)
-
-
-def test_reverse_path_inverts_transport():
-    c = polyline(np.array([[0, 0, 0], [0.5, 0.2, -0.1], [1.0, -0.3, 0.4]], float))
-    r = reverse_path(c)
-    np.testing.assert_allclose(r.position(0.0), c.position(1.0))
-    np.testing.assert_allclose(r.position(1.0), c.position(0.0))
-    assert r.corners == (0.5,)
-    cfg = IntegratorConfig(steps=512)
-    g = transport(NAT, c, config=cfg).final
-    g_rev = transport(NAT, r, config=cfg).final
-    np.testing.assert_allclose(g_rev, g.T, atol=1e-9)
-
-
-def test_concat_paths_composes_transport():
-    c1 = polyline(np.array([[0, 0, 0], [0.5, 0.2, -0.1], [1.0, -0.3, 0.4]], float))
-    c2 = polyline(np.array([[1.0, -0.3, 0.4], [1.2, 0.5, 0.0], [0.3, 0.3, 0.3]], float))
-    both = concat_paths(c1, c2)
-    np.testing.assert_allclose(both.position(0.25), c1.position(0.5))
-    np.testing.assert_allclose(both.position(0.75), c2.position(0.5))
-    assert 0.5 in both.corners
-    cfg = IntegratorConfig(steps=1024)
-    g12 = transport(NAT, both, config=cfg).final
-    g1 = transport(NAT, c1, config=cfg).final
-    g2 = transport(NAT, c2, config=cfg).final
-    # later path's factor multiplies on the left
-    np.testing.assert_allclose(g12, g2 @ g1, atol=1e-9)
-
-
-def test_concat_paths_validation():
-    c1 = line(np.zeros(3), E1)
-    with pytest.raises(ValueError, match="do not meet"):
-        concat_paths(c1, line(np.array([5.0, 0.0, 0.0]), E1))
-    with pytest.raises(ValueError, match="different base dimension"):
-        concat_paths(c1, polyline(np.array([[1.0, 0.0], [0.0, 0.0]])))
-
-
-def test_scale_path():
-    c = polyline(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 0.0, 1.0]]))
-    s = scale_path(c, 2.0)
-    np.testing.assert_allclose(s.position(0.5), 2.0 * c.position(0.5))
-    np.testing.assert_allclose(s.velocity(0.2), 2.0 * np.asarray(c.velocity(0.2)))
-    assert s.corners == c.corners

@@ -34,7 +34,6 @@ from liecurv import (
     quat_mul,
     quat_to_rotation,
     run_all_checks,
-    scale_path,
     section_residual,
     sphere_curvature_factor,
     sphere_factor_report,
@@ -189,9 +188,9 @@ def test_stacked_naturality_check_equals_its_per_sample_loop(check, reference):
 def test_transport_naturality_default_and_line():
     assert check_transport_naturality().passed
     # the same law on a line: quaternion transport along c is SO(3) transport along 2c
-    c, cfg = line(np.zeros(3), np.array([0.4, -0.2, 0.9])), IntegratorConfig()
-    lhs = quat_to_rotation(transport_quat(c, config=cfg).final)
-    assert np.linalg.norm(lhs - transport(natural_form(), scale_path(c, 2.0), config=cfg).final) <= 1e-10
+    xi, cfg = np.array([0.4, -0.2, 0.9]), IntegratorConfig()
+    lhs = quat_to_rotation(transport_quat(line(np.zeros(3), xi), config=cfg).final)
+    assert np.linalg.norm(lhs - transport(natural_form(), line(np.zeros(3), 2.0 * xi), config=cfg).final) <= 1e-10
 
 
 def test_default_naturality_path_shape():
