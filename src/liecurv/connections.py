@@ -197,7 +197,7 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         if not inside.all():
             bad = float(np.ravel(th)[np.argmin(np.ravel(inside))])
             raise ValueError(
-                f"{what} at colatitude {bad:.6f} lies in the polar cap "
+                f"{what} at colatitude {bad:.6g} lies in the polar cap "
                 f"(must stay within [{POLAR_CAP}, pi - {POLAR_CAP}])"
             )
         return th, u[..., 1]
@@ -219,9 +219,10 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         th, ph = colatitude(u, "chart tangent")
         v = np.asarray(v, dtype=float)
         st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-        v_th, a = v[..., 0], v[..., 1] * st  # a = v_ph sin(th)
-        b = a * ct
-        return np.stack([-sp * v_th - b * cp, cp * v_th - b * sp, a * st], axis=-1) @ rolling_map
+        with np.errstate(over="ignore", invalid="ignore"):  # huge tangents give inf or NaN, refused by the engine
+            v_th, a = v[..., 0], v[..., 1] * st  # a = v_ph sin(th)
+            b = a * ct
+            return np.stack([-sp * v_th - b * cp, cp * v_th - b * sp, a * st], axis=-1) @ rolling_map
 
     return Surface(f"sphere-{side}", chart, chart_tangent, rolling, gauss_curvature=1.0 / (r * r))
 

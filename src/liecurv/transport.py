@@ -42,7 +42,8 @@ frame is their pairwise reduction with the pairs aligned to the right end
 (:func:`_last_product`): exactly the products that the prefix scan
 (Hillis-Steele, :func:`_prefix_products`) forms on its way to its last state,
 so the two are bitwise equal. The scan, which gives the recorded states, runs
-on the first read of :attr:`TransportResult.samples`.
+on the first read of :attr:`TransportResult.samples`. Only the engine builds
+a result, and as it refuses every non-finite step, reading one refuses nothing.
 
 Regrouping the factors is legal because the product is associative, which
 is the paper's concatenation law T(c1 * c2) = T(c2) T(c1) read at the level
@@ -127,14 +128,6 @@ def integration_grid(steps: int, corners: tuple[float, ...] = ()) -> np.ndarray:
     return nodes
 
 
-def _check_dims(form: LocalConnectionForm, path: PathSpec) -> None:
-    if form.base_dim != path.base_dim:
-        raise ValueError(
-            f"dimension mismatch: form '{form.descriptor}' lives on R^{form.base_dim}, "
-            f"path '{path.kind}' on R^{path.base_dim}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # the stepping engine
 
@@ -165,7 +158,9 @@ def _probe(path: PathSpec, form: LocalConnectionForm | None = None) -> None:
 
 def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times."""
-    _check_dims(form, path)
+    if form.base_dim != path.base_dim:
+        raise ValueError(f"dimension mismatch: form '{form.descriptor}' lives on R^{form.base_dim}, "
+                         f"path '{path.kind}' on R^{path.base_dim}")
     _probe(path, form)
     ev = form.evaluate
 
@@ -204,6 +199,25 @@ def _last_product(P: np.ndarray) -> np.ndarray:
     return P[0]
 
 
+def _walk(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midpoint: bool, stride: int = 1):
+    """The engine's walk over the grid: blocks of at most ~_BLOCK intervals, in whole chunks of ``stride``.
+
+    Yields each block's sample times t* (left nodes, or interval midpoints if
+    ``midpoint``), its widths dt and the (n, 3) so(3) inputs ``sample(t*)``.
+    """
+    n = len(nodes) - 1
+    block = stride * max(1, _BLOCK // stride)
+    for k0 in range(0, n, block):
+        k1 = min(k0 + block, n)
+        t0 = nodes[k0:k1]
+        dt = nodes[k0 + 1 : k1 + 1] - t0
+        ts = t0 + 0.5 * dt if midpoint else t0
+        a = sample(ts)
+        if a.shape != (k1 - k0, 3):
+            raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
+        yield ts, dt, a
+
+
 def _compose(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int]:
     """The ordered products of the half-angle steps quat_exp(dt_k a(t*_k) / 2) over chunks of the grid.
 
@@ -215,28 +229,19 @@ def _compose(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midp
     The state after chunk j is C_j ... C_0. Non-finite samples or step
     quaternions raise ValueError.
     """
-    n = len(nodes) - 1
-    stride = max(1, -(-n // _MAX_RECORDED))
-    block = stride * max(1, _BLOCK // stride)
+    stride = max(1, -(-(len(nodes) - 1) // _MAX_RECORDED))
     chunks = []
-    for k0 in range(0, n, block):
-        k1 = min(k0 + block, n)
-        t0 = nodes[k0:k1]
-        dt = nodes[k0 + 1 : k1 + 1] - t0
-        ts = t0 + 0.5 * dt if midpoint else t0
-        a = sample(ts)
-        if a.shape != (k1 - k0, 3):
-            raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
+    for ts, dt, a in _walk(sample, nodes, midpoint, stride):
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             # dt a / 2 laid out (3, n), so the product runs along the nodes; quat_exp reads its columns
-            steps = quat_exp(np.multiply(0.5 * dt, a.T, out=np.empty((3, k1 - k0))).T)
+            steps = quat_exp(np.multiply(0.5 * dt, a.T, out=np.empty((3, len(dt)))).T)
         if not np.isfinite(steps).all():  # a non-finite a(t*) gives a non-finite step, as dt > 0
             if (k := _first_bad(a)) >= 0:
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
             k = _first_bad(steps)
             raise ValueError(f"non-finite step rotation at t = {float(ts[k])!r}: the step angle |dt a| overflows")
         # whole chunks of ``stride`` steps, the last one padded with identities
-        pad = -(k1 - k0) % stride
+        pad = -len(dt) % stride
         steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))]).reshape(-1, stride, 4)
         while steps.shape[1] > 1:
             if steps.shape[1] % 2:
@@ -253,47 +258,36 @@ def _compose(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midp
 class TransportResult:
     """Final group element plus recorded (t, base point, group element) samples.
 
-    Long runs record at most ~1024 evenly strided samples; the first and
-    final states are always included. Both are built from the run's chunk
-    products on first read: ``final`` by :func:`_last_product`, ``samples``
-    by the prefix scan, which also fills ``final`` from its last frame (the
-    two are bitwise equal). A non-finite state raises ValueError on read.
+    Built by the engine alone: the constructor runs :func:`_compose` over the
+    path's grid, which refuses every non-finite step, so reading refuses nothing.
+    Long runs record at most ~1024 evenly strided samples; the first and final
+    states are always included. Both are built from the run's chunk products on
+    first read: ``final`` by :func:`_last_product`, ``samples`` by the prefix
+    scan, which also fills ``final`` from its last frame (the two are bitwise equal).
     """
 
-    def __init__(self, path: PathSpec, nodes: np.ndarray, run: tuple[np.ndarray, int], frame, start: np.ndarray):
-        chunks, stride = run
-        self._path, self._chunks, self._frame, self._start = path, chunks, frame, start
+    def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frame, start: np.ndarray):
+        nodes = integration_grid(config.steps, path.corners)
+        self._chunks, stride = _compose(sample, nodes, config.method == "exp-midpoint")
+        self._path, self._frame, self._start = path, frame, start
         self._times = np.append(nodes[:-1:stride], nodes[-1])  # the start, then the end of every chunk
-
-    def _frames(self, S: np.ndarray) -> np.ndarray:
-        """``frame`` of the chunk states S; a non-finite state is refused, naming its chunk."""
-        if not np.isfinite(S).all():
-            j = _first_bad(_prefix_products(self._chunks))
-            raise ValueError(f"non-finite transport state in t = [{self._times[j]!r}, {self._times[j + 1]!r}]")
-        return self._frame(S)
 
     @cached_property
     def final(self) -> np.ndarray:
-        return self._frames(_last_product(self._chunks)[None])[0]
+        return self._frame(_last_product(self._chunks)[None])[0]
 
     @cached_property
     def samples(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
-        G = self._frames(_prefix_products(self._chunks))
+        G = self._frame(_prefix_products(self._chunks))
         self.__dict__.setdefault("final", G[-1].copy())
         X = _on_path(self._path.position, self._times)
         return ((0.0, X[0], self._start),) + tuple(zip(self._times[1:].tolist(), X[1:], G))
 
 
-def _run(sample, path: PathSpec, cfg: IntegratorConfig, frame, start) -> TransportResult:
-    """Run the engine over the path's grid; ``frame`` maps chunk states to results (see :func:`_compose`)."""
-    nodes = integration_grid(cfg.steps, path.corners)
-    return TransportResult(path, nodes, _compose(sample, nodes, cfg.method == "exp-midpoint"), frame, start)
-
-
 def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
-    """The run as unit quaternions: the chunk states applied to q0 (identity if None)."""
-    q = check_unit_quat(_IDENTITY if q0 is None else q0).copy()  # frames are built after the return
-    return _run(sample, path, cfg, lambda S: quat_mul(S, q), q)
+    """The run as unit quaternions: the chunk states applied to q0 (a fresh identity if None)."""
+    q = _IDENTITY.copy() if q0 is None else check_unit_quat(q0).copy()  # frames are built after the return
+    return TransportResult(sample, path, cfg, lambda S: quat_mul(S, q), q)
 
 
 def transport(
@@ -316,8 +310,8 @@ def transport(
         Stepper and step count; defaults to exp-midpoint with 10^4 steps.
     """
     sample = _form_sampler(form, path)
-    g = check_rotation(np.eye(3) if g0 is None else g0).copy()  # frames are built after the return
-    return _run(sample, path, config or IntegratorConfig(), lambda S: quat_to_rotation(S) @ g, g)
+    g = np.eye(3) if g0 is None else check_rotation(g0).copy()  # frames are built after the return
+    return TransportResult(sample, path, config or IntegratorConfig(), lambda S: quat_to_rotation(S) @ g, g)
 
 
 def transport_quat(
@@ -369,7 +363,7 @@ def holonomy(
     """Transport around a closed loop starting from the identity."""
     if not loop.closed:
         raise ValueError(f"holonomy requires a closed path; '{loop.kind}' is not closed")
-    return transport(form, loop, np.eye(3), config).final
+    return transport(form, loop, config=config).final
 
 
 def time_ordered_product(form: LocalConnectionForm, path: PathSpec, n: int) -> np.ndarray:
@@ -402,9 +396,13 @@ def small_loop_curvature(
     at eps/2 (Richardson) leaves O(eps^2).
 
     A loop past pi in holonomy angle wraps into a wrong estimate without an
-    error, so a loop too large to be small is refused: when the eps/2 loop's
-    angle |est(eps/2)| (eps/2)^2 exceeds pi/8, which keeps the eps loop, about
-    four times larger, below pi/2. This guards the wrap, not the error.
+    error, so a loop too large to be small is refused by two tests on the
+    eps/2 loop. Its step angles |dt a| over the engine's own nodes must sum to
+    less than pi: the angle of a product of rotations is at most the sum of
+    the factors' angles, so the loop's holonomy has not wrapped and log_so3
+    reads its angle truly. That angle |est(eps/2)| (eps/2)^2 must then not
+    exceed pi/8, which keeps the eps loop, about four times larger, below
+    pi/2. These guard the wrap, not the error.
 
     A loop whose area e^2 (e = eps or eps/2) underflows below the smallest
     normal float, or whose sides are lost in rounding at x, is refused before
@@ -412,21 +410,29 @@ def small_loop_curvature(
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    cfg = config or IntegratorConfig()
 
-    def estimate(e: float) -> np.ndarray:
-        area = e * e
-        if area < np.finfo(float).tiny:
+    def loop(e: float) -> PathSpec:
+        if e * e < np.finfo(float).tiny:
             raise ValueError(f"eps = {eps!r} is too small: the loop area ({e!r})^2 underflows")
-        loop = parallelogram_loop(x, u, v, e)
-        hol = transport(form, loop, np.eye(3), config).final
-        return -log_so3(hol) / area
+        return parallelogram_loop(x, u, v, e)
 
-    half = estimate(eps / 2.0)
+    def estimate(c: PathSpec, e: float) -> np.ndarray:
+        return -log_so3(transport(form, c, config=cfg).final) / (e * e)
+
+    small = loop(eps / 2.0)
+    half = estimate(small, eps / 2.0)
+    blocks = _walk(_form_sampler(form, small), integration_grid(cfg.steps, small.corners), cfg.method == "exp-midpoint")
+    with np.errstate(over="ignore"):  # the engine took every step, so a sum past the float range is inf, refused
+        total = sum(float(np.linalg.norm(dt[:, None] * a, axis=1).sum()) for _, dt, a in blocks)
+    if total >= np.pi:
+        raise ValueError(f"loop too large to be small: the half-size loop's step angles |dt a| sum to {total:.4g}, "
+                         "at least pi, so its holonomy angle may wrap past pi")
     angle = float(np.linalg.norm(half)) * (eps / 2.0) ** 2
     if angle > np.pi / 8.0:
         raise ValueError("loop too large to be small: the half-size loop's holonomy angle "
                          f"{angle:.3f} exceeds pi/8, so the full-size loop's may wrap past pi")
-    return 2.0 * half - estimate(eps)
+    return 2.0 * half - estimate(loop(eps), eps)
 
 
 def commutator_by_flows(xi, eta, t: float) -> np.ndarray:
@@ -499,6 +505,11 @@ def line(x0, xi) -> PathSpec:
     if x0.shape != xi.shape or x0.ndim != 1:
         raise ValueError("line expects a point and a displacement of equal dimension")
     _check_finite("line point and displacement", x0, xi)
+    with np.errstate(over="ignore"):  # refused just below
+        reach = np.abs(x0) + np.abs(xi)
+    if not np.isfinite(reach).all():
+        raise ValueError(f"line point {x0.tolist()} and displacement {xi.tolist()} are too large: "
+                         "a coordinate's reach |x0| + |xi| overflows")
     x0, xi = x0[:, None], xi[:, None]
     return PathSpec(
         base_dim=len(x0),
@@ -538,7 +549,12 @@ def circle(center, radius: float, plane=None) -> PathSpec:
         raise ValueError("degenerate circle plane: spanning vectors are parallel")
     b2 = b2 / n2
     tau = 2.0 * np.pi
-    center, b1, b2, speed = center[:, None], b1[:, None], b2[:, None], radius * tau
+    with np.errstate(over="ignore"):  # refused just below
+        speed, reach = radius * tau, np.abs(center) + radius
+    if not (np.isfinite(speed) and np.isfinite(reach).all()):
+        raise ValueError(f"circle radius {radius} around center {center.tolist()} is too large: "
+                         "the speed 2 pi r or a coordinate's reach |center| + r overflows")
+    center, b1, b2 = center[:, None], b1[:, None], b2[:, None]
 
     def position(s):
         angle = tau * s
@@ -601,7 +617,9 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
 
     def position(s):
         i = segment_of(s)
-        return P.take(i, axis=1) + (s - T.take(i)) * slopes.take(i, axis=1)
+        X = P.take(i, axis=1) + (s - T.take(i)) * slopes.take(i, axis=1)
+        np.copyto(X, P[:, -1:], where=s == 1.0)  # the end is the last vertex itself, not interpolated to
+        return X
 
     return PathSpec(
         base_dim=d,
@@ -625,11 +643,14 @@ def parallelogram_loop(x, u, v, eps: float) -> PathSpec:
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_finite("parallelogram corner, sides and eps", x, u, v, eps)
-    sides = eps * np.array([u, v, -u, -v])
+    with np.errstate(over="ignore", invalid="ignore"):  # corners that overflow are refused below
+        sides = eps * np.array([u, v, -u, -v])
+        pts = np.array([x, x + eps * u, x + eps * u + eps * v, x + eps * v, x])
     if not sides.any(axis=1).all():
         raise ValueError("parallelogram sides must be nonzero")
-    pts = np.array([x, x + eps * u, x + eps * u + eps * v, x + eps * v, x])
-    loop = polyline(pts, closed=True)  # refuses corners that overflow, so the sides below are finite
+    if not np.isfinite(pts).all():
+        raise ValueError(f"parallelogram corner {x.tolist()} and sides at eps = {eps!r} are too large: a corner overflows")
+    loop = polyline(pts, closed=True)  # refuses slopes that overflow, so the sides below are finite
     off = np.abs(np.diff(pts, axis=0) - sides).max(axis=1) / np.abs(sides).max(axis=1)
     if off.max() > SIDE_ROUNDING:
         raise ValueError(f"parallelogram side {np.argmax(off) + 1} is lost in rounding at corner {x.tolist()} (eps = "

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connections import (
-    POLAR_CAP,
     LocalConnectionForm,
     curvature_closed_form,
     natural_alpha,
@@ -389,17 +388,14 @@ def sphere_curvature_probe(
         surface = sphere_surface(radius, side=side)
     except ValueError as e:
         raise ValueError(f"{given}: {e}") from None
-    r = float(radius)
-    x, h = np.array([1.0, 0.3]), eps / r
+    x, h = np.array([1.0, 0.3]), eps / float(radius)
     loop = f"{given}: its chart loop at (1, 0.3) has side eps / r = {h:.6g}"
-    if 1.0 + h > np.pi - POLAR_CAP:  # the loop's far side lies at colatitude 1 + h
-        raise ValueError(f"{loop}, which reaches past the polar cap at colatitude pi - {POLAR_CAP}")
     T = surface.chart_tangent(x)
     try:
         probe = curvature_probe(surface_rolling_form(surface), x, h, config, cross(T[:, 0], T[:, 1]))
     except ValueError as e:
         raise ValueError(f"{loop}, and {e}") from None
-    return (*probe, 1.0 - 1.0 / (r * r))
+    return (*probe, 1.0 - surface.gauss_curvature)
 
 
 def sphere_curvature_factor(radius: float, config: IntegratorConfig | None = None) -> float:

@@ -376,17 +376,22 @@ def test_curvature_eps_is_honoured_and_echoed(tmp_path):
 
 
 def test_curvature_refuses_a_loop_too_large_to_be_small():
-    for argv, angle, given in (
-        # natural form, 512 steps: the eps/2 loop's holonomy angle is 1.93 rad, above pi/8
-        (["--eps", "3"], "1.933", ""),
-        # the sphere's chart loop has side eps / r = 2.0, so the refusal names the request's values too
-        (["--connection", "sphere-outer", "--radius", "0.5", "--eps", "1.0"], "0.701",
+    for argv, reason, given in (
+        # natural form, 512 steps: the eps/2 loop's step angles sum to 2 eps = 6
+        (["--eps", "3"], "step angles |dt a| sum to 6, at least pi, so its holonomy angle may wrap past pi", ""),
+        # eps 6.234 answered with factor -0.000187: the eps/2 loop's angle had wrapped to a small one
+        (["--eps", "6.234"], "step angles |dt a| sum to 12.47, at least pi, so its holonomy angle may wrap past pi",
+         ""),
+        # natural form: step angles sum to 3.0, but the eps/2 loop's holonomy angle is above pi/8
+        (["--eps", "1.5"], "holonomy angle 0.538 exceeds pi/8, so the full-size loop's may wrap past pi", ""),
+        # the sphere's chart loop has side eps / r = 2, so the refusal names the request's values too
+        (["--connection", "sphere-outer", "--radius", "0.5", "--eps", "1.0"],
+         "step angles |dt a| sum to 5.626, at least pi, so its holonomy angle may wrap past pi",
          "sphere curvature at --radius 0.5 and --eps 1.0 is refused: its chart loop at (1, 0.3) has side "
          "eps / r = 2, and "),
     ):
         assert capture(["curvature", *argv]) == (
-            1, "", f"error: {given}loop too large to be small: the half-size loop's holonomy angle {angle} "
-                   "exceeds pi/8, so the full-size loop's may wrap past pi\n",
+            1, "", f"error: {given}loop too large to be small: the half-size loop's {reason}\n",
         )
 
 
@@ -516,9 +521,21 @@ def test_non_finite_requests_exit_one_with_empty_stdout(argv, capsys):
         (["curvature", "--connection", "sphere-outer", "--radius", "1e100"], "over the bound 1e-06"),
         # the natural form is translation invariant, but 1e20 + 1 == 1e20: the angle read 0.0, not 0.9277
         (["holonomy", "--path", "square", "--x0", "1e20,0,0", "--eps", "1"], "over the bound 1e-06"),
+        # the circle's speed 2 pi r overflows: numpy warned of inf * 0 before the engine's refusal
+        (["holonomy", "--path", "circle", "--eps", "1.7e308", "--steps", "8"], "speed 2 pi r"),
+        # the line's end overflows: numpy warned in the line's position
+        (["transport", "--connection", "plane-rolling", "--xi=0.001,-1.7976931348623157e308",
+          "--x0=2,-1.7976931348623157e308", "--steps", "8"], "reach |x0| + |xi| overflows"),
+        # the chart's rolling map overflowed at the start before the chart refused a later node
+        (["transport", "--connection", "sphere-outer", "--path", "line", "--xi=-1.7e308,-1.7e308", "--x0", "1.8,32.7",
+          "--steps", "8"], "colatitude -1.0625e+307 lies in the polar cap"),
+        # a corner of the square overflows: numpy warned before the polyline refused it
+        (["holonomy", "--path", "square", "--eps", "1.7e308", "--x0", "0,1.7e308,0", "--steps", "8"],
+         "a corner overflows"),
     ],
     ids=["polyline", "radius-1e200", "radius-1e-200", "eps-1e-300", "point-1e300", "point-1e-200",
-         "radius-1e10", "radius-1e12", "radius-1e100", "square-x0-1e20"],
+         "radius-1e10", "radius-1e12", "radius-1e100", "square-x0-1e20", "circle-radius-1.7e308",
+         "line-reach-overflows", "sphere-line-1.7e308", "square-corner-overflows"],
 )
 def test_out_of_range_requests_exit_one_without_a_warning(argv, named, capsys):
     with warnings.catch_warnings():
@@ -545,6 +562,67 @@ def test_sphere_curvature_refusals_name_the_radius_and_eps_as_given(radius, eps)
     assert f"--radius {float(radius)!r} and --eps {float(eps)!r}" in err
     digits = [m.replace(".", "").lstrip("0") for m in re.findall(r"\d[\d.]*", err)]
     assert max(map(len, digits)) <= 17
+
+
+# floats at the ends of the float range: signed zeros, subnormals, 1e+-154 (whose squares
+# leave the normal range), 1e+-300 and the largest float, with their negatives
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-154, 1e154, 1e-300, 1e300, -1e300, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+SWEEP_FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(-4.0, 4.0) | st.floats(1e-3, 16.0)
+LOOP_SCALES = SWEEP_FLOATS | st.floats(-3.0, 12.0).map(lambda k: 10.0**k)  # and log-uniform sizes for --eps
+FLAT = ("natural-so3", "plane-rolling", "pullback-rhoJ")
+
+
+@st.composite
+def sweep_requests(draw):
+    """A well-formed request for transport, holonomy, curvature or section, with edge-of-range values."""
+    command = draw(st.sampled_from(["transport", "holonomy", "curvature", "section"]))
+    vector = lambda n: ",".join(repr(x) for x in draw(st.lists(SWEEP_FLOATS, min_size=n, max_size=n)))
+    argv = [command, f"--steps={draw(st.integers(1, 300))}", f"--method={draw(st.sampled_from(['euler', 'midpoint']))}"]
+    if command == "section":
+        return argv + [f"--point={vector(3)}"]
+    connection = draw(st.sampled_from(cli._CONNECTIONS))
+    argv += [f"--connection={connection}", f"--radius={draw(SWEEP_FLOATS)!r}", f"--eps={draw(LOOP_SCALES)!r}"]
+    if command == "curvature":
+        return argv
+    d = 3 if connection == "natural-so3" else 2
+    path = draw(st.sampled_from(["line", "circle", "square", "polyline"]))
+    argv += [f"--path={path}", f"--x0={vector(d)}"]
+    if path == "line":
+        argv.append(f"--xi={vector(d)}")
+    if path == "polyline":
+        argv.append("--points=" + ";".join(vector(d) for _ in range(draw(st.integers(2, 4)))))
+    return argv
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite number {name} in the output")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(argv=sweep_requests())
+@example(argv=["curvature", "--steps=512", "--method=midpoint", "--connection=natural-so3", "--radius=1.0",
+               "--eps=6.234"])  # answered with factor -0.000187 before the step-angle test
+def test_every_request_is_answered_correctly_or_refused(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = capture(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+        digits = [m.replace(".", "").lstrip("0") for m in re.findall(r"\d[\d.]*", err)]
+        assert max(map(len, digits), default=0) <= 17
+        return
+    doc = json.loads(out, parse_constant=_reject_constant)
+    for row in doc["trajectory"]:
+        assert abs(np.dot(row["quat"], row["quat"]) - 1.0) <= 1e-12
+    req = doc["request"]
+    if req["command"] == "transport" and req["connection"] == "natural-so3" and req["path"] == "line":
+        xi = np.array(req["xi"])
+        if np.linalg.norm(xi) <= 100.0:  # a larger angle is not resolved in float64
+            assert np.abs(np.reshape(doc["holonomy"]["matrix"], (3, 3)) - exp_so3(xi)).max() <= 1e-9
+    if req["command"] == "curvature" and req["connection"] in FLAT:
+        assert abs(doc["curvature"]["factor"] - doc["curvature"]["expected_factor"]) <= 0.15
 
 
 def test_write_result_refuses_non_finite_numbers():

@@ -47,7 +47,7 @@ from liecurv import (
     transport,
     transport_quat,
 )
-from liecurv.transport import _BLOCK, _MAX_RECORDED, TransportResult, _last_product, _prefix_products
+from liecurv.transport import _BLOCK, _MAX_RECORDED, _last_product, _prefix_products
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 NAT = natural_form()
@@ -163,7 +163,7 @@ def broadcast_polyline(P, T):
     def position(t):
         t = np.asarray(t, dtype=float)
         i = segment_of(t)
-        return P[i] + (t - T[i])[..., None] * slopes[i]
+        return np.where((t == 1.0)[..., None], P[-1], P[i] + (t - T[i])[..., None] * slopes[i])  # the end is P[-1]
 
     return position, lambda t: np.take(slopes, segment_of(t), axis=0)
 
@@ -550,16 +550,6 @@ def test_time_ordered_product_pins_the_signs_of_zero_entries():
     for d, negative_zeros in (([0.0, 1.0], []), ([0.0, -1.0], [1, 6])):
         g = time_ordered_product(plane_rolling_form(), line(np.zeros(2), np.array(d)), 1).ravel()
         assert np.flatnonzero((g == 0.0) & np.signbit(g)).tolist() == negative_zeros
-
-
-def test_non_finite_state_is_refused_on_read_naming_its_chunk():
-    C = np.tile([1.0, 0.0, 0.0, 0.0], (6, 1))
-    C[4, 1] = np.nan
-    nodes = np.linspace(0.0, 1.0, 12)  # 11 intervals in chunks of 2
-    for read in ("final", "samples"):
-        res = TransportResult(PATHS["line"], nodes, (C, 2), lambda S: S, C[0])
-        with pytest.raises(ValueError, match=re.escape(f"non-finite transport state in t = [{nodes[8]!r}, {nodes[10]!r}]")):
-            getattr(res, read)
 
 
 # ---------------------------------------------------------------------------

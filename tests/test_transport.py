@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liecurv import (
     PLANE_ROLLING_PULLBACK,
@@ -293,17 +295,45 @@ def test_small_loop_curvature_matches_the_closed_form(name):
     assert np.linalg.norm(est - ref) <= 1e-4 * np.linalg.norm(ref) + 1e-8
 
 
-@pytest.mark.parametrize("eps, angle", [(3.0, "1.933"), (1.5, "0.538")])
-def test_small_loop_curvature_refuses_loops_too_large_to_be_small(eps, angle):
-    # at eps = 3 the eps loop's angle wraps to 0.40 rad and the factor would read 1.04
+def test_small_loop_curvature_refuses_loops_too_large_to_be_small():
+    # the eps/2 loop's step angles sum to 3.0, below pi, but its holonomy angle is 0.538 rad, above pi/8
     cfg = IntegratorConfig(steps=512)
-    with pytest.raises(ValueError, match=rf"^loop too large to be small: the half-size loop's holonomy angle {angle} "
+    with pytest.raises(ValueError, match=r"^loop too large to be small: the half-size loop's holonomy angle 0.538 "
                                          r"exceeds pi/8, so the full-size loop's may wrap past pi$"):
+        small_loop_curvature(NAT, np.zeros(3), E1, E2, 1.5, cfg)
+
+
+@pytest.mark.parametrize("eps, total", [(3.0, "6"), (6.234, "12.47"), (11.34, "22.68"), (1e154, re.escape("2e+154"))],
+                         ids=["3", "6.234", "11.34", "1e154"])
+def test_small_loop_curvature_refuses_loops_whose_step_angles_reach_pi(eps, total):
+    # the natural form's eps/2 loop has step angles summing to 2 eps. At 6.234 and 11.34 its holonomy
+    # angle has wrapped to a small one, and the pi/8 test alone let factors -0.000187 and 0.0133 through
+    cfg = IntegratorConfig(steps=512)
+    with pytest.raises(ValueError, match=rf"^loop too large to be small: the half-size loop's step angles \|dt a\| "
+                                         rf"sum to {total}, at least pi, so its holonomy angle may wrap past pi$"):
         small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, cfg)
 
 
+@pytest.mark.parametrize("form", [NAT, plane_rolling_form()], ids=["natural", "plane"])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(log_eps=st.floats(-3.0, 12.0))
+@example(log_eps=np.log10(1.27))  # the worst answer the two tests let through: 0.139 off
+@example(log_eps=np.log10(6.234))
+@example(log_eps=np.log10(11.34))
+def test_small_loop_curvature_is_refused_or_within_the_bound_for_any_loop_size(form, log_eps):
+    # eps log-uniform in [1e-3, 1e12]: every answer's factor, its projection onto the closed form, is within 0.15
+    x, u, v = np.zeros(form.base_dim), *np.eye(form.base_dim)[:2]
+    try:
+        est = small_loop_curvature(form, x, u, v, 10.0**log_eps, IntegratorConfig(steps=512))
+    except ValueError as e:
+        assert str(e).startswith("loop too large to be small")
+        return
+    ref = curvature_closed_form(form, x, u, v)
+    assert abs(est @ ref / (ref @ ref) - 1.0) <= 0.15
+
+
 def test_small_loop_curvature_answers_below_the_wrap_guard():
-    # the eps/2 loop's angle is 0.245 rad, below pi/8
+    # the eps/2 loop's step angles sum to 2.0, below pi, and its angle is 0.245 rad, below pi/8
     est = small_loop_curvature(NAT, np.zeros(3), E1, E2, 1.0, IntegratorConfig(steps=512))
     assert abs(est[2] - 1.0) <= 0.15
 
@@ -488,6 +518,8 @@ def test_polyline_velocity_at_each_knot_is_the_outgoing_slope(times):
     slopes = np.diff(P, axis=0) / np.diff(T)[:, None]
     np.testing.assert_array_equal(c.velocity(T), np.vstack([slopes, slopes[-1:]]))  # the end keeps the last slope
     np.testing.assert_array_equal(c.position(T[:-1]), P[:-1])  # each knot starts its own segment
+    # the end is the last vertex itself: interpolating it gave [0.7, -0.5999999999999999]
+    assert c.position(1.0).tobytes() == c.position(T)[-1].tobytes() == P[-1].tobytes()
 
 
 def test_polyline_validation():
