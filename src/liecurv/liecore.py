@@ -128,8 +128,9 @@ def quat_mul(p, q) -> np.ndarray:
         raise ValueError("quat_mul expects quaternions of shape (..., 4)")
     pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[..., 0] = pw * qw - px * qx - py * qy - pz * qz
+    w = pw * qw - px * qx - py * qy - pz * qz
+    out = np.empty(w.shape + (4,))  # the broadcast shape, read off the first component
+    out[..., 0] = w
     out[..., 1] = pw * qx + px * qw + py * qz - pz * qy
     out[..., 2] = pw * qy - px * qz + py * qw + pz * qx
     out[..., 3] = pw * qz + px * qy - py * qx + pz * qw

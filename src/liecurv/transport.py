@@ -41,7 +41,10 @@ The engine keeps only the run's chunk products, at most ~1024. The final
 frame is their pairwise reduction with the pairs aligned to the right end
 (:func:`_last_product`): exactly the products that the prefix scan
 (Hillis-Steele, :func:`_prefix_products`) forms on its way to its last state,
-so the two are bitwise equal. The scan, which gives the recorded states, runs
+so the two are bitwise equal. Its numpy passes stop at 64 rows, because a
+numpy ``quat_mul`` costs about 30 array operations whatever its row count;
+the top levels are reduced in Python floats with the same pairing and the
+same bits. The scan, which gives the recorded states, runs
 on the first read of :attr:`TransportResult.samples`. Only the engine builds
 a result, and as it refuses every non-finite step, reading one refuses nothing.
 
@@ -71,6 +74,7 @@ from .liecore import (check_rotation, check_unit_quat, exp_so3, lie_hom_derivati
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
 _BLOCK = 4096  # intervals evaluated per block (rounded to whole recording chunks)
+_SCALAR_ROWS = 64  # _last_product finishes on Python floats from this many rows down
 SIDE_ROUNDING = 1e-6  # largest relative error rounding at the corner may leave on a parallelogram side
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY.flags.writeable = False
@@ -192,11 +196,26 @@ def _last_product(P: np.ndarray) -> np.ndarray:
     Each halving pass multiplies the pairs (P_{n-1}, P_{n-2}), (P_{n-3},
     P_{n-4}), ... and passes an unpaired first row through: the products
     the scan forms on its way to the last row, and no others.
+
+    The passes run in numpy while more than ``_SCALAR_ROWS`` rows remain. A
+    numpy ``quat_mul`` costs about 30 array operations whatever its row count,
+    so the last few levels, on at most 64 rows, are finished on Python floats
+    with the same pairing and :func:`liecurv.liecore.quat_mul`'s terms in its
+    order. Both are IEEE doubles without fused multiply-add, so every bit,
+    signed zeros included, is the same.
     """
-    while len(P) > 1:
+    while len(P) > _SCALAR_ROWS:
         odd = len(P) % 2
         P = np.concatenate([P[:odd], quat_mul(P[odd + 1 :: 2], P[odd::2])])
-    return P[0]
+    rows = P.tolist()
+    while len(rows) > 1:
+        odd = len(rows) % 2
+        pairs = zip(rows[odd + 1 :: 2], rows[odd::2])
+        rows[odd:] = [[pw * qw - px * qx - py * qy - pz * qz,
+                       pw * qx + px * qw + py * qz - pz * qy,
+                       pw * qy - px * qz + py * qw + pz * qx,
+                       pw * qz + px * qy - py * qx + pz * qw] for (pw, px, py, pz), (qw, qx, qy, qz) in pairs]
+    return np.array(rows[0])
 
 
 def _walk(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midpoint: bool, stride: int = 1):
@@ -240,15 +259,16 @@ def _compose(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midp
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
             k = _first_bad(steps)
             raise ValueError(f"non-finite step rotation at t = {float(ts[k])!r}: the step angle |dt a| overflows")
-        # whole chunks of ``stride`` steps, the last one padded with identities
-        pad = -len(dt) % stride
-        steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))]).reshape(-1, stride, 4)
+        # whole chunks of ``stride`` steps, a partial last one padded with identities
+        if pad := -len(dt) % stride:
+            steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))])
+        steps = steps.reshape(-1, stride, 4)
         while steps.shape[1] > 1:
             if steps.shape[1] % 2:
                 steps = np.concatenate([steps, np.broadcast_to(_IDENTITY, (len(steps), 1, 4))], axis=1)
             steps = quat_mul(steps[:, 1::2], steps[:, 0::2])
         chunks.append(steps[:, 0])
-    return np.concatenate(chunks), stride
+    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)), stride
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +290,8 @@ class TransportResult:
         nodes = integration_grid(config.steps, path.corners)
         self._chunks, stride = _compose(sample, nodes, config.method == "exp-midpoint")
         self._path, self._frame, self._start = path, frame, start
-        self._times = np.append(nodes[:-1:stride], nodes[-1])  # the start, then the end of every chunk
+        # the start, then the end of every chunk: a copy, so the result does not keep the whole grid alive
+        self._times = np.concatenate((nodes[:-1:stride], nodes[-1:]))
 
     @cached_property
     def final(self) -> np.ndarray:
@@ -428,7 +449,7 @@ def small_loop_curvature(
     if total >= np.pi:
         raise ValueError(f"loop too large to be small: the half-size loop's step angles |dt a| sum to {total:.4g}, "
                          "at least pi, so its holonomy angle may wrap past pi")
-    angle = float(np.linalg.norm(half)) * (eps / 2.0) ** 2
+    angle = float(np.linalg.norm(half)) * ((eps / 2.0) * (eps / 2.0))  # a float power would raise OverflowError
     if angle > np.pi / 8.0:
         raise ValueError("loop too large to be small: the half-size loop's holonomy angle "
                          f"{angle:.3f} exceeds pi/8, so the full-size loop's may wrap past pi")

@@ -10,6 +10,7 @@ paper's concatenation and reversal laws.
 """
 
 import dataclasses
+import importlib
 import math
 import re
 
@@ -49,6 +50,7 @@ from liecurv import (
 )
 from liecurv.transport import _BLOCK, _MAX_RECORDED, _last_product, _prefix_products
 
+ENGINE = importlib.import_module("liecurv.transport")  # the package exports a function of the same name
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 NAT = natural_form()
 METHODS = ("lie-euler", "exp-midpoint")
@@ -497,7 +499,7 @@ def test_last_product_is_bitwise_the_last_prefix_product(n, seed, zeros):
     assert _last_product(C).tobytes() == _prefix_products(C)[-1].tobytes()
 
 
-@pytest.mark.parametrize("steps", [1, 4096, 4097, 12_001])
+@pytest.mark.parametrize("steps", [1, 64, 65, 129, 4096, 4097, 12_001])  # 64 to 129 straddle the Python-float tail
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("stepper", ["transport", "transport_quat"])
 def test_final_is_the_same_bits_whether_read_first_or_after_samples(steps, method, stepper):
@@ -514,6 +516,25 @@ def test_final_is_the_same_bits_whether_read_first_or_after_samples(steps, metho
     samples = later.samples
     assert final_first.tobytes() == later.final.tobytes() == samples[-1][2].tobytes()
     assert first.samples[-1][2].tobytes() == final_first.tobytes()
+
+
+@pytest.mark.parametrize("steps, calls", [(64, 0), (4096, 6)])
+@pytest.mark.parametrize("stepper", ["transport", "transport_quat"])
+def test_reading_final_calls_quat_mul_only_on_more_than_64_rows(monkeypatch, steps, calls, stepper):
+    # 64 one-step chunks reduce on Python floats alone. 4,096 steps make 1,024 chunks of four: two numpy
+    # passes reduce the chunks, four halve them down to 64 rows. transport_quat's frame adds one call
+    counted = []
+
+    def counting(p, q):
+        counted.append(None)
+        return quat_mul(p, q)
+
+    monkeypatch.setattr(ENGINE, "quat_mul", counting)
+    cfg = IntegratorConfig(steps=steps)
+    loop = circle(np.zeros(3), 0.5)
+    run = transport(NAT, loop, config=cfg) if stepper == "transport" else transport_quat(loop, config=cfg)
+    run.final
+    assert len(counted) == calls + (stepper == "transport_quat")
 
 
 def test_reading_only_final_evaluates_the_path_once_per_block():

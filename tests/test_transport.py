@@ -338,6 +338,16 @@ def test_small_loop_curvature_answers_below_the_wrap_guard():
     assert abs(est[2] - 1.0) <= 0.15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps", [1e160, 1e300])
+def test_small_loop_curvature_of_the_zero_form_at_huge_eps_is_zero(eps):
+    # the zero form's loops have step angles 0 at any size, so they pass the wrap guard; the pi/8
+    # test's (eps/2)^2 overflows to inf there, and must not raise OverflowError as a float power does
+    zero = pullback_form(np.zeros((3, 3)), NAT)
+    est = small_loop_curvature(zero, np.zeros(3), E1, E2, eps, IntegratorConfig(steps=8))
+    assert est.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_small_loop_curvature_validation():
     with pytest.raises(ValueError, match="positive"):
         small_loop_curvature(NAT, np.zeros(3), E1, E2, 0.0)
