@@ -203,6 +203,9 @@ def _build_connection(req: RunRequest) -> LocalConnectionForm:
 def _build_path(req: RunRequest, dim: int) -> PathSpec:
     def base_point() -> np.ndarray:
         if req.x0 is None:
+            if req.connection in ("sphere-outer", "sphere-inner"):
+                raise ValueError(f"--connection {req.connection} requires --x0 (colatitude, longitude): "
+                                 "the default (0, 0) is the sphere chart's pole")
             return np.zeros(dim)
         x0 = np.asarray(req.x0, dtype=float)
         if x0.shape != (dim,):

@@ -43,13 +43,15 @@ class LocalConnectionForm:
     construction. ``evaluate`` maps stacks of points and tangents of shape
     (n, base_dim) to stacks of shape (n, 3), and single points to 3-vectors.
     ``curvature(x, u, v)`` is the exact curvature Omega_x(u, v) at one point,
-    or None when no closed form is known.
+    or None when no closed form is known. ``translation_invariant`` declares that
+    omega_x(v) does not depend on x; the engine then calls ``evaluate(None, v)``.
     """
 
     base_dim: int
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray | None, np.ndarray], np.ndarray]
     descriptor: str
     curvature: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    translation_invariant: bool = False
 
 
 def natural_form() -> LocalConnectionForm:
@@ -62,6 +64,7 @@ def natural_form() -> LocalConnectionForm:
         evaluate=lambda x, v: -v,
         descriptor="natural-so3",
         curvature=lambda x, u, v: cross(u, v),
+        translation_invariant=True,
     )
 
 
@@ -101,7 +104,8 @@ def plane_rolling_form() -> LocalConnectionForm:
         return np.stack([-v[..., 1], v[..., 0], np.zeros_like(v[..., 0])], axis=-1)
 
     return LocalConnectionForm(base_dim=2, evaluate=evaluate, descriptor="plane-rolling",
-                               curvature=lambda x, u, v: cross([u[0], u[1], 0.0], [v[0], v[1], 0.0]))
+                               curvature=lambda x, u, v: cross([u[0], u[1], 0.0], [v[0], v[1], 0.0]),
+                               translation_invariant=True)
 
 
 def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
@@ -109,6 +113,7 @@ def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
 
     (f* omega)_x(v) = omega_{f(x)}(f(v)). ``f`` is a 3 x d matrix. The
     curvature is the inner form's at the images, Omega_{f(x)}(f(u), f(v)).
+    A linear pullback of a translation-invariant form is translation invariant.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != 3:
@@ -117,9 +122,10 @@ def pullback_form(f, inner: LocalConnectionForm) -> LocalConnectionForm:
         raise ValueError("pullback_form requires the inner form to live on R^3")
     return LocalConnectionForm(
         base_dim=f.shape[1],
-        evaluate=lambda x, v: inner.evaluate(x @ f.T, v @ f.T),
+        evaluate=lambda x, v: inner.evaluate(None if x is None else x @ f.T, v @ f.T),
         descriptor=f"pullback[{inner.descriptor}]",
         curvature=None if inner.curvature is None else lambda x, u, v: inner.curvature(x @ f.T, u @ f.T, v @ f.T),
+        translation_invariant=inner.translation_invariant,
     )
 
 
@@ -186,7 +192,8 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         raise ValueError(f"side must be 'outer' or 'inner', got {side!r}")
     F = _orthonormal_frame(frame)
     sign = 1.0 if side == "outer" else -1.0
-    rolling_map = (sign * r + 1.0) * np.linalg.det(F) * F.T  # row vectors times this apply the factor and F
+    # row vectors times this apply the factor and F; C order, as F.T's order gives a one-row stack other bits
+    rolling_map = np.ascontiguousarray((sign * r + 1.0) * np.linalg.det(F) * F.T)
 
     def colatitude(u, what):
         u = np.asarray(u, dtype=float)

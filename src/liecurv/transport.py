@@ -21,8 +21,10 @@ at most a few thousand intervals at a time, so memory stays flat on long
 runs, and for each block it
 
 1. samples a(t*) at every node of the block in one call: paths map an
-   array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3)
-   (:func:`_probe` refuses maps that take one point at a time). Per-node
+   array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3).
+   The first block also carries the start point, where every map's shape
+   is checked (:func:`_form_sampler`), and positions are evaluated only
+   where the form reads them. Per-node
    arithmetic runs along the node axis: the catalog paths compute their
    (n, d) values as (d, n) and return the transpose, and dt a / 2 is formed
    as (3, n), so each numpy loop covers the whole block, not one node's
@@ -141,13 +143,13 @@ def _on_path(fn: Callable, ts: np.ndarray) -> np.ndarray:
     return np.asarray(fn(ts), dtype=float)
 
 
-def _probe(path: PathSpec, form: LocalConnectionForm | None = None) -> None:
+def _probe(path: PathSpec, form: LocalConnectionForm) -> None:
     """Refuse maps that do not take arrays, by their shapes on m = max(d, 3) + 1 times.
 
     m differs from d and from 3, so a map written for one time at a time shows
     a wrong shape here, where a block of d or 3 nodes could pass it unseen.
     Every probe time is 0, the start point; non-finite values are left to the
-    engine's refusal, which names their time.
+    engine's refusal, which names their time. It runs when a first block fails.
     """
     m, d = max(path.base_dim, 3) + 1, path.base_dim
     ts = np.zeros(m)
@@ -155,21 +157,38 @@ def _probe(path: PathSpec, form: LocalConnectionForm | None = None) -> None:
     if X.shape != (m, d) or V.shape != (m, d):
         raise ValueError(f"path '{path.kind}' maps {m} times to shapes {X.shape} and {V.shape}, "
                          f"not ({m}, {d}): paths must take arrays of times")
-    if form is not None and (got := np.shape(form.evaluate(X, V))) != (m, 3):
+    if (got := np.shape(form.evaluate(None if form.translation_invariant else X, V))) != (m, 3):
         raise ValueError(f"form '{form.descriptor}' maps {m} points to shape {got}, "
                          f"not ({m}, 3): forms must take stacks of points and tangents")
 
 
-def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times."""
+def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np.ndarray]:
+    """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times.
+
+    ``sample(ts, True)``, the first block, leads ``ts`` with the probe's m start rows, checks every shape
+    on them, words a failure by :func:`_probe`, and drops them. A translation-invariant form is given no
+    positions: ``position`` is then called on the start rows alone, for ``samples``.
+    """
     if form.base_dim != path.base_dim:
         raise ValueError(f"dimension mismatch: form '{form.descriptor}' lives on R^{form.base_dim}, "
                          f"path '{path.kind}' on R^{path.base_dim}")
-    _probe(path, form)
-    ev = form.evaluate
+    m, d, ev, reads_x = max(path.base_dim, 3) + 1, path.base_dim, form.evaluate, not form.translation_invariant
 
-    def sample(ts):
-        return -np.asarray(ev(_on_path(path.position, ts), _on_path(path.velocity, ts)), dtype=float)
+    def sample(ts, start=False):
+        if not start:
+            X = _on_path(path.position, ts) if reads_x else None
+            return -np.asarray(ev(X, _on_path(path.velocity, ts)), dtype=float)
+        n = len(ts := np.concatenate((np.zeros(m), ts)))
+        try:
+            X, V = _on_path(path.position, ts if reads_x else ts[:m]), _on_path(path.velocity, ts)
+            a = -np.asarray(ev(X if reads_x else None, V), dtype=float)
+            if (X.shape, V.shape, a.shape) != ((n if reads_x else m, d), (n, d), (n, 3)):
+                raise ValueError(f"path '{path.kind}' and form '{form.descriptor}' map a block of {n} times "
+                                 f"to shapes {X.shape}, {V.shape} and {a.shape}")
+        except Exception:
+            _probe(path, form)
+            raise
+        return a[m:]
 
     return sample
 
@@ -218,11 +237,11 @@ def _last_product(P: np.ndarray) -> np.ndarray:
     return np.array(rows[0])
 
 
-def _walk(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midpoint: bool, stride: int = 1):
+def _walk(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool, stride: int = 1):
     """The engine's walk over the grid: blocks of at most ~_BLOCK intervals, in whole chunks of ``stride``.
 
     Yields each block's sample times t* (left nodes, or interval midpoints if
-    ``midpoint``), its widths dt and the (n, 3) so(3) inputs ``sample(t*)``.
+    ``midpoint``), its widths dt and the (n, 3) so(3) inputs ``sample(t*, first block)``.
     """
     n = len(nodes) - 1
     block = stride * max(1, _BLOCK // stride)
@@ -231,13 +250,13 @@ def _walk(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midpoin
         t0 = nodes[k0:k1]
         dt = nodes[k0 + 1 : k1 + 1] - t0
         ts = t0 + 0.5 * dt if midpoint else t0
-        a = sample(ts)
+        a = sample(ts, k0 == 0)
         if a.shape != (k1 - k0, 3):
             raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
         yield ts, dt, a
 
 
-def _compose(sample: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int]:
+def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int]:
     """The ordered products of the half-angle steps quat_exp(dt_k a(t*_k) / 2) over chunks of the grid.
 
     ``sample`` maps an array of times to the (n, 3) so(3) inputs there. Each
@@ -350,13 +369,13 @@ def transport_quat(
     """
     if path.base_dim != 3:
         raise ValueError("quaternion transport requires a path in R^3")
-    _probe(path)
 
-    def sample(ts):
+    def evaluate(x, v):
         with np.errstate(over="ignore"):  # a doubled velocity past the float range is refused as non-finite
-            return lie_hom_derivative(_on_path(path.velocity, ts))
+            return -lie_hom_derivative(v)
 
-    return _lift(sample, path, q0, config or IntegratorConfig())
+    doubled = LocalConnectionForm(3, evaluate, "quaternion", translation_invariant=True)
+    return _lift(_form_sampler(doubled, path), path, q0, config or IntegratorConfig())
 
 
 def lift_transport(

@@ -546,6 +546,32 @@ def test_out_of_range_requests_exit_one_without_a_warning(argv, named, capsys):
     assert captured.err.startswith("error:") and named in captured.err
 
 
+@pytest.mark.parametrize("connection", ["sphere-outer", "sphere-inner"])
+@pytest.mark.parametrize("command, path", [("transport", "line"), ("transport", "square"), ("holonomy", "circle"),
+                                           ("holonomy", "square")])
+@pytest.mark.parametrize("method", ["euler", "midpoint"])
+def test_a_sphere_run_without_x0_is_refused_naming_it(connection, command, path, method):
+    # the default base point (0, 0) is the chart's pole: a 1-step euler circle around it answered, for a
+    # circle whose colatitude goes negative, and every other such run was refused by the polar cap
+    argv = [command, f"--connection={connection}", f"--path={path}", "--steps=1", f"--method={method}"]
+    argv += ["--xi=0.5,0.2"] if path == "line" else []
+    code, out, err = capture(argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: --connection {connection} requires --x0 (colatitude, longitude): "
+                   "the default (0, 0) is the sphere chart's pole\n")
+    assert capture([*argv, "--x0=1.2,0.3"])[0] == 0
+
+
+@pytest.mark.parametrize("steps", ["1", "2", "64"])
+@pytest.mark.parametrize("method", ["euler", "midpoint"])
+def test_a_sphere_line_starting_in_the_polar_cap_exits_one(method, steps):
+    # every midpoint of these runs lies outside the cap: only the start point is refused
+    code, out, err = capture(["transport", "--connection=sphere-outer", "--path=line", "--x0=0.00076,0.3",
+                              "--xi=0.5,0.2", f"--method={method}", f"--steps={steps}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: chart tangent at colatitude 0.00076 lies in the polar cap")
+
+
 @pytest.mark.parametrize(
     "radius, eps",
     [

@@ -440,6 +440,47 @@ def test_sphere_rolling_names_the_one_cap_point_of_a_stack(n, k, cap):
     assert str(refused.value) == str(by_chart_tangent.value)
 
 
+# The transport engine evaluates its first block led by copies of the start point and drops those
+# rows, which is exact only if a row's bits do not depend on the rows above it. The sphere's closed form
+# ends in a matmul with its rolling map: laid out in Fortran order, that gave a one-row stack other bits.
+
+
+@SETTINGS
+@given(
+    surface=st.sampled_from(["sphere", "framed sphere", "parametric"]),
+    r=st.floats(0.2, 5.0),
+    n=st.integers(1, 12),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(surface="framed sphere", r=2.0, n=1, k=4, seed=0)
+def test_a_stacks_rows_keep_their_bits_under_leading_rows(surface, r, n, k, seed):
+    rng = np.random.RandomState(seed)
+    side = ("outer", "inner")[rng.randint(2)]
+    s = {
+        "sphere": lambda: sphere_surface(r, side=side),
+        "framed sphere": lambda: sphere_surface(r, side=side, frame=random_frame(rng, rng.randint(2) == 1)),
+        "parametric": lambda: parametric_surface(graph_chart),
+    }[surface]()
+    u = np.column_stack([rng.uniform(0.05, np.pi - 0.05, n + k), rng.uniform(-10.0, 10.0, n + k)])
+    v = rng.standard_normal((n + k, 2)) * rng.uniform(0.01, 100.0)
+    form = surface_rolling_form(s)
+    assert form.evaluate(u[k:], v[k:]).tobytes() == form.evaluate(u, v)[k:].tobytes()
+
+
+def test_translation_invariance_is_declared_by_the_flat_forms_and_kept_by_pullbacks():
+    assert natural_form().translation_invariant and plane_rolling_form().translation_invariant
+    assert pullback_form(PLANE_ROLLING_PULLBACK, natural_form()).translation_invariant
+    assert not surface_rolling_form(sphere_surface(2.0)).translation_invariant
+    assert not surface_rolling_form(parametric_surface(graph_chart)).translation_invariant
+    reads_x = LocalConnectionForm(3, lambda x, v: cross(x, v), "reads x")
+    assert not reads_x.translation_invariant and not pullback_form(np.eye(3), reads_x).translation_invariant
+    # an invariant pullback is handed no positions and computes no images of them
+    form = pullback_form(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), natural_form())
+    v = np.array([[0.3, -0.2], [1.0, 2.0]])
+    assert form.evaluate(None, v).tobytes() == form.evaluate(np.ones((2, 2)), v).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # curvature
 

@@ -537,21 +537,95 @@ def test_reading_final_calls_quat_mul_only_on_more_than_64_rows(monkeypatch, ste
     assert len(counted) == calls + (stepper == "transport_quat")
 
 
+def recorded(path):
+    """``path`` with the times of every position and velocity call recorded, and the two records."""
+    calls = {"position": [], "velocity": []}
+
+    def recording(name):
+        fn, log = getattr(path, name), calls[name]
+        return lambda t: log.append(np.array(t)) or fn(t)
+
+    return dataclasses.replace(path, position=recording("position"), velocity=recording("velocity")), calls
+
+
 def test_reading_only_final_evaluates_the_path_once_per_block():
-    base = PATHS["polyline"]
-    times = []
-    path = dataclasses.replace(base, position=lambda t: times.append(np.atleast_1d(t)) or base.position(t))
-    steps = 12_001
-    res = transport(NAT, path, config=IntegratorConfig(steps=steps))
-    res.final
-    n = len(integration_grid(steps, path.corners)) - 1
-    stride = -(-n // _MAX_RECORDED)
-    blocks = math.ceil(n / (stride * (_BLOCK // stride)))
-    assert blocks > 1 and len(times) == 1 + blocks  # the guarded call at t = 0, then one per block
-    assert sum(len(ts) for ts in times[1:]) == n  # the sample times, not the recorded ones
-    res.samples
-    assert len(times) == 2 + blocks  # every recorded time, the start included, in one call
-    assert len(times[-1]) == len(res.samples)
+    # The first block leads with m = 4 copies of t = 0. The natural form reads no positions: the position
+    # map is called on those start rows alone, to check the map that samples reads. The sphere reads
+    # positions in every block; the velocity is read in every block under both
+    steps, m = 12_001, 4
+    for form, base in (("natural", "polyline"), ("sphere-outer", "great_arc")):
+        path, calls = recorded(PATHS[base])
+        reads_x = not FORMS[form].translation_invariant
+        res = transport(FORMS[form], path, config=IntegratorConfig(steps=steps))
+        res.final
+        n = len(integration_grid(steps, path.corners)) - 1
+        stride = -(-n // _MAX_RECORDED)
+        blocks = math.ceil(n / (stride * (_BLOCK // stride)))
+        assert blocks > 1 and len(calls["velocity"]) == blocks
+        assert len(calls["position"]) == (blocks if reads_x else 1)
+        for name, times in calls.items():
+            assert np.array_equal(times[0][:m], np.zeros(m))  # the start rows lead the first block
+            if reads_x or name == "velocity":
+                assert sum(len(ts) for ts in times) == m + n  # the sample times, not the recorded ones
+        assert reads_x or len(calls["position"][0]) == m
+        res.samples
+        assert len(calls["position"]) == (blocks if reads_x else 1) + 1  # every recorded time, in one call
+        assert len(calls["position"][-1]) == len(res.samples)
+
+
+# The same evaluate as an invariant catalog form, in a form that does not declare the fact: the engine
+# evaluates positions and hands them over.
+def fed_positions(form):
+    def evaluate(x, v):
+        assert x.shape == v.shape  # positions, not None
+        return form.evaluate(x, v)
+
+    return LocalConnectionForm(form.base_dim, evaluate, "fed positions", form.curvature)
+
+
+@st.composite
+def invariant_cases(draw):
+    """An invariant catalog form's name and a random line, circle or polyline in its base."""
+    name = draw(st.sampled_from(sorted(n for n, form in FORMS.items() if form.translation_invariant)))
+    d = FORMS[name].base_dim
+    point = hnp.arrays(np.float64, d, elements=st.floats(-2.0, 2.0))
+    kind = draw(st.sampled_from(["line", "circle", "polyline"]))
+    if kind == "line":
+        return name, line(draw(point), draw(point))
+    if kind == "circle":
+        return name, circle(draw(point), draw(st.floats(0.05, 2.0)))
+    return name, polyline(draw(polylines(d)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=invariant_cases(), steps=st.integers(1, 9001), method=st.sampled_from(METHODS))
+@example(case=("pullback", polyline([[0.0, 0.0], [1.0, 0.5], [0.4, 1.2]])), steps=1, method="exp-midpoint")
+@example(case=("natural", PATHS["circle"]), steps=9001, method="lie-euler")
+def test_an_invariant_form_gives_the_bits_of_the_same_form_fed_positions(case, steps, method):
+    name, path = case
+    cfg = IntegratorConfig(method=method, steps=steps)
+    run, fed = transport(FORMS[name], path, config=cfg), transport(fed_positions(FORMS[name]), path, config=cfg)
+    assert run.final.tobytes() == fed.final.tobytes()
+    assert len(run.samples) == len(fed.samples)
+    for (t, x, g), (t_fed, x_fed, g_fed) in zip(run.samples, fed.samples):
+        assert (t, x.tobytes(), g.tobytes()) == (t_fed, x_fed.tobytes(), g_fed.tobytes())
+
+
+# A chart line that starts inside the polar cap. Every exp-midpoint sample of these runs lies outside the
+# cap, so only the form's evaluation at the start point, carried in the first block, refuses them.
+CAP_START = line(np.array([7.6e-4, 0.3]), np.array([0.5, 0.2]))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 64])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_start_inside_the_polar_cap_is_refused(method, steps):
+    nodes = integration_grid(steps)
+    assert (CAP_START.position(nodes[:-1] + 0.5 * np.diff(nodes))[:, 0] > 1e-3).all()
+    cfg = IntegratorConfig(method=method, steps=steps)
+    for run in (lambda: transport(FORMS["sphere-outer"], CAP_START, config=cfg),
+                lambda: lift_transport(FORMS["sphere-outer"], CAP_START, config=cfg)):
+        with pytest.raises(ValueError, match=re.escape("chart tangent at colatitude 0.00076 lies in the polar cap")):
+            run()
 
 
 def test_a_path_written_only_for_arrays_gives_samples():
