@@ -18,6 +18,8 @@ input; every other kernel also takes a stack of vectors (..., 3), matrices
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS_ANGLE = 1e-6  # switch to Taylor series below this rotation angle
@@ -182,7 +184,8 @@ def quat_to_rotation(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (4,):
         raise ValueError("quat_to_rotation expects quaternions of shape (..., 4)")
-    n2 = np.sum(q * q, axis=-1)
+    with np.errstate(over="ignore"):  # huge entries give an infinite |q|^2, refused just below
+        n2 = np.sum(q * q, axis=-1)
     bad = ~(np.abs(n2 - 1.0) <= 1e-9)  # NaN counts as bad
     if np.any(bad):
         first = float(np.ravel(n2)[np.argmax(np.ravel(bad))])
@@ -253,11 +256,27 @@ def check_rotation(R) -> np.ndarray:
     """Validate that ``R`` is a rotation matrix; returns it as float64.
 
     The Frobenius norm of R^T R - I must be at most 1e-10 and det positive.
+    The one matrix is checked on Python floats, which cost less than numpy's
+    per-call overhead, by :func:`_checked_entries`' arithmetic in its order, so
+    the decision is the same bit for bit; that function, which also checks the
+    stacks of :func:`rotation_to_quat`, words a refusal.
     """
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation matrix, got shape {R.shape}")
-    _checked_entries(R, tol=1e-10)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.tolist()
+    cols = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
+    # R^T R - I entry by entry, squared, row by row; a float product past the range is inf, never an exception
+    s = []
+    for i, (a0, a1, a2) in enumerate(cols):
+        for j, (b0, b1, b2) in enumerate(cols):
+            e = ((a0 * b0 + a1 * b1) + a2 * b2) - (i == j)
+            s.append(e * e)
+    # np.sum's pairwise order over nine entries
+    defect = math.sqrt(((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])) + s[8])
+    det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
+    if not defect <= 1e-10 or det < 0.0:
+        _checked_entries(R, tol=1e-10)
     return R
 
 
@@ -265,10 +284,11 @@ def _checked_entries(R: np.ndarray, tol: float) -> np.ndarray:
     """:func:`check_rotation`'s test at ``tol`` (NaN refused) on each matrix of a (..., 3, 3)
     stack, naming the first that fails; returns the (3, 3, n) entries of the flattened stack."""
     r = np.ascontiguousarray(R.reshape(-1, 3, 3).transpose(1, 2, 0))
-    D = (r[:, :, None] * r[:, None, :]).sum(axis=0) - np.eye(3)[:, :, None]  # R^T R - I
-    defect = np.sqrt((D * D).sum(axis=(0, 1)))
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
-    det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite entries give inf or NaN, refused below
+        D = (r[:, :, None] * r[:, None, :]).sum(axis=0) - np.eye(3)[:, :, None]  # R^T R - I
+        defect = np.sqrt((D * D).sum(axis=(0, 1)))
+        det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
     bad = ~(defect <= tol) | (det < 0.0)
     if not bad.any():
         return r

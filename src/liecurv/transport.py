@@ -50,6 +50,14 @@ same bits. The scan, which gives the recorded states, runs
 on the first read of :attr:`TransportResult.samples`. Only the engine builds
 a result, and as it refuses every non-finite step, reading one refuses nothing.
 
+The scalar work at the two ends of a run also avoids numpy's per-call cost:
+``check_rotation`` tests a caller's g0 on Python floats, the uniform grid is
+built by ``np.linspace``'s own operations in place (:func:`integration_grid`),
+and ``final`` builds its one frame on Python floats (:func:`_rotation_on_floats`,
+:func:`_hamilton`). Each repeats numpy's operations in numpy's order, sums
+included, and CPython floats, like numpy's elementwise loops, are IEEE doubles
+without fused multiply-add, so every bit is the same.
+
 Regrouping the factors is legal because the product is associative, which
 is the paper's concatenation law T(c1 * c2) = T(c2) T(c1) read at the level
 of the grid: the transport over a union of consecutive intervals is the
@@ -63,6 +71,8 @@ before it builds a matrix.
 from __future__ import annotations
 
 import dataclasses
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -125,8 +135,16 @@ def integration_grid(steps: int, corners: tuple[float, ...] = ()) -> np.ndarray:
 
     Corner times strictly inside (0, 1) become grid nodes; nodes closer than
     1e-12 are coalesced (keeping the later one, so 1.0 always survives).
+    The uniform nodes are ``np.linspace(0, 1, steps + 1)`` bit for bit, built
+    by its own operations in place: a range, one multiply by 1/steps, and the
+    end set to 1.0 (its ``+= 0.0`` changes no node). Like linspace, it takes
+    only an integer count.
     """
-    nodes = np.linspace(0.0, 1.0, steps + 1)
+    if operator.index(steps) < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    nodes = np.arange(steps + 1.0)
+    nodes *= 1.0 / steps
+    nodes[-1] = 1.0
     interior = [float(t) for t in corners if 0.0 < t < 1.0]
     if interior:
         merged = np.unique(np.concatenate([nodes, np.asarray(interior)]))
@@ -229,12 +247,38 @@ def _last_product(P: np.ndarray) -> np.ndarray:
     rows = P.tolist()
     while len(rows) > 1:
         odd = len(rows) % 2
-        pairs = zip(rows[odd + 1 :: 2], rows[odd::2])
-        rows[odd:] = [[pw * qw - px * qx - py * qy - pz * qz,
-                       pw * qx + px * qw + py * qz - pz * qy,
-                       pw * qy - px * qz + py * qw + pz * qx,
-                       pw * qz + px * qy - py * qx + pz * qw] for (pw, px, py, pz), (qw, qx, qy, qz) in pairs]
+        rows[odd:] = map(_hamilton, rows[odd + 1 :: 2], rows[odd::2])
     return np.array(rows[0])
+
+
+def _hamilton(p: list[float], q: list[float]) -> list[float]:
+    """The product p q of two quaternions given as Python floats, by
+    :func:`liecurv.liecore.quat_mul`'s terms in its order: the same bits."""
+    (pw, px, py, pz), (qw, qx, qy, qz) = p, q
+    return [pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw]
+
+
+def _rotation_on_floats(q: list[float]) -> np.ndarray:
+    """``quat_to_rotation(np.array(q)[None])`` for one quaternion given as Python floats, on those floats.
+
+    The same bits: |q|^2 is summed in np.sum's order over four entries, and the
+    unit-norm test and the entries are :func:`liecurv.liecore.quat_to_rotation`'s,
+    in its order. A refusal is left to that function, in its words.
+    """
+    w, x, y, z = q
+    n2 = ((w * w + x * x) + y * y) + z * z
+    if not abs(n2 - 1.0) <= 1e-9:
+        return quat_to_rotation(np.array(q)[None])
+    n = math.sqrt(n2)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    return np.array([
+        w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z,
+    ]).reshape(1, 3, 3)
 
 
 def _walk(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool, stride: int = 1):
@@ -303,22 +347,24 @@ class TransportResult:
     states are always included. Both are built from the run's chunk products on
     first read: ``final`` by :func:`_last_product`, ``samples`` by the prefix
     scan, which also fills ``final`` from its last frame (the two are bitwise equal).
+    ``frames`` maps a stack of states to their frames, and ``frame`` maps one
+    state, given as four Python floats, to the same bits as a one-row ``frames``.
     """
 
-    def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frame, start: np.ndarray):
+    def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frames, frame, start: np.ndarray):
         nodes = integration_grid(config.steps, path.corners)
         self._chunks, stride = _compose(sample, nodes, config.method == "exp-midpoint")
-        self._path, self._frame, self._start = path, frame, start
+        self._path, self._frames, self._frame, self._start = path, frames, frame, start
         # the start, then the end of every chunk: a copy, so the result does not keep the whole grid alive
         self._times = np.concatenate((nodes[:-1:stride], nodes[-1:]))
 
     @cached_property
     def final(self) -> np.ndarray:
-        return self._frame(_last_product(self._chunks)[None])[0]
+        return self._frame(_last_product(self._chunks).tolist())
 
     @cached_property
     def samples(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
-        G = self._frame(_prefix_products(self._chunks))
+        G = self._frames(_prefix_products(self._chunks))
         self.__dict__.setdefault("final", G[-1].copy())
         X = _on_path(self._path.position, self._times)
         return ((0.0, X[0], self._start),) + tuple(zip(self._times[1:].tolist(), X[1:], G))
@@ -327,7 +373,8 @@ class TransportResult:
 def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
     """The run as unit quaternions: the chunk states applied to q0 (a fresh identity if None)."""
     q = _IDENTITY.copy() if q0 is None else check_unit_quat(q0).copy()  # frames are built after the return
-    return TransportResult(sample, path, cfg, lambda S: quat_mul(S, q), q)
+    qs = q.tolist()
+    return TransportResult(sample, path, cfg, lambda S: quat_mul(S, q), lambda p: np.array(_hamilton(p, qs)), q)
 
 
 def transport(
@@ -351,7 +398,8 @@ def transport(
     """
     sample = _form_sampler(form, path)
     g = np.eye(3) if g0 is None else check_rotation(g0).copy()  # frames are built after the return
-    return TransportResult(sample, path, config or IntegratorConfig(), lambda S: quat_to_rotation(S) @ g, g)
+    return TransportResult(sample, path, config or IntegratorConfig(), lambda S: quat_to_rotation(S) @ g,
+                           lambda p: (_rotation_on_floats(p) @ g)[0], g)
 
 
 def transport_quat(

@@ -437,6 +437,17 @@ def test_integration_grid_equals_the_merge_loop(request):
     assert nodes.dtype == np.float64 and nodes[-1] == 1.0
 
 
+def test_the_uniform_grid_is_linspace_bit_for_bit():
+    # the grid repeats linspace's own operations: a range, a multiply by 1/n in place, the end set to 1.0
+    for n in [*range(1, 20_001), 10**6]:
+        assert integration_grid(n).tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes(), n
+    with pytest.raises(ValueError, match="steps must be at least 1, got 0"):
+        integration_grid(0)
+    for steps in (64.0, 64.5):  # a count, as linspace takes it
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            transport(NAT, circle(np.zeros(3), 0.5), config=IntegratorConfig(steps=steps))
+
+
 # ---------------------------------------------------------------------------
 # the reduction against the sequential product
 
@@ -501,40 +512,63 @@ def test_last_product_is_bitwise_the_last_prefix_product(n, seed, zeros):
 
 @pytest.mark.parametrize("steps", [1, 64, 65, 129, 4096, 4097, 12_001])  # 64 to 129 straddle the Python-float tail
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("stepper", ["transport", "transport_quat"])
+@pytest.mark.parametrize("stepper", ["transport", "transport_quat", "lift_transport", "transport_e3", "lift_e3"])
 def test_final_is_the_same_bits_whether_read_first_or_after_samples(steps, method, stepper):
+    # random starts; from the identity along e3 the natural form's steps, products and frames have exact,
+    # signed, zero components
+    rng = np.random.default_rng(steps)
     cfg = IntegratorConfig(method=method, steps=steps)
-    if stepper == "transport":
-        g0 = exp_so3(np.array([0.3, -0.8, 1.9]))
-        run = lambda: transport(FORMS["sphere-outer"], PATHS["great_arc"], g0, cfg)  # noqa: E731
-    else:
-        q0 = quat_exp(np.array([0.2, 0.5, -1.1]))
-        run = lambda: transport_quat(PATHS["polyline"], q0, cfg)  # noqa: E731
+    g0, q0 = exp_so3(rng.standard_normal(3) * 2.0), quat_exp(rng.standard_normal(3))
+    sphere, arc = FORMS["sphere-outer"], PATHS["great_arc"]
+    e3 = line(np.array([0.3, -1.0, 2.0]), np.array([0.0, 0.0, -2.5]))
+    run = {
+        "transport": lambda: transport(sphere, arc, g0, cfg),
+        "transport_quat": lambda: transport_quat(PATHS["polyline"], q0, cfg),
+        "lift_transport": lambda: ENGINE._lift(ENGINE._form_sampler(sphere, arc), arc, q0, cfg),
+        "transport_e3": lambda: transport(NAT, e3, None, cfg),
+        "lift_e3": lambda: ENGINE._lift(ENGINE._form_sampler(NAT, e3), e3, None, cfg),
+    }[stepper]
     first = run()
     final_first = first.final
     later = run()
     samples = later.samples
     assert final_first.tobytes() == later.final.tobytes() == samples[-1][2].tobytes()
     assert first.samples[-1][2].tobytes() == final_first.tobytes()
+    if stepper == "lift_transport":
+        assert lift_transport(sphere, arc, q0, cfg).tobytes() == final_first.tobytes()
+    if stepper.endswith("e3"):
+        assert (final_first == 0.0).sum() == (4 if stepper == "transport_e3" else 2)
+
+
+def test_the_frame_on_python_floats_is_quat_to_rotation_bit_for_bit():
+    # chunk products are unit to a few ulps, where the order of the |q|^2 sum decides sqrt's last bit
+    # about one time in eight; rotations about an axis have signed zero components
+    rng = np.random.default_rng(5)
+    Q = rng.standard_normal((4000, 4))
+    Q[::3, 1:3] = rng.choice([0.0, -0.0], (len(Q[::3]), 2))
+    Q *= ((1.0 + rng.uniform(-1e-12, 1e-12, len(Q))) / np.linalg.norm(Q, axis=1))[:, None]
+    for q in Q:
+        assert ENGINE._rotation_on_floats(q.tolist()).tobytes() == quat_to_rotation(q[None]).tobytes()
+    with pytest.raises(ValueError, match=re.escape("quat_to_rotation: |q|^2 = 4.000000000000 is not 1")):
+        ENGINE._rotation_on_floats([2.0, 0.0, -0.0, 0.0])
 
 
 @pytest.mark.parametrize("steps, calls", [(64, 0), (4096, 6)])
 @pytest.mark.parametrize("stepper", ["transport", "transport_quat"])
 def test_reading_final_calls_quat_mul_only_on_more_than_64_rows(monkeypatch, steps, calls, stepper):
     # 64 one-step chunks reduce on Python floats alone. 4,096 steps make 1,024 chunks of four: two numpy
-    # passes reduce the chunks, four halve them down to 64 rows. transport_quat's frame adds one call
-    counted = []
-
-    def counting(p, q):
-        counted.append(None)
-        return quat_mul(p, q)
-
-    monkeypatch.setattr(ENGINE, "quat_mul", counting)
+    # passes reduce the chunks, four halve them down to 64 rows. Both final frames are built on Python
+    # floats, so neither stepper's adds a call; the frames of the samples are one quat_to_rotation call
+    counted = {"quat_mul": [], "quat_to_rotation": []}
+    for name, log in counted.items():
+        monkeypatch.setattr(ENGINE, name, lambda *a, fn=getattr(ENGINE, name), log=log: log.append(None) or fn(*a))
     cfg = IntegratorConfig(steps=steps)
     loop = circle(np.zeros(3), 0.5)
     run = transport(NAT, loop, config=cfg) if stepper == "transport" else transport_quat(loop, config=cfg)
     run.final
-    assert len(counted) == calls + (stepper == "transport_quat")
+    assert (len(counted["quat_mul"]), len(counted["quat_to_rotation"])) == (calls, 0)
+    run.samples
+    assert len(counted["quat_to_rotation"]) == (stepper == "transport")
 
 
 def recorded(path):

@@ -6,8 +6,10 @@ representation for quaternions, and quaternion conjugation for rotation
 images.
 """
 
+import importlib
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ from liecurv import (
     rotation_to_quat,
     vee,
 )
+from liecurv.liecore import _checked_entries
+
+LIECORE = importlib.import_module("liecurv.liecore")
 
 
 def series_exp(A, terms=20):
@@ -406,6 +411,83 @@ def test_check_rotation():
         check_rotation(np.eye(4))
     with pytest.raises(ValueError, match="not orthonormal"):
         check_rotation(np.full((3, 3), np.nan))
+
+
+def outcome(check, R):
+    """"ok" if ``check(R)`` accepts ``R``, else its refusal message."""
+    try:
+        check(R)
+    except ValueError as e:
+        return str(e)
+    return "ok"
+
+
+def flip_point(R, E):
+    """The largest t found by bisection with R + t E still accepted at 1e-10 (E of norm about 1e-10)."""
+    lo, hi = 0.0, 64.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if outcome(lambda M: _checked_entries(M, tol=1e-10), R + mid * E) == "ok" else (lo, mid)
+    return lo
+
+
+SPECIAL_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310, 2.2e-308, np.nan, np.inf, -np.inf])
+HUGE_ENTRIES = st.floats(1e154, 1e308) | st.floats(-1e308, -1e154)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(["ulps", "perturbed", "reflection", "special", "huge"]))
+def test_check_rotation_decides_as_the_stack_check(data, kind):
+    # check_rotation decides on Python floats; _checked_entries, the stack check, words its refusals.
+    # Both must accept and refuse the same matrices, and check_rotation may hand a matrix to
+    # _checked_entries only for that function to refuse it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    R = exp_so3(rng.standard_normal(3) * 2.0)
+    if kind in ("ulps", "perturbed"):  # R + t E at the t where the stack check flips, and t a few ulps off
+        if kind == "ulps":
+            # a signed permutation with diagonal 1 + k 2^-40, plus tiny off-diagonal entries: the diagonal of
+            # R^T R - I is fixed, its off-diagonal entries are exact to an ulp and move by ulps with t, so the
+            # defect lands within a few ulps of 1e-10, with all nine squares nonzero
+            P = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)
+            R = P @ np.diag(1.0 + rng.integers(-16, 17, 3) * 2.0**-40)
+            E = P @ (rng.standard_normal((3, 3)) * (1.0 - np.eye(3))) * 1e-10
+        else:  # a rotation: rounding in R^T R leaves the defect's last few digits to chance
+            E = rng.standard_normal((3, 3)) * 1e-10
+        t0 = flip_point(R, E)
+        ts = [t0]
+        for _ in range(4):
+            ts = [np.nextafter(ts[0], 0.0)] + ts + [np.nextafter(ts[-1], np.inf)]
+        matrices = [R + t * E for t in ts]
+    elif kind == "reflection":
+        matrices = [R @ np.diag([1.0, 1.0, -1.0]) + data.draw(st.sampled_from([0.0, 1e-17, 3e-11, 1e-9]))]
+    else:  # special or huge values at some entries of a rotation
+        values = SPECIAL_ENTRIES if kind == "special" else HUGE_ENTRIES | SPECIAL_ENTRIES
+        for i in data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True)):
+            R[divmod(i, 3)] = data.draw(values)
+        matrices = [R]
+    handed = []
+
+    def recording(M, tol):
+        handed.append(outcome(lambda M: _checked_entries(M, tol), M))
+        return _checked_entries(M, tol)
+
+    for M in matrices:
+        with mock.patch.object(LIECORE, "_checked_entries", recording):
+            got = outcome(check_rotation, M)
+        assert got == outcome(lambda M: _checked_entries(M, tol=1e-10), M)
+    assert "ok" not in handed
+
+
+def test_refusals_of_huge_and_infinite_entries_raise_no_runtime_warning():
+    # products past the float range give inf, and inf - inf in the determinant NaN: no warning, just the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (1e200, np.inf):
+            for check in (check_rotation, rotation_to_quat):
+                with pytest.raises(ValueError, match=re.escape("matrix is not orthonormal (|R^T R - I| = inf)")):
+                    check(np.full((3, 3), value))
+        with pytest.raises(ValueError, match=re.escape("quat_to_rotation: |q|^2 = inf is not 1")):
+            quat_to_rotation(np.full(4, 1e200))
 
 
 def test_check_unit_quat():

@@ -9,6 +9,7 @@ product (or a much finer run) before being frozen.
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,10 @@ def test_transport_validates_inputs():
         transport(plane_rolling_form(), line(np.zeros(3), E1))
     with pytest.raises(ValueError, match="not orthonormal"):
         transport(NAT, line(np.zeros(3), E1), g0=2.0 * np.eye(3))
+    with warnings.catch_warnings():  # a g0 whose R^T R overflows is refused, with no RuntimeWarning
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("matrix is not orthonormal (|R^T R - I| = inf)")):
+            transport(NAT, line(np.zeros(3), E1), g0=np.full((3, 3), 1e200))
 
 
 def test_transport_rejects_non_finite_increments():
