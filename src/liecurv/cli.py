@@ -20,9 +20,10 @@ import argparse
 import csv
 import functools
 import json
+import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,16 +263,16 @@ def _rotation_block(R: np.ndarray, q: np.ndarray | None = None) -> dict:
     }
 
 
-def _trajectory(samples) -> list[dict]:
-    ts, xs, gs = zip(*samples)
-    quats = rotation_to_quat(np.stack(gs)).tolist()
-    return [{"t": float(t), "x": x.tolist(), "quat": q} for t, x, q in zip(ts, xs, quats)]
+def _trajectory(states) -> list[dict]:
+    """Trajectory rows from a result's stacked ``states``: one ``rotation_to_quat`` and one ``tolist`` per stack."""
+    ts, xs, gs = states
+    return [{"t": t, "x": x, "quat": q} for t, x, q in zip(ts.tolist(), xs.tolist(), rotation_to_quat(gs).tolist())]
 
 
 def run(req: RunRequest) -> dict:
     """Execute a request; returns the result document as plain Python data."""
     doc = {
-        "request": asdict(req),
+        "request": dict(vars(req)),  # its fields are flat: str, numbers, None, tuples
         "holonomy": None,
         "trajectory": [],
         "reports": [],
@@ -286,7 +287,7 @@ def run(req: RunRequest) -> dict:
         if req.command == "holonomy" and not path.closed:
             raise ValueError("holonomy requires a closed path")
         res = transport(form, path, config=cfg)
-        doc["trajectory"] = _trajectory(res.samples)
+        doc["trajectory"] = _trajectory(res.states)
         # the last sample's frame is res.final, so its quaternion is already known
         doc["holonomy"] = _rotation_block(res.final, np.array(doc["trajectory"][-1]["quat"]))
         return doc
@@ -317,7 +318,7 @@ def run(req: RunRequest) -> dict:
             reports = _verify.run_all_checks(config=cfg, seed=req.seed)
         else:
             reports = [_verify.run_check(req.check, seed=req.seed, config=cfg)]
-        doc["reports"] = [asdict(r) for r in reports]
+        doc["reports"] = [dict(vars(r)) for r in reports]
         return doc
 
     if req.command == "section":
@@ -341,7 +342,7 @@ def run(req: RunRequest) -> dict:
             "residual": residual,
         }
         doc["holonomy"] = _rotation_block(quat_to_rotation(computed))
-        doc["reports"] = [asdict(_verify.ResidualReport("section-formula", residual, 1, 1e-6))]
+        doc["reports"] = [dict(vars(_verify.ResidualReport("section-formula", residual, 1, 1e-6)))]
         return doc
 
     raise ValueError(f"unknown command {req.command!r}")
@@ -366,7 +367,7 @@ def write_result(doc: dict, fmt: str = "json", out: str | None = None) -> str:
         lines = ["t," + ",".join(f"x{i + 1}" for i in range(d)) + ",qw,qx,qy,qz"]
         for row in traj:
             vals = [row["t"], *row["x"], *row["quat"]]
-            if not np.all(np.isfinite(vals)):
+            if not all(map(math.isfinite, vals)):
                 raise ValueError(f"non-finite value in trajectory row at t = {row['t']!r}")
             lines.append(",".join("%.17g" % v for v in vals))
         text = "\n".join(lines) + "\n"

@@ -46,9 +46,9 @@ frame is their pairwise reduction with the pairs aligned to the right end
 so the two are bitwise equal. Its numpy passes stop at 64 rows, because a
 numpy ``quat_mul`` costs about 30 array operations whatever its row count;
 the top levels are reduced in Python floats with the same pairing and the
-same bits. The scan, which gives the recorded states, runs
-on the first read of :attr:`TransportResult.samples`. Only the engine builds
-a result, and as it refuses every non-finite step, reading one refuses nothing.
+same bits. The scan, which gives the recorded states, runs on the first read
+of :attr:`TransportResult.states` (or ``samples``, its tuple view). Only the
+engine builds a result; it refuses every non-finite step, so reading refuses nothing.
 
 The scalar work at the two ends of a run also avoids numpy's per-call cost:
 ``check_rotation`` tests a caller's g0 on Python floats, the uniform grid is
@@ -124,6 +124,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("lie-euler", "exp-midpoint"):
             raise ValueError(f"unknown method {self.method!r}; use 'lie-euler' or 'exp-midpoint'")
+        if isinstance(self.steps, bool) or not hasattr(type(self.steps), "__index__"):  # what operator.index takes
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if self.steps > MAX_STEPS:
@@ -339,14 +341,16 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
 
 
 class TransportResult:
-    """Final group element plus recorded (t, base point, group element) samples.
+    """Final group element plus the recorded states, stacked and as (t, x, g) samples.
 
     Built by the engine alone: the constructor runs :func:`_compose` over the
     path's grid, which refuses every non-finite step, so reading refuses nothing.
-    Long runs record at most ~1024 evenly strided samples; the first and final
+    Long runs record at most ~1024 evenly strided states; the first and final
     states are always included. Both are built from the run's chunk products on
-    first read: ``final`` by :func:`_last_product`, ``samples`` by the prefix
-    scan, which also fills ``final`` from its last frame (the two are bitwise equal).
+    first read: ``final`` by :func:`_last_product`, ``states`` (times (m,), points
+    (m, d), and frames (m, 3, 3) or, for the lifts, quaternions (m, 4); row 0 is the
+    start) by the prefix scan, which also fills ``final`` from its last row (the two
+    are bitwise equal). ``samples`` is its tuple view, one ``(t, x, g)`` per row.
     ``frames`` maps a stack of states to their frames, and ``frame`` maps one
     state, given as four Python floats, to the same bits as a one-row ``frames``.
     """
@@ -363,11 +367,15 @@ class TransportResult:
         return self._frame(_last_product(self._chunks).tolist())
 
     @cached_property
-    def samples(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
-        G = self._frames(_prefix_products(self._chunks))
+    def states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        G = np.concatenate((self._start[None], self._frames(_prefix_products(self._chunks))))
         self.__dict__.setdefault("final", G[-1].copy())
-        X = _on_path(self._path.position, self._times)
-        return ((0.0, X[0], self._start),) + tuple(zip(self._times[1:].tolist(), X[1:], G))
+        return self._times, _on_path(self._path.position, self._times), G
+
+    @cached_property
+    def samples(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+        times, points, states = self.states
+        return tuple(zip(times.tolist(), points, states))
 
 
 def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:

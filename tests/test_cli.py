@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,10 +17,13 @@ from liecurv import (
     cli,
     exp_so3,
     holonomy,
+    natural_form,
     parallelogram_loop,
     plane_rolling_form,
+    polyline,
     quat_to_rotation,
     rotation_to_quat,
+    transport,
     verify,
 )
 from liecurv.cli import main, parse_args, read_path_file, run, write_result, RunRequest
@@ -336,6 +341,58 @@ def test_holonomy_quat_is_the_last_trajectory_quat(connection):
         # the same bytes as a quaternion computed from the final matrix itself
         R = np.array(block["matrix"]).reshape(3, 3)
         assert block["quat"] == rotation_to_quat(R).tolist()
+
+
+def tuple_trajectory(samples):
+    """The trajectory as once built from ``samples``: zipped apart, re-stacked, one ``tolist`` per row."""
+    ts, xs, gs = zip(*samples)
+    quats = rotation_to_quat(np.stack(gs)).tolist()
+    return [{"t": float(t), "x": x.tolist(), "quat": q} for t, x, q in zip(ts, xs, quats)]
+
+
+def trajectory_bytes(rows):
+    return json.dumps(rows, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 63, 64, 65, 1024, 1025, 2049, 3001])  # one to three strides, partial chunks
+@pytest.mark.parametrize("method", ["euler", "midpoint"])
+@pytest.mark.parametrize("connection", cli._CONNECTIONS)
+def test_trajectory_from_states_is_the_bytes_of_the_tuple_construction(connection, method, steps):
+    sphere = connection.startswith("sphere")
+    dim = {"natural-so3": 3}.get(connection, 2)
+    points = {3: "0,0,0;1,0.5,-0.3;0.4,1.2,0.9;0,0,0", 2: "0,0;0.3,0.1;-0.2,0.4"}[dim]
+    for path in ("circle", "polyline"):  # smooth, then with corners
+        req = RunRequest("holonomy", connection=connection, radius=2.0, path=path, eps=0.3, method=method,
+                         steps=steps, x0=(1.1, 0.4) if sphere else None,
+                         points=((1.1, 0.4), (1.3, 0.5), (1.0, 0.7)) if sphere else cli._point_list(points))
+        form = cli._build_connection(req)
+        runs = [transport(form, cli._build_path(req, form.base_dim), config=cli._config(req)) for _ in range(2)]
+        assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].samples))
+
+
+@pytest.mark.parametrize("steps", [1, 64, 1025, 3001])
+def test_trajectory_from_states_is_the_bytes_of_the_tuple_construction_from_a_random_start(steps):
+    g0 = exp_so3(np.random.default_rng(steps).standard_normal(3) * 2.0)
+    path = polyline(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.3], [0.4, 1.2, 0.9]]))
+    runs = [transport(natural_form(), path, g0, IntegratorConfig(steps=steps)) for _ in range(2)]
+    assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].samples))
+
+
+# the pool's natural-so3 square at --x0 1,2 is refused when run (its points are 3-vectors), so its echo is
+# checked under plane-rolling, whose points are 2-vectors
+ECHO_ARGVS = [
+    *[argv + ["--connection", "plane-rolling"] if "--x0" in argv else argv for argv in PARSE_POOL],
+    ["transport", "--connection", "natural-so3", "--path", "line", "--xi", "0,0,1.5707963", "--steps", "1000"],
+    ["holonomy", "--connection", "plane-rolling", "--path", "square", "--eps", "1"],
+    ["curvature", "--connection", "sphere-outer", "--radius", "2"],
+    ["transport", "--path", "polyline", "--points", "0,0,0;1,0.5,-0.3;0.4,1.2,0.9", "--steps", "64"],
+]
+
+
+@pytest.mark.parametrize("argv", ECHO_ARGVS, ids=" ".join)
+def test_the_request_echo_is_the_dataclass_as_a_dict(argv):
+    req = parse_args(argv)
+    assert json.dumps(run(req)["request"], sort_keys=True) == json.dumps(asdict(req), sort_keys=True)
 
 
 def test_pullback_connection_runs(tmp_path):
@@ -657,6 +714,13 @@ def test_write_result_refuses_non_finite_numbers():
     row = {"t": 0.0, "x": [float("inf")], "quat": [1.0, 0.0, 0.0, 0.0]}
     with pytest.raises(ValueError, match="non-finite"):
         write_result({"trajectory": [row]}, fmt="csv")
+    finite = {"t": 0.5, "x": [0.0, -1.0], "quat": [1.0, 0.0, -0.0, 0.0]}
+    assert write_result({"trajectory": [finite]}, fmt="csv").count("\n") == 2
+    for key, index, bad in [("t", None, float("nan")), ("t", None, -math.inf), ("quat", 2, float("nan")),
+                            ("quat", 0, -math.inf)]:
+        row = {**finite, key: bad if index is None else [*finite[key][:index], bad, *finite[key][index + 1:]]}
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value in trajectory row at t = {row['t']!r}")):
+            write_result({"trajectory": [finite, row]}, fmt="csv")
 
 
 # ---------------------------------------------------------------------------

@@ -443,9 +443,9 @@ def test_the_uniform_grid_is_linspace_bit_for_bit():
         assert integration_grid(n).tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes(), n
     with pytest.raises(ValueError, match="steps must be at least 1, got 0"):
         integration_grid(0)
-    for steps in (64.0, 64.5):  # a count, as linspace takes it
+    for steps in (64.0, 64.5):  # a count, as linspace takes it; IntegratorConfig refuses these before any run
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-            transport(NAT, circle(np.zeros(3), 0.5), config=IntegratorConfig(steps=steps))
+            integration_grid(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +533,18 @@ def test_final_is_the_same_bits_whether_read_first_or_after_samples(steps, metho
     later = run()
     samples = later.samples
     assert final_first.tobytes() == later.final.tobytes() == samples[-1][2].tobytes()
-    assert first.samples[-1][2].tobytes() == final_first.tobytes()
+    assert first.samples[-1][2].tobytes() == final_first.tobytes() == first.states[2][-1].tobytes()
+    stacked = run()
+    times, points, states = stacked.states
+    assert stacked.final.tobytes() == states[-1].tobytes() == final_first.tobytes()
+    # states are the samples stacked, bit for bit, with the start as row 0
+    m, d = len(samples), points.shape[1]
+    start = {"transport": g0, "transport_e3": np.eye(3), "lift_e3": np.array([1.0, 0.0, 0.0, 0.0])}.get(stepper, q0)
+    assert times.shape == (m,) and points.shape == (m, d) and states.shape == (m, *start.shape)
+    assert states[0].tobytes() == start.tobytes() and times[0] == 0.0
+    assert times.tolist() == [t for t, _, _ in samples]
+    assert points.tobytes() == np.stack([x for _, x, _ in samples]).tobytes()
+    assert states.tobytes() == np.stack([g for _, _, g in samples]).tobytes()
     if stepper == "lift_transport":
         assert lift_transport(sphere, arc, q0, cfg).tobytes() == final_first.tobytes()
     if stepper.endswith("e3"):

@@ -152,6 +152,19 @@ def test_integrator_config_validation():
         IntegratorConfig(steps=10**12)  # refused before any grid is built
 
 
+@pytest.mark.parametrize("steps", [64.0, 64.5, "64", True, None])
+def test_integrator_config_refuses_a_step_count_that_is_not_an_integer(steps):
+    # a float used to pass and fail later in the grid; True used to run one step
+    with pytest.raises(ValueError, match=re.escape(f"steps must be an integer, got {steps!r}")):
+        IntegratorConfig(steps=steps)
+
+
+@pytest.mark.parametrize("steps", [64, np.int64(64)])
+def test_integrator_config_accepts_any_integer_type(steps):
+    res = transport(NAT, tilted_circle(), config=IntegratorConfig(steps=steps))
+    assert res.final.tobytes() == transport(NAT, tilted_circle(), config=IntegratorConfig(steps=64)).final.tobytes()
+
+
 @pytest.mark.parametrize("read_first", ["final", "samples"])
 def test_results_do_not_see_later_changes_to_the_start_frame(read_first):
     cfg = IntegratorConfig(steps=3000)
