@@ -154,6 +154,11 @@ def quat_exp(u) -> np.ndarray:
     uses its Taylor expansion below 1e-6. A stack of shape (..., 3) gives
     a stack of shape (..., 4).
     """
+    return quat_exp_angle(u)[0]
+
+
+def quat_exp_angle(u) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`quat_exp` of ``u`` and the angle |u| it is formed from, of shape (...,), as ``(q, theta)``."""
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (3,):
         raise ValueError(f"quat_exp expects vectors of shape (..., 3), got shape {u.shape}")
@@ -171,7 +176,7 @@ def quat_exp(u) -> np.ndarray:
     q[..., 1] = sinc * x
     q[..., 2] = sinc * y
     q[..., 3] = sinc * z
-    return q
+    return q, theta
 
 
 def quat_to_rotation(q) -> np.ndarray:

@@ -30,12 +30,13 @@ runs, and for each block it
    as (3, n), so each numpy loop covers the whole block, not one node's
    2 to 4 components;
 2. exponentiates all steps at once as unit quaternions by half angles,
-   quat_exp(dt a / 2), refusing non-finite ones. The image of that step under
-   the double cover is exactly exp_so3(dt a), so one product is both the
-   SO(3) frame (through :func:`liecurv.liecore.quat_to_rotation`) and its
-   continuous quaternion lift. Quaternion transport is such a lift: its so(3)
-   input is lie_hom_derivative(v) = 2 v for the path velocity v, so its step
-   is quat_exp(dt v);
+   quat_exp(dt a / 2), refusing non-finite ones, and sums the step angles
+   |dt a| from those half angles. The image of that step under the double
+   cover is exactly exp_so3(dt a), so one product is both the SO(3) frame
+   (through :func:`liecurv.liecore.quat_to_rotation`) and its continuous
+   quaternion lift. Quaternion transport is such a lift: its so(3) input is
+   lie_hom_derivative(v) = 2 v for the path velocity v, so its step is
+   quat_exp(dt v);
 3. multiplies the factors, later ones on the left, by a pairwise (tree)
    reduction within chunks of ``stride`` steps, the sample-recording stride.
 
@@ -47,8 +48,8 @@ so the two are bitwise equal. Its numpy passes stop at 64 rows, because a
 numpy ``quat_mul`` costs about 30 array operations whatever its row count;
 the top levels are reduced in Python floats with the same pairing and the
 same bits. The scan, which gives the recorded states, runs on the first read
-of :attr:`TransportResult.states` (or ``samples``, its tuple view). Only the
-engine builds a result; it refuses every non-finite step, so reading refuses nothing.
+of :attr:`TransportResult.states`. Only the engine builds a result; it refuses
+every non-finite step, so reading refuses nothing.
 
 The scalar work at the two ends of a run also avoids numpy's per-call cost:
 ``check_rotation`` tests a caller's g0 on Python floats, the uniform grid is
@@ -80,13 +81,14 @@ from typing import Callable
 import numpy as np
 
 from .connections import LocalConnectionForm, Surface, sphere_surface
-from .liecore import (check_rotation, check_unit_quat, exp_so3, lie_hom_derivative, log_so3, quat_exp, quat_mul,
-                      quat_to_rotation)
+from .liecore import (check_rotation, check_unit_quat, exp_so3, lie_hom_derivative, log_so3, quat_exp_angle,
+                      quat_mul, quat_to_rotation)
 
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
 _BLOCK = 4096  # intervals evaluated per block (rounded to whole recording chunks)
 _SCALAR_ROWS = 64  # _last_product finishes on Python floats from this many rows down
+_SQUARE_OVERFLOW = 2.0**511  # the half angle theta from which (2 theta)^2 overflows
 SIDE_ROUNDING = 1e-6  # largest relative error rounding at the corner may leave on a parallelogram side
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY.flags.writeable = False
@@ -187,7 +189,7 @@ def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np
 
     ``sample(ts, True)``, the first block, leads ``ts`` with the probe's m start rows, checks every shape
     on them, words a failure by :func:`_probe`, and drops them. A translation-invariant form is given no
-    positions: ``position`` is then called on the start rows alone, for ``samples``.
+    positions: ``position`` is then called on the start rows alone, for ``states``.
     """
     if form.base_dim != path.base_dim:
         raise ValueError(f"dimension mismatch: form '{form.descriptor}' lives on R^{form.base_dim}, "
@@ -283,14 +285,22 @@ def _rotation_on_floats(q: list[float]) -> np.ndarray:
     ]).reshape(1, 3, 3)
 
 
-def _walk(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool, stride: int = 1):
-    """The engine's walk over the grid: blocks of at most ~_BLOCK intervals, in whole chunks of ``stride``.
+def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int, float]:
+    """The ordered products of the half-angle steps quat_exp(dt_k a(t*_k) / 2) over chunks of the grid.
 
-    Yields each block's sample times t* (left nodes, or interval midpoints if
-    ``midpoint``), its widths dt and the (n, 3) so(3) inputs ``sample(t*, first block)``.
+    ``sample(ts, first block)`` maps an array of times t* (left nodes, or interval midpoints if ``midpoint``)
+    to the (n, 3) so(3) inputs there, one block of at most ~_BLOCK intervals in whole chunks at a time. Each
+    step lifts exp_so3(dt a) through the double cover, for every caller. Returns ``(C, stride, angles)``:
+    ``C[j]`` is the product over the intervals ``[j stride, (j + 1) stride)`` (the last chunk may be
+    shorter), where stride is the smallest step keeping at most _MAX_RECORDED chunks, so the state after
+    chunk j is C_j ... C_0. ``angles`` sums the step angles |dt a| = 2 |dt a / 2|: each is
+    ``np.linalg.norm(dt a)`` bit for bit, as 0.5 is a power of two, and one whose square overflows makes the
+    sum inf, as that norm does. Non-finite samples or steps raise ValueError.
     """
     n = len(nodes) - 1
+    stride = max(1, -(-n // _MAX_RECORDED))
     block = stride * max(1, _BLOCK // stride)
+    chunks, angles = [], 0.0
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         t0 = nodes[k0:k1]
@@ -299,31 +309,17 @@ def _walk(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool, 
         a = sample(ts, k0 == 0)
         if a.shape != (k1 - k0, 3):
             raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
-        yield ts, dt, a
-
-
-def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int]:
-    """The ordered products of the half-angle steps quat_exp(dt_k a(t*_k) / 2) over chunks of the grid.
-
-    ``sample`` maps an array of times to the (n, 3) so(3) inputs there. Each
-    step lifts exp_so3(dt a) through the double cover, for every caller.
-    Returns ``(C, stride)``: ``C[j]`` is the product over the
-    intervals ``[j stride, (j + 1) stride)`` (the last chunk may be shorter),
-    where stride is the smallest step keeping at most _MAX_RECORDED chunks.
-    The state after chunk j is C_j ... C_0. Non-finite samples or step
-    quaternions raise ValueError.
-    """
-    stride = max(1, -(-(len(nodes) - 1) // _MAX_RECORDED))
-    chunks = []
-    for ts, dt, a in _walk(sample, nodes, midpoint, stride):
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             # dt a / 2 laid out (3, n), so the product runs along the nodes; quat_exp reads its columns
-            steps = quat_exp(np.multiply(0.5 * dt, a.T, out=np.empty((3, len(dt)))).T)
+            steps, theta = quat_exp_angle(np.multiply(0.5 * dt, a.T, out=np.empty((3, len(dt)))).T)
+            angles += 2.0 * float(theta.sum())
         if not np.isfinite(steps).all():  # a non-finite a(t*) gives a non-finite step, as dt > 0
             if (k := _first_bad(a)) >= 0:
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
             k = _first_bad(steps)
             raise ValueError(f"non-finite step rotation at t = {float(ts[k])!r}: the step angle |dt a| overflows")
+        if angles >= 2.0 * _SQUARE_OVERFLOW and theta.max() >= _SQUARE_OVERFLOW:
+            angles = math.inf
         # whole chunks of ``stride`` steps, a partial last one padded with identities
         if pad := -len(dt) % stride:
             steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))])
@@ -333,7 +329,7 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
                 steps = np.concatenate([steps, np.broadcast_to(_IDENTITY, (len(steps), 1, 4))], axis=1)
             steps = quat_mul(steps[:, 1::2], steps[:, 0::2])
         chunks.append(steps[:, 0])
-    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)), stride
+    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)), stride, angles
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +337,7 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
 
 
 class TransportResult:
-    """Final group element plus the recorded states, stacked and as (t, x, g) samples.
+    """Final group element plus the recorded states, stacked.
 
     Built by the engine alone: the constructor runs :func:`_compose` over the
     path's grid, which refuses every non-finite step, so reading refuses nothing.
@@ -350,14 +346,14 @@ class TransportResult:
     first read: ``final`` by :func:`_last_product`, ``states`` (times (m,), points
     (m, d), and frames (m, 3, 3) or, for the lifts, quaternions (m, 4); row 0 is the
     start) by the prefix scan, which also fills ``final`` from its last row (the two
-    are bitwise equal). ``samples`` is its tuple view, one ``(t, x, g)`` per row.
-    ``frames`` maps a stack of states to their frames, and ``frame`` maps one
-    state, given as four Python floats, to the same bits as a one-row ``frames``.
+    are bitwise equal). ``frames`` maps a stack of states to their frames, and
+    ``frame`` maps one state, given as four Python floats, to the same bits as a
+    one-row ``frames``. ``_angles`` is the engine's sum of the run's step angles |dt a|.
     """
 
     def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frames, frame, start: np.ndarray):
         nodes = integration_grid(config.steps, path.corners)
-        self._chunks, stride = _compose(sample, nodes, config.method == "exp-midpoint")
+        self._chunks, stride, self._angles = _compose(sample, nodes, config.method == "exp-midpoint")
         self._path, self._frames, self._frame, self._start = path, frames, frame, start
         # the start, then the end of every chunk: a copy, so the result does not keep the whole grid alive
         self._times = np.concatenate((nodes[:-1:stride], nodes[-1:]))
@@ -371,11 +367,6 @@ class TransportResult:
         G = np.concatenate((self._start[None], self._frames(_prefix_products(self._chunks))))
         self.__dict__.setdefault("final", G[-1].copy())
         return self._times, _on_path(self._path.position, self._times), G
-
-    @cached_property
-    def samples(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
-        times, points, states = self.states
-        return tuple(zip(times.tolist(), points, states))
 
 
 def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
@@ -493,12 +484,12 @@ def small_loop_curvature(
 
     A loop past pi in holonomy angle wraps into a wrong estimate without an
     error, so a loop too large to be small is refused by two tests on the
-    eps/2 loop. Its step angles |dt a| over the engine's own nodes must sum to
-    less than pi: the angle of a product of rotations is at most the sum of
-    the factors' angles, so the loop's holonomy has not wrapped and log_so3
-    reads its angle truly. That angle |est(eps/2)| (eps/2)^2 must then not
-    exceed pi/8, which keeps the eps loop, about four times larger, below
-    pi/2. These guard the wrap, not the error.
+    eps/2 loop. Its step angles |dt a|, which its transport sums as it takes
+    them, must sum to less than pi: the angle of a product of rotations is at
+    most the sum of the factors' angles, so the loop's holonomy has not
+    wrapped and log_so3 reads its angle truly. That angle |est(eps/2)|
+    (eps/2)^2 must then not exceed pi/8, which keeps the eps loop, about four
+    times larger, below pi/2. These guard the wrap, not the error.
 
     A loop whose area e^2 (e = eps or eps/2) underflows below the smallest
     normal float, or whose sides are lost in rounding at x, is refused before
@@ -513,22 +504,19 @@ def small_loop_curvature(
             raise ValueError(f"eps = {eps!r} is too small: the loop area ({e!r})^2 underflows")
         return parallelogram_loop(x, u, v, e)
 
-    def estimate(c: PathSpec, e: float) -> np.ndarray:
-        return -log_so3(transport(form, c, config=cfg).final) / (e * e)
+    def estimate(res: TransportResult, e: float) -> np.ndarray:
+        return -log_so3(res.final) / (e * e)
 
-    small = loop(eps / 2.0)
+    small = transport(form, loop(eps / 2.0), config=cfg)
     half = estimate(small, eps / 2.0)
-    blocks = _walk(_form_sampler(form, small), integration_grid(cfg.steps, small.corners), cfg.method == "exp-midpoint")
-    with np.errstate(over="ignore"):  # the engine took every step, so a sum past the float range is inf, refused
-        total = sum(float(np.linalg.norm(dt[:, None] * a, axis=1).sum()) for _, dt, a in blocks)
-    if total >= np.pi:
+    if (total := small._angles) >= np.pi:
         raise ValueError(f"loop too large to be small: the half-size loop's step angles |dt a| sum to {total:.4g}, "
                          "at least pi, so its holonomy angle may wrap past pi")
     angle = float(np.linalg.norm(half)) * ((eps / 2.0) * (eps / 2.0))  # a float power would raise OverflowError
     if angle > np.pi / 8.0:
         raise ValueError("loop too large to be small: the half-size loop's holonomy angle "
                          f"{angle:.3f} exceeds pi/8, so the full-size loop's may wrap past pi")
-    return 2.0 * half - estimate(loop(eps), eps)
+    return 2.0 * half - estimate(transport(form, loop(eps), config=cfg), eps)
 
 
 def commutator_by_flows(xi, eta, t: float) -> np.ndarray:

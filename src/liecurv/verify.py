@@ -358,13 +358,16 @@ def curvature_probe(
     form is :func:`liecurv.connections.curvature_closed_form`'s, which
     refuses forms without one. The factor is the estimate's signed
     projection onto ``direction`` (the closed form by default) over
-    |direction|^2.
+    |direction|^2, both taken on direction scaled by a power of two to a largest
+    entry in [1/2, 1): the same bits, and no underflow of |direction|^2 (r^4 on a sphere).
     """
     u, v = np.eye(form.base_dim)[:2]
     ref = curvature_closed_form(form, x, u, v)
     d = ref if direction is None else direction
     est = small_loop_curvature(form, x, u, v, eps, config or IntegratorConfig(steps=512))
-    return est, ref, float((est @ d) / (d @ d))
+    scale = 2.0 ** -int(np.frexp(np.abs(d).max())[1])
+    d = d * scale
+    return est, ref, float((est @ d) / (d @ d)) * scale
 
 
 def sphere_curvature_probe(

@@ -1,0 +1,15 @@
+"""Hypothesis profiles.
+
+Every property test sets its own example count but one: the standing CLI
+sweep, ``test_every_request_is_answered_correctly_or_refused``, takes its count
+and its derandomization from the loaded profile. "tier-1", loaded here, runs
+500 derandomized examples. ``--hypothesis-profile=random-sweep`` runs 4,000
+random ones instead, drawn from the seed that ``--hypothesis-seed`` gives, so
+each seed explores new requests and a failure can be replayed from its seed.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("tier-1", max_examples=500, derandomize=True)
+settings.register_profile("random-sweep", max_examples=4000, derandomize=False, database=None)
+settings.load_profile("tier-1")

@@ -343,9 +343,11 @@ def test_holonomy_quat_is_the_last_trajectory_quat(connection):
         assert block["quat"] == rotation_to_quat(R).tolist()
 
 
-def tuple_trajectory(samples):
-    """The trajectory as once built from ``samples``: zipped apart, re-stacked, one ``tolist`` per row."""
-    ts, xs, gs = zip(*samples)
+def tuple_trajectory(states):
+    """The trajectory as once built from (t, x, g) tuples of the ``states`` rows: zipped apart, re-stacked,
+    one ``tolist`` per row."""
+    times, points, frames = states
+    ts, xs, gs = zip(*zip(times.tolist(), points, frames))
     quats = rotation_to_quat(np.stack(gs)).tolist()
     return [{"t": float(t), "x": x.tolist(), "quat": q} for t, x, q in zip(ts, xs, quats)]
 
@@ -367,7 +369,7 @@ def test_trajectory_from_states_is_the_bytes_of_the_tuple_construction(connectio
                          points=((1.1, 0.4), (1.3, 0.5), (1.0, 0.7)) if sphere else cli._point_list(points))
         form = cli._build_connection(req)
         runs = [transport(form, cli._build_path(req, form.base_dim), config=cli._config(req)) for _ in range(2)]
-        assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].samples))
+        assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].states))
 
 
 @pytest.mark.parametrize("steps", [1, 64, 1025, 3001])
@@ -375,7 +377,7 @@ def test_trajectory_from_states_is_the_bytes_of_the_tuple_construction_from_a_ra
     g0 = exp_so3(np.random.default_rng(steps).standard_normal(3) * 2.0)
     path = polyline(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.3], [0.4, 1.2, 0.9]]))
     runs = [transport(natural_form(), path, g0, IntegratorConfig(steps=steps)) for _ in range(2)]
-    assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].samples))
+    assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].states))
 
 
 # the pool's natural-so3 square at --x0 1,2 is refused when run (its points are 3-vectors), so its echo is
@@ -647,6 +649,19 @@ def test_sphere_curvature_refusals_name_the_radius_and_eps_as_given(radius, eps)
     assert max(map(len, digits)) <= 17
 
 
+@pytest.mark.parametrize("side", ["outer", "inner"])
+def test_sphere_curvature_at_tiny_radii_answers_finitely_or_names_the_radius(side):
+    # d @ d goes as r^4 in the factor, so it underflowed below r = 1e-80: a RuntimeWarning, then json's message
+    for k in range(60, 154):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = capture(["curvature", f"--connection=sphere-{side}", f"--radius=1e-{k}", f"--eps=1e-{k}"])
+        if code == 0:
+            assert math.isfinite(json.loads(out)["curvature"]["factor"]), k
+        else:
+            assert (code, out) == (1, "") and err.startswith("error:") and "--radius" in err, (k, err)
+
+
 # floats at the ends of the float range: signed zeros, subnormals, 1e+-154 (whose squares
 # leave the normal range), 1e+-300 and the largest float, with their negatives
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-154, 1e154, 1e-300, 1e300, -1e300, 1.7976931348623157e308,
@@ -682,10 +697,14 @@ def _reject_constant(name):
     raise AssertionError(f"non-finite number {name} in the output")
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(deadline=None)  # the example count and derandomization come from the loaded profile (conftest.py)
 @given(argv=sweep_requests())
 @example(argv=["curvature", "--steps=512", "--method=midpoint", "--connection=natural-so3", "--radius=1.0",
                "--eps=6.234"])  # answered with factor -0.000187 before the step-angle test
+@example(argv=["curvature", "--steps=1", "--method=euler", "--connection=sphere-outer", "--radius=1e-154",
+               "--eps=1e-154"])  # |d|^2 underflowed in the factor: a RuntimeWarning, then json's message
+@example(argv=["transport", "--steps=1", "--method=euler", "--path=line", "--x0=0,0,0",
+               "--xi=0,1e154,1e154"])  # a correct answer whose |xi| overflowed in the oracle's gate
 def test_every_request_is_answered_correctly_or_refused(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -702,7 +721,8 @@ def test_every_request_is_answered_correctly_or_refused(argv):
     req = doc["request"]
     if req["command"] == "transport" and req["connection"] == "natural-so3" and req["path"] == "line":
         xi = np.array(req["xi"])
-        if np.linalg.norm(xi) <= 100.0:  # a larger angle is not resolved in float64
+        # a larger angle is not resolved in float64; the max first, as |xi| itself may overflow
+        if np.abs(xi).max() <= 100.0 and np.linalg.norm(xi) <= 100.0:
             assert np.abs(np.reshape(doc["holonomy"]["matrix"], (3, 3)) - exp_so3(xi)).max() <= 1e-9
     if req["command"] == "curvature" and req["connection"] in FLAT:
         assert abs(doc["curvature"]["factor"] - doc["curvature"]["expected_factor"]) <= 0.15

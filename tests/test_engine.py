@@ -469,8 +469,10 @@ def test_engine_matches_sequential_reference(steps, method, path_name):
     want, want_ts = sequential_transport(NAT, path, steps, method)
     res = transport(NAT, path, config=cfg)
     np.testing.assert_allclose(res.final, want, rtol=0.0, atol=1e-12)
-    assert [t for t, _, _ in res.samples] == want_ts
-    for t, x, _ in res.samples[:: max(1, len(res.samples) // 5)]:
+    times, points, _ = res.states
+    assert times.tolist() == want_ts
+    every = max(1, len(times) // 5)
+    for t, x in zip(times[::every].tolist(), points[::every]):
         np.testing.assert_allclose(x, path.position(t), rtol=0.0, atol=1e-14)
 
     # quaternion transport composes the same way: compare with q <- quat_exp(dt v) q
@@ -482,11 +484,11 @@ def test_engine_matches_sequential_reference(steps, method, path_name):
         q = quat_mul(quat_exp(dt * path.velocity(t)), q)
     got = transport_quat(path, config=cfg)
     np.testing.assert_allclose(got.final, q, rtol=0.0, atol=1e-12)
-    assert [t for t, _, _ in got.samples] == want_ts
+    assert got.states[0].tolist() == want_ts
 
 
 # ---------------------------------------------------------------------------
-# only what the caller reads: the final frame by reduction, the samples on demand
+# only what the caller reads: the final frame by reduction, the recorded states on demand
 
 EDGE_LENGTHS = sorted({2**k + d for k in range(12) for d in (-1, 0, 1)} - {0})  # 1 ... 2049
 
@@ -531,20 +533,15 @@ def test_final_is_the_same_bits_whether_read_first_or_after_samples(steps, metho
     first = run()
     final_first = first.final
     later = run()
-    samples = later.samples
-    assert final_first.tobytes() == later.final.tobytes() == samples[-1][2].tobytes()
-    assert first.samples[-1][2].tobytes() == final_first.tobytes() == first.states[2][-1].tobytes()
-    stacked = run()
-    times, points, states = stacked.states
-    assert stacked.final.tobytes() == states[-1].tobytes() == final_first.tobytes()
-    # states are the samples stacked, bit for bit, with the start as row 0
-    m, d = len(samples), points.shape[1]
+    times, points, states = later.states
+    assert later.final.tobytes() == states[-1].tobytes() == final_first.tobytes()
+    assert first.states[2][-1].tobytes() == final_first.tobytes()
+    # the start is row 0, and the states read after final have the bits of the states read first
+    m, d = len(times), points.shape[1]
     start = {"transport": g0, "transport_e3": np.eye(3), "lift_e3": np.array([1.0, 0.0, 0.0, 0.0])}.get(stepper, q0)
     assert times.shape == (m,) and points.shape == (m, d) and states.shape == (m, *start.shape)
     assert states[0].tobytes() == start.tobytes() and times[0] == 0.0
-    assert times.tolist() == [t for t, _, _ in samples]
-    assert points.tobytes() == np.stack([x for _, x, _ in samples]).tobytes()
-    assert states.tobytes() == np.stack([g for _, _, g in samples]).tobytes()
+    assert [a.tobytes() for a in first.states] == [a.tobytes() for a in later.states]
     if stepper == "lift_transport":
         assert lift_transport(sphere, arc, q0, cfg).tobytes() == final_first.tobytes()
     if stepper.endswith("e3"):
@@ -569,7 +566,7 @@ def test_the_frame_on_python_floats_is_quat_to_rotation_bit_for_bit():
 def test_reading_final_calls_quat_mul_only_on_more_than_64_rows(monkeypatch, steps, calls, stepper):
     # 64 one-step chunks reduce on Python floats alone. 4,096 steps make 1,024 chunks of four: two numpy
     # passes reduce the chunks, four halve them down to 64 rows. Both final frames are built on Python
-    # floats, so neither stepper's adds a call; the frames of the samples are one quat_to_rotation call
+    # floats, so neither stepper's adds a call; the frames of the states are one quat_to_rotation call
     counted = {"quat_mul": [], "quat_to_rotation": []}
     for name, log in counted.items():
         monkeypatch.setattr(ENGINE, name, lambda *a, fn=getattr(ENGINE, name), log=log: log.append(None) or fn(*a))
@@ -578,7 +575,7 @@ def test_reading_final_calls_quat_mul_only_on_more_than_64_rows(monkeypatch, ste
     run = transport(NAT, loop, config=cfg) if stepper == "transport" else transport_quat(loop, config=cfg)
     run.final
     assert (len(counted["quat_mul"]), len(counted["quat_to_rotation"])) == (calls, 0)
-    run.samples
+    run.states
     assert len(counted["quat_to_rotation"]) == (stepper == "transport")
 
 
@@ -595,7 +592,7 @@ def recorded(path):
 
 def test_reading_only_final_evaluates_the_path_once_per_block():
     # The first block leads with m = 4 copies of t = 0. The natural form reads no positions: the position
-    # map is called on those start rows alone, to check the map that samples reads. The sphere reads
+    # map is called on those start rows alone, to check the map that states reads. The sphere reads
     # positions in every block; the velocity is read in every block under both
     steps, m = 12_001, 4
     for form, base in (("natural", "polyline"), ("sphere-outer", "great_arc")):
@@ -613,9 +610,9 @@ def test_reading_only_final_evaluates_the_path_once_per_block():
             if reads_x or name == "velocity":
                 assert sum(len(ts) for ts in times) == m + n  # the sample times, not the recorded ones
         assert reads_x or len(calls["position"][0]) == m
-        res.samples
+        times, _, _ = res.states
         assert len(calls["position"]) == (blocks if reads_x else 1) + 1  # every recorded time, in one call
-        assert len(calls["position"][-1]) == len(res.samples)
+        assert len(calls["position"][-1]) == len(times)
 
 
 # The same evaluate as an invariant catalog form, in a form that does not declare the fact: the engine
@@ -651,9 +648,8 @@ def test_an_invariant_form_gives_the_bits_of_the_same_form_fed_positions(case, s
     cfg = IntegratorConfig(method=method, steps=steps)
     run, fed = transport(FORMS[name], path, config=cfg), transport(fed_positions(FORMS[name]), path, config=cfg)
     assert run.final.tobytes() == fed.final.tobytes()
-    assert len(run.samples) == len(fed.samples)
-    for (t, x, g), (t_fed, x_fed, g_fed) in zip(run.samples, fed.samples):
-        assert (t, x.tobytes(), g.tobytes()) == (t_fed, x_fed.tobytes(), g_fed.tobytes())
+    assert len(run.states[0]) == len(fed.states[0])
+    assert [a.tobytes() for a in run.states] == [a.tobytes() for a in fed.states]
 
 
 # A chart line that starts inside the polar cap. Every exp-midpoint sample of these runs lies outside the
@@ -679,9 +675,9 @@ def test_a_path_written_only_for_arrays_gives_samples():
     c = PathSpec(3, lambda t: t[..., None] * xi, lambda t: np.ones_like(t)[..., None] * xi, closed=False)
     cfg = IntegratorConfig(steps=10)
     for res in (transport(NAT, c, config=cfg), transport_quat(c, config=cfg)):
-        ts, xs, _ = zip(*res.samples)
+        ts, xs, _ = res.states
         assert ts[0] == 0.0 and len(ts) == 11
-        np.testing.assert_allclose(np.stack(xs), c.position(np.array(ts)), atol=1e-15)
+        np.testing.assert_allclose(xs, c.position(ts), atol=1e-15)
 
 
 def test_time_ordered_product_pins_the_signs_of_zero_entries():

@@ -34,7 +34,7 @@ from liecurv import (
     rotation_to_quat,
     vee,
 )
-from liecurv.liecore import _checked_entries
+from liecurv.liecore import _checked_entries, quat_exp_angle
 
 LIECORE = importlib.import_module("liecurv.liecore")
 
@@ -726,6 +726,9 @@ def test_quat_exp_gives_the_bits_of_the_norm_and_concatenate_expression(U):
             got, want = quat_exp(u), broadcast_quat_exp(u)
             assert got.shape == want.shape == u.shape[:-1] + (4,)
             assert np.array_equal(got, want, equal_nan=True)
+            q, theta = quat_exp_angle(u)  # the same quaternion, and the norm it was formed from
+            assert np.array_equal(q, got, equal_nan=True)
+            assert np.array_equal(theta, np.linalg.norm(u, axis=-1), equal_nan=True)
             number = ~np.isnan(want)
             assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 

@@ -127,12 +127,13 @@ def test_transport_rejects_non_finite_increments():
 
 def test_transport_samples_structure():
     res = transport(NAT, tilted_circle(), config=IntegratorConfig(steps=10_000))
-    ts = [t for t, _, _ in res.samples]
+    times, _, states = res.states
+    ts = times.tolist()
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert ts == sorted(ts)
-    assert len(res.samples) <= 1026  # recording cap plus endpoints
-    np.testing.assert_allclose(res.samples[-1][2], res.final, atol=0.0)
-    for _, x, g in res.samples[:: len(res.samples) // 7]:
+    assert len(ts) <= 1026  # recording cap plus endpoints
+    np.testing.assert_allclose(states[-1], res.final, atol=0.0)
+    for g in states[:: len(states) // 7]:
         np.testing.assert_allclose(g.T @ g, np.eye(3), atol=1e-8)
 
 
@@ -165,7 +166,7 @@ def test_integrator_config_accepts_any_integer_type(steps):
     assert res.final.tobytes() == transport(NAT, tilted_circle(), config=IntegratorConfig(steps=64)).final.tobytes()
 
 
-@pytest.mark.parametrize("read_first", ["final", "samples"])
+@pytest.mark.parametrize("read_first", ["final", "states"])
 def test_results_do_not_see_later_changes_to_the_start_frame(read_first):
     cfg = IntegratorConfig(steps=3000)
     g0, q0 = exp_so3(np.array([0.4, -1.2, 0.9])), quat_exp(np.array([0.3, 0.1, -0.7]))
@@ -176,9 +177,7 @@ def test_results_do_not_see_later_changes_to_the_start_frame(read_first):
     for res, ref in zip(got, want):
         getattr(res, read_first)
         assert res.final.tobytes() == ref.final.tobytes()
-        assert [(t, x.tobytes(), g.tobytes()) for t, x, g in res.samples] == [
-            (t, x.tobytes(), g.tobytes()) for t, x, g in ref.samples
-        ]
+        assert [a.tobytes() for a in res.states] == [a.tobytes() for a in ref.states]
 
 
 def test_polyline_refuses_overflowing_vertices():
@@ -330,6 +329,50 @@ def test_small_loop_curvature_refuses_loops_whose_step_angles_reach_pi(eps, tota
     with pytest.raises(ValueError, match=rf"^loop too large to be small: the half-size loop's step angles \|dt a\| "
                                          rf"sum to {total}, at least pi, so its holonomy angle may wrap past pi$"):
         small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, cfg)
+
+
+def test_a_step_angle_whose_square_overflows_sums_to_inf():
+    # one step per side of |dt a| = 1.5e154: its square, which np.linalg.norm forms, overflows
+    with pytest.raises(ValueError, match=r"step angles \|dt a\| sum to inf, at least pi"):
+        small_loop_curvature(NAT, np.zeros(3), E1, E2, 3e154, IntegratorConfig(steps=1))
+
+
+def test_small_loop_curvature_evaluates_the_form_once_per_node():
+    # the step-angle sum comes from the eps/2 transport itself: two loops of one block each, two evaluations
+    rows, cfg = [], IntegratorConfig(steps=512)
+    counted = dataclasses.replace(NAT, evaluate=lambda x, v: rows.append(len(v)) or NAT.evaluate(x, v))
+    est = small_loop_curvature(counted, np.zeros(3), E1, E2, 1e-2, cfg)
+    assert est.tobytes() == small_loop_curvature(NAT, np.zeros(3), E1, E2, 1e-2, cfg).tobytes()
+    assert rows == [4 + 512, 4 + 512]  # the first block leads with the m = 4 start rows
+
+
+def walked_angle_sum(form, path, cfg):
+    """sum |dt a| over the run's grid, by a second walk in blocks of 4,096 nodes and np.linalg.norm."""
+    nodes = integration_grid(cfg.steps, path.corners)
+    n, total = len(nodes) - 1, 0.0
+    for k0 in range(0, n, 4096):
+        k1 = min(k0 + 4096, n)
+        dt = nodes[k0 + 1 : k1 + 1] - nodes[k0:k1]
+        ts = nodes[k0:k1] + 0.5 * dt if cfg.method == "exp-midpoint" else nodes[k0:k1]
+        a = -form.evaluate(path.position(ts), path.velocity(ts))
+        total += float(np.linalg.norm(dt[:, None] * a, axis=1).sum())
+    return total
+
+
+@pytest.mark.parametrize("steps", [1, 64, 512, 1024, 1025, 4096, 5000, 12_000])
+@pytest.mark.parametrize("method", ["lie-euler", "exp-midpoint"])
+@pytest.mark.parametrize("name", ["natural", "plane-rolling", "sphere-outer-r2.0", "sphere-inner-r0.5"])
+def test_the_engines_step_angle_sum_is_the_walked_sum(name, method, steps):
+    # the sum small_loop_curvature tests against pi comes from its eps/2 transport's own steps. Up to 4,096
+    # steps the walk and the engine sum one block alike; past that the engine's blocks, whole chunks of
+    # the recording stride, split the grid elsewhere
+    form, x, u, v = CURVATURE_CASES[name]
+    cfg, loop = IntegratorConfig(method, steps), parallelogram_loop(x, u, v, 5e-3)
+    got, want = transport(form, loop, config=cfg)._angles, walked_angle_sum(form, loop, cfg)
+    if steps <= 4096:
+        assert got == want
+    else:
+        assert abs(got - want) <= 4e-16 * want
 
 
 @pytest.mark.parametrize("form", [NAT, plane_rolling_form()], ids=["natural", "plane"])
