@@ -242,11 +242,9 @@ def _build_path(req: RunRequest, dim: int) -> PathSpec:
     raise ValueError(f"unknown path {req.path!r}")
 
 
-def _config(req: RunRequest) -> IntegratorConfig | None:
-    method = _METHODS[req.method]
-    if req.steps is None:
-        return IntegratorConfig(method=method) if method != "exp-midpoint" else None
-    return IntegratorConfig(method=method, steps=req.steps)
+def _config(req: RunRequest) -> IntegratorConfig:
+    """The request's stepper; without ``--steps`` each computation runs its own default count."""
+    return IntegratorConfig(_METHODS[req.method], req.steps)
 
 
 def _rotation_block(R: np.ndarray, q: np.ndarray | None = None) -> dict:
@@ -332,8 +330,7 @@ def run(req: RunRequest) -> dict:
         if n < 1e-12:
             raise ValueError(f"--point must have norm at least 1e-12; the norm of {req.point} is below it")
         p = p / n
-        cfg = _config(req)
-        computed, formula = _verify.unit_sphere_section(p, config=cfg)
+        computed, formula = _verify.unit_sphere_section(p, config=_config(req))
         residual = _verify.section_residual(computed, formula)
         doc["section"] = {
             "point": [float(c) for c in p],

@@ -192,8 +192,9 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         raise ValueError(f"side must be 'outer' or 'inner', got {side!r}")
     F = _orthonormal_frame(frame)
     sign = 1.0 if side == "outer" else -1.0
-    # row vectors times this apply the factor and F; C order, as F.T's order gives a one-row stack other bits
-    rolling_map = np.ascontiguousarray((sign * r + 1.0) * np.linalg.det(F) * F.T)
+    # row vectors times these apply F; C order, as F.T's own order gives a one-row stack other bits
+    Ft = np.ascontiguousarray(F.T)
+    rolling_map = (sign * r + 1.0) * np.linalg.det(F) * Ft
 
     def colatitude(u, what):
         u = np.asarray(u, dtype=float)
@@ -212,13 +213,13 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
     def chart(u):
         th, ph = colatitude(u, "chart point")
         st = np.sin(th)
-        return r * np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1) @ F.T
+        return r * np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1) @ Ft
 
     def chart_tangent(u):
         th, ph = colatitude(u, "chart tangent")
         st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-        d_th = np.stack([ct * cp, ct * sp, -st], axis=-1) @ F.T
-        d_ph = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1) @ F.T
+        d_th = np.stack([ct * cp, ct * sp, -st], axis=-1) @ Ft
+        d_ph = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1) @ Ft
         return r * np.stack([d_th, d_ph], axis=-1)
 
     def rolling(u, v):

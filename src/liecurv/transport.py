@@ -51,13 +51,9 @@ same bits. The scan, which gives the recorded states, runs on the first read
 of :attr:`TransportResult.states`. Only the engine builds a result; it refuses
 every non-finite step, so reading refuses nothing.
 
-The scalar work at the two ends of a run also avoids numpy's per-call cost:
-``check_rotation`` tests a caller's g0 on Python floats, the uniform grid is
-built by ``np.linspace``'s own operations in place (:func:`integration_grid`),
-and ``final`` builds its one frame on Python floats (:func:`_rotation_on_floats`,
-:func:`_hamilton`). Each repeats numpy's operations in numpy's order, sums
-included, and CPython floats, like numpy's elementwise loops, are IEEE doubles
-without fused multiply-add, so every bit is the same.
+The scalar work at the two ends of a run (``check_rotation`` on g0, the uniform
+grid, ``final``'s one frame) also avoids numpy's per-call cost by repeating
+numpy's operations in numpy's order on Python floats: the same bits.
 
 Regrouping the factors is legal because the product is associative, which
 is the paper's concatenation law T(c1 * c2) = T(c2) T(c1) read at the level
@@ -118,20 +114,30 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection: method and uniform step count (at most ``MAX_STEPS``)."""
+    """Stepper selection: method and uniform step count (at most ``MAX_STEPS``); ``steps=None`` leaves
+    the count to the computation that runs the config, in either method, which states its own default."""
 
     method: str = "exp-midpoint"
-    steps: int = 10_000
+    steps: int | None = None
 
     def __post_init__(self):
         if self.method not in ("lie-euler", "exp-midpoint"):
             raise ValueError(f"unknown method {self.method!r}; use 'lie-euler' or 'exp-midpoint'")
+        if self.steps is None:  # the computation's own default
+            return
         if isinstance(self.steps, bool) or not hasattr(type(self.steps), "__index__"):  # what operator.index takes
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps = {self.steps} exceeds the limit of {MAX_STEPS} steps")
+
+
+def with_default_steps(config: IntegratorConfig | None, default: int) -> IntegratorConfig:
+    """The config a computation runs: ``config`` (exp-midpoint if None), its method kept and a missing step
+    count set to the computation's own ``default``. The one place a default step count is filled in."""
+    cfg = config or IntegratorConfig()
+    return cfg if cfg.steps is not None else IntegratorConfig(cfg.method, default)
 
 
 def integration_grid(steps: int, corners: tuple[float, ...] = ()) -> np.ndarray:
@@ -393,11 +399,11 @@ def transport(
     g0 : array, optional
         Starting rotation (identity by default).
     config : IntegratorConfig, optional
-        Stepper and step count; defaults to exp-midpoint with 10^4 steps.
+        Stepper and step count; exp-midpoint by default, with 10^4 steps unless it gives a count.
     """
     sample = _form_sampler(form, path)
     g = np.eye(3) if g0 is None else check_rotation(g0).copy()  # frames are built after the return
-    return TransportResult(sample, path, config or IntegratorConfig(), lambda S: quat_to_rotation(S) @ g,
+    return TransportResult(sample, path, with_default_steps(config, 10_000), lambda S: quat_to_rotation(S) @ g,
                            lambda p: (_rotation_on_floats(p) @ g)[0], g)
 
 
@@ -422,7 +428,7 @@ def transport_quat(
             return -lie_hom_derivative(v)
 
     doubled = LocalConnectionForm(3, evaluate, "quaternion", translation_invariant=True)
-    return _lift(_form_sampler(doubled, path), path, q0, config or IntegratorConfig())
+    return _lift(_form_sampler(doubled, path), path, q0, with_default_steps(config, 10_000))
 
 
 def lift_transport(
@@ -437,9 +443,9 @@ def lift_transport(
     under the double cover reproduces exp_so3(dt a) exactly at every step
     while the sign is tracked by continuity from q0 (identity by default).
     This is the quaternion product that :func:`transport` projects to SO(3).
-    ``config`` defaults to exp-midpoint with 512 steps.
+    ``config`` defaults to exp-midpoint; with ``steps=None``, in either method, it runs 512 steps.
     """
-    return _lift(_form_sampler(form, path), path, q0, config or IntegratorConfig(steps=512)).final
+    return _lift(_form_sampler(form, path), path, q0, with_default_steps(config, 512)).final
 
 
 def holonomy(
@@ -497,7 +503,6 @@ def small_loop_curvature(
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    cfg = config or IntegratorConfig()
 
     def loop(e: float) -> PathSpec:
         if e * e < np.finfo(float).tiny:
@@ -507,7 +512,7 @@ def small_loop_curvature(
     def estimate(res: TransportResult, e: float) -> np.ndarray:
         return -log_so3(res.final) / (e * e)
 
-    small = transport(form, loop(eps / 2.0), config=cfg)
+    small = transport(form, loop(eps / 2.0), config=config)
     half = estimate(small, eps / 2.0)
     if (total := small._angles) >= np.pi:
         raise ValueError(f"loop too large to be small: the half-size loop's step angles |dt a| sum to {total:.4g}, "
@@ -516,7 +521,7 @@ def small_loop_curvature(
     if angle > np.pi / 8.0:
         raise ValueError("loop too large to be small: the half-size loop's holonomy angle "
                          f"{angle:.3f} exceeds pi/8, so the full-size loop's may wrap past pi")
-    return 2.0 * half - estimate(transport(form, loop(eps), config=cfg), eps)
+    return 2.0 * half - estimate(transport(form, loop(eps), config=config), eps)
 
 
 def commutator_by_flows(xi, eta, t: float) -> np.ndarray:
@@ -550,9 +555,8 @@ def convergence_order(
     paths) the error ratio is meaningless and a ValueError is raised. Runs
     start from the identity.
     """
-    ref = transport(form, path, config=IntegratorConfig(method=method, steps=16 * n0)).final
-    e1 = np.linalg.norm(transport(form, path, config=IntegratorConfig(method=method, steps=n0)).final - ref)
-    e2 = np.linalg.norm(transport(form, path, config=IntegratorConfig(method=method, steps=2 * n0)).final - ref)
+    ref, f1, f2 = (transport(form, path, config=IntegratorConfig(method, n)).final for n in (16 * n0, n0, 2 * n0))
+    e1, e2 = np.linalg.norm(f1 - ref), np.linalg.norm(f2 - ref)
     if e2 < 1e-14 or e1 <= e2:
         raise ValueError(
             f"reference not converged: error ratio non-monotone (e(n0) = {e1:.3e}, e(2 n0) = {e2:.3e})"

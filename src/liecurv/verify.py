@@ -46,6 +46,7 @@ from .transport import (
     small_loop_curvature,
     transport,
     transport_quat,
+    with_default_steps,
 )
 
 NATURALITY_SAMPLES = 100  # random draws per pointwise naturality check
@@ -180,12 +181,12 @@ def check_transport_naturality(config: IntegratorConfig | None = None) -> Residu
     Because the covering map doubles algebra increments, the S^3 run along c
     corresponds to the SO(3) run along 2c on the same grid; each step maps
     exactly, so the residual is pure roundoff. c is
-    :func:`default_naturality_path`, and 2c the polyline through its doubled vertices.
+    :func:`default_naturality_path`, and 2c the polyline through its doubled vertices. Both runs take
+    ``config``, with the transports' own 10,000 steps unless it gives a count.
     """
-    cfg = config or IntegratorConfig()
-    q = transport_quat(default_naturality_path(), config=cfg).final
+    q = transport_quat(default_naturality_path(), config=config).final
     lhs = quat_to_rotation(q)
-    rhs = transport(natural_form(), polyline(2.0 * _FIGURE_EIGHT, closed=True), config=cfg).final
+    rhs = transport(natural_form(), polyline(2.0 * _FIGURE_EIGHT, closed=True), config=config).final
     return ResidualReport("transport-naturality", float(np.linalg.norm(lhs - rhs)), 1, 1e-7)
 
 
@@ -215,9 +216,7 @@ def unit_sphere_section(p, config: IntegratorConfig | None = None, legs=None):
     q = np.array([1.0, 0.0, 0.0, 0.0])
     for leg_path, leg_surface in legs:
         q = lift_transport(surface_rolling_form(leg_surface), leg_path, q, config)
-
-    formula = np.array([p[2], -p[1], p[0], 0.0])
-    return q, formula
+    return q, np.array([p[2], -p[1], p[0], 0.0])
 
 
 def section_residual(q, formula) -> float:
@@ -279,12 +278,11 @@ def inner_unit_sphere_identity(config: IntegratorConfig | None = None) -> Residu
 
     The inner Gauss map cancels every velocity (v + Dn v = 0), so the
     connection form vanishes identically and any loop returns I exactly;
-    the check runs a circle of chart radius 0.4 around (1.2, 0.5).
+    the check runs a circle of chart radius 0.4 around (1.2, 0.5), in 512 steps unless ``config`` gives a count.
     """
     form = surface_rolling_form(sphere_surface(1.0, side="inner"))
     c = circle(center=np.array([1.2, 0.5]), radius=0.4)
-    cfg = config or IntegratorConfig(steps=512)
-    residual = float(np.linalg.norm(holonomy(form, c, cfg) - np.eye(3)))
+    residual = float(np.linalg.norm(holonomy(form, c, with_default_steps(config, 512)) - np.eye(3)))
     return ResidualReport("inner-unit-sphere-identity", residual, 1, 1e-12)
 
 
@@ -325,13 +323,13 @@ def holonomy_span_check(loops=None, config: IntegratorConfig | None = None) -> R
     Normalizes each log to a unit axis and reports the shortfall of the
     smallest singular value below SPAN_THRESHOLD (0 when the family spans;
     the report fails when any direction is missing, e.g. for repeated or
-    translated copies of one loop under a translation-invariant form).
+    translated copies of one loop under a translation-invariant form). 64 steps unless ``config`` gives a count.
     """
     form = plane_rolling_form()
     loops = list(loops) if loops is not None else default_span_loops()
     if len(loops) < 3:
         raise ValueError("span check needs at least three loops")
-    cfg = config or IntegratorConfig(steps=64)
+    cfg = with_default_steps(config, 64)
     cols = []
     for c in loops:
         w = log_so3(holonomy(form, c, cfg))
@@ -354,7 +352,7 @@ def curvature_probe(
     """Small-loop curvature on the unit sides e1, e2 at x: ``(estimate, closed_form, factor)``.
 
     The estimate of Omega_x(e1, e2) is small_loop_curvature's at loop scale
-    ``eps`` (512 exp-midpoint steps unless ``config`` is given). The closed
+    ``eps``, in 512 steps unless ``config`` gives a count (exp-midpoint if ``config`` is None). The closed
     form is :func:`liecurv.connections.curvature_closed_form`'s, which
     refuses forms without one. The factor is the estimate's signed
     projection onto ``direction`` (the closed form by default) over
@@ -364,7 +362,7 @@ def curvature_probe(
     u, v = np.eye(form.base_dim)[:2]
     ref = curvature_closed_form(form, x, u, v)
     d = ref if direction is None else direction
-    est = small_loop_curvature(form, x, u, v, eps, config or IntegratorConfig(steps=512))
+    est = small_loop_curvature(form, x, u, v, eps, with_default_steps(config, 512))
     scale = 2.0 ** -int(np.frexp(np.abs(d).max())[1])
     d = d * scale
     return est, ref, float((est @ d) / (d @ d)) * scale
@@ -440,7 +438,7 @@ def run_check(name: str, seed: int = 0, config: IntegratorConfig | None = None) 
 def run_all_checks(config: IntegratorConfig | None = None, seed: int | None = None) -> list[ResidualReport]:
     """The standard battery, ordered by check name.
 
-    ``seed`` is passed to every randomized check; ``config`` overrides the
-    integrator for the transport-based checks.
+    ``seed`` is passed to every randomized check; ``config`` overrides the integrator
+    for the transport-based checks, each with its own step count unless ``config`` gives one.
     """
     return [run_check(name, seed or 0, config) for name, (_, in_all) in sorted(CHECKS.items()) if in_all]

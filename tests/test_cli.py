@@ -545,6 +545,42 @@ def test_section_rejects_zero_point(capsys):
     assert main(["section", "--point", "0,0,0"]) == 1
 
 
+# --method euler without --steps runs each command's own step count as lie-euler: 512 for curvature and
+# section, and each verify check its own (test_verify.py pins those counts through the grid)
+
+EULER = IntegratorConfig("lie-euler", 512)
+CHECK_STEPS = {"transport-naturality": 10_000, "plane-rolling-span": 64}  # the others: 512, or no transport
+
+
+@pytest.mark.parametrize("connection", cli._CONNECTIONS)
+def test_euler_curvature_without_steps_is_the_library_probe_at_512_steps(connection):
+    sphere = connection.startswith("sphere")
+    req = parse_args(["curvature", "--connection", connection, "--method", "euler", *(["--radius", "2"] * sphere)])
+    if sphere:
+        est, ref, factor, expected = verify.sphere_curvature_probe(2.0, connection.split("-")[1], 1e-2, EULER)
+    else:
+        form = cli._build_connection(req)
+        (est, ref, factor), expected = verify.curvature_probe(form, np.zeros(form.base_dim), 1e-2, EULER), 1.0
+    want = {"estimate": est.tolist(), "closed_form": ref.tolist(), "factor": factor, "expected_factor": expected}
+    assert write_result({"curvature": run(req)["curvature"]}) == write_result({"curvature": want})
+
+
+def test_euler_section_without_steps_is_the_library_section_at_512_steps():
+    computed, formula = verify.unit_sphere_section(np.array([1.0, 0.0, 0.0]), EULER)
+    want = {"point": [1.0, 0.0, 0.0], "computed_quat": computed.tolist(), "formula_quat": formula.tolist(),
+            "residual": verify.section_residual(computed, formula)}
+    assert write_result({"section": run(parse_args(["section", "--method", "euler"]))["section"]}) == \
+        write_result({"section": want})
+
+
+def test_euler_verify_all_without_steps_runs_each_check_at_its_own_count():
+    got = run(parse_args(["verify", "--all", "--method", "euler"]))["reports"]
+    assert [r["name"] for r in got] == sorted(name for name, (_, in_all) in verify.CHECKS.items() if in_all)
+    for report in got:
+        cfg = IntegratorConfig("lie-euler", CHECK_STEPS.get(report["name"], 512))
+        assert report == dict(vars(verify.run_check(report["name"], 0, cfg))), report["name"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

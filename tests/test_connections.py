@@ -468,6 +468,31 @@ def test_a_stacks_rows_keep_their_bits_under_leading_rows(surface, r, n, k, seed
     assert form.evaluate(u[k:], v[k:]).tobytes() == form.evaluate(u, v)[k:].tobytes()
 
 
+# The sphere's chart and chart tangent end in a matmul with the frame too: F.T, in Fortran order, gave a
+# one-row stack other bits than the same row of a taller stack under a rotated or left-handed frame.
+
+
+@SETTINGS
+@given(
+    frame=st.sampled_from(["identity", "rotated", "left-handed"]),
+    r=st.floats(0.2, 5.0),
+    n=st.integers(1, 12),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(frame="rotated", r=2.0, n=1, k=4, seed=0)
+@example(frame="left-handed", r=2.0, n=1, k=4, seed=0)
+def test_framed_chart_rows_keep_their_bits_under_leading_rows(frame, r, n, k, seed):
+    rng = np.random.RandomState(seed)
+    F = None if frame == "identity" else random_frame(rng, frame == "left-handed")
+    s = sphere_surface(r, side=("outer", "inner")[rng.randint(2)], frame=F)
+    u = np.column_stack([rng.uniform(0.05, np.pi - 0.05, n + k), rng.uniform(-10.0, 10.0, n + k)])
+    for m in (s.chart, s.chart_tangent):
+        tall = m(u)
+        assert m(u[k:]).tobytes() == tall[k:].tobytes()
+        assert m(u[k]).tobytes() == tall[k].tobytes()  # a single chart point, as closed-form curvature reads it
+
+
 def test_translation_invariance_is_declared_by_the_flat_forms_and_kept_by_pullbacks():
     assert natural_form().translation_invariant and plane_rolling_form().translation_invariant
     assert pullback_form(PLANE_ROLLING_PULLBACK, natural_form()).translation_invariant

@@ -29,6 +29,7 @@ from liecurv import (
     great_arc,
     holonomy,
     integration_grid,
+    lift_transport,
     line,
     natural_form,
     parallelogram_loop,
@@ -153,11 +154,26 @@ def test_integrator_config_validation():
         IntegratorConfig(steps=10**12)  # refused before any grid is built
 
 
-@pytest.mark.parametrize("steps", [64.0, 64.5, "64", True, None])
+@pytest.mark.parametrize("steps", [64.0, 64.5, "64", True])
 def test_integrator_config_refuses_a_step_count_that_is_not_an_integer(steps):
     # a float used to pass and fail later in the grid; True used to run one step
     with pytest.raises(ValueError, match=re.escape(f"steps must be an integer, got {steps!r}")):
         IntegratorConfig(steps=steps)
+
+
+def test_a_config_without_steps_is_the_default():
+    # steps=None leaves the count to the computation, and it is what IntegratorConfig() holds
+    assert IntegratorConfig() == IntegratorConfig("exp-midpoint", None)
+    assert IntegratorConfig("lie-euler").steps is None
+
+
+def test_lift_transport_runs_512_steps_for_a_method_only_config():
+    rows = []
+    counted = dataclasses.replace(NAT, evaluate=lambda x, v: rows.append(len(v)) or NAT.evaluate(x, v))
+    got = lift_transport(counted, tilted_circle(), config=IntegratorConfig("lie-euler"))
+    assert rows == [4 + 512]  # one block: the m = 4 start rows, then 512 left nodes
+    assert got.tobytes() == lift_transport(NAT, tilted_circle(), config=IntegratorConfig("lie-euler", 512)).tobytes()
+    assert got.tobytes() != lift_transport(NAT, tilted_circle(), config=IntegratorConfig(steps=512)).tobytes()
 
 
 @pytest.mark.parametrize("steps", [64, np.int64(64)])

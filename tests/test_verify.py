@@ -1,5 +1,7 @@
 """Tests for the residual checks and their building blocks."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from liecurv import (
     quat_to_rotation,
     run_all_checks,
     section_residual,
+    small_loop_curvature,
     sphere_curvature_factor,
     sphere_factor_report,
     sphere_surface,
@@ -43,7 +46,7 @@ from liecurv import (
     transport_quat,
     unit_sphere_section,
 )
-from liecurv.verify import _s3_bracket, default_naturality_path, default_span_loops
+from liecurv.verify import _s3_bracket, curvature_probe, default_naturality_path, default_span_loops, run_check
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +386,44 @@ def test_run_all_checks_all_pass_in_name_order():
 def test_run_all_checks_with_seed_offset():
     reports = run_all_checks(seed=1)
     assert all(r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# each computation's own step count, read off the grid the engine lays
+
+
+transport_module = importlib.import_module("liecurv.transport")  # the name liecurv.transport is the function
+
+
+def tilted_circle():
+    return circle(np.array([0.3, -0.2, 0.5]), 0.8, plane=(np.array([1.0, 0.2, 0.3]), np.array([-0.1, 1.0, 0.4])))
+
+
+SPHERE_FORM, CHART_CIRCLE = surface_rolling_form(sphere_surface(2.0)), circle(np.array([1.2, 0.5]), 0.4)
+OWN_STEPS = {  # computation: (a run of it under a config, its own step count)
+    "transport": (lambda cfg: transport(natural_form(), tilted_circle(), config=cfg).final, 10_000),
+    "transport_quat": (lambda cfg: transport_quat(tilted_circle(), config=cfg).final, 10_000),
+    "holonomy": (lambda cfg: holonomy(SPHERE_FORM, CHART_CIRCLE, cfg), 10_000),
+    "small_loop_curvature": (
+        lambda cfg: small_loop_curvature(SPHERE_FORM, np.array([1.0, 0.3]), *np.eye(2), 1e-2, cfg), 10_000),
+    "lift_transport": (lambda cfg: lift_transport(SPHERE_FORM, CHART_CIRCLE, config=cfg), 512),
+    "curvature_probe": (lambda cfg: curvature_probe(SPHERE_FORM, np.array([1.0, 0.3]), 1e-2, cfg)[0], 512),
+    "unit_sphere_section": (lambda cfg: unit_sphere_section(np.array([0.6, 0.0, 0.8]), cfg)[0], 512),
+    **{f"check {name}": (lambda cfg, name=name: run_check(name, 0, cfg).max_residual, steps)
+       for name, steps in [("transport-naturality", 10_000), ("section-path-independence", 512),
+                           ("antipodal-sections", 512), ("inner-unit-sphere-identity", 512),
+                           ("sphere-curvature-factor", 512), ("plane-rolling-span", 64), ("span-degenerate", 64)]},
+}
+
+
+@pytest.mark.parametrize("method", ["lie-euler", "exp-midpoint"])
+@pytest.mark.parametrize("name", sorted(OWN_STEPS))
+def test_a_config_without_steps_runs_the_computations_own_count(name, method, monkeypatch):
+    compute, steps = OWN_STEPS[name]
+    counts, grid = [], transport_module.integration_grid
+    monkeypatch.setattr(transport_module, "integration_grid", lambda n, corners=(): counts.append(n) or grid(n, corners))
+    got = compute(IntegratorConfig(method))
+    assert counts and set(counts) == {steps}
+    assert np.asarray(got).tobytes() == np.asarray(compute(IntegratorConfig(method, steps))).tobytes()
+    if method == "exp-midpoint":  # as with no config at all
+        assert np.asarray(compute(None)).tobytes() == np.asarray(got).tobytes()
