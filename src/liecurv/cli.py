@@ -202,23 +202,24 @@ def _build_connection(req: RunRequest) -> LocalConnectionForm:
 
 
 def _build_path(req: RunRequest, dim: int) -> PathSpec:
+    def option(name: str) -> np.ndarray:
+        """The value of ``--name``, which ``--path`` requires, as points of dimension ``dim``."""
+        if (value := getattr(req, name)) is None:
+            raise ValueError(f"--path {req.path} requires --{name}")
+        if (arr := np.asarray(value, dtype=float)).shape[-1] != dim:
+            raise ValueError(f"--{name} must have dimension {dim}")
+        return arr
+
     def base_point() -> np.ndarray:
         if req.x0 is None:
             if req.connection in ("sphere-outer", "sphere-inner"):
                 raise ValueError(f"--connection {req.connection} requires --x0 (colatitude, longitude): "
                                  "the default (0, 0) is the sphere chart's pole")
             return np.zeros(dim)
-        x0 = np.asarray(req.x0, dtype=float)
-        if x0.shape != (dim,):
-            raise ValueError(f"--x0 must have dimension {dim}")
-        return x0
+        return option("x0")
 
     if req.path == "line":
-        if req.xi is None:
-            raise ValueError("--path line requires --xi")
-        xi = np.asarray(req.xi, dtype=float)
-        if xi.shape != (dim,):
-            raise ValueError(f"--xi must have dimension {dim}")
+        xi = option("xi")  # refused before --x0
         return line(base_point(), xi)
     if req.path == "circle":
         return circle(base_point(), req.eps)
@@ -226,12 +227,7 @@ def _build_path(req: RunRequest, dim: int) -> PathSpec:
         e1, e2 = np.eye(dim)[:2]
         return parallelogram_loop(base_point(), e1, e2, req.eps)
     if req.path == "polyline":
-        if req.points is None:
-            raise ValueError("--path polyline requires --points")
-        pts = np.asarray(req.points, dtype=float)
-        if pts.shape[1] != dim:
-            raise ValueError(f"--points must have dimension {dim}")
-        return polyline(pts)
+        return polyline(option("points"))
     if req.path == "file":
         if req.file is None:
             raise ValueError("--path file requires --file")
@@ -252,10 +248,10 @@ def _rotation_block(R: np.ndarray, q: np.ndarray | None = None) -> dict:
     im = q[1:]
     n = float(np.linalg.norm(im))
     angle = 2.0 * float(np.arctan2(n, q[0]))
-    axis = [0.0, 0.0, 0.0] if n < 1e-15 else [float(c) for c in im / n]
+    axis = [0.0, 0.0, 0.0] if n < 1e-15 else (im / n).tolist()
     return {
-        "matrix": [float(c) for c in R.reshape(-1)],
-        "quat": [float(c) for c in q],
+        "matrix": R.reshape(-1).tolist(),
+        "quat": q.tolist(),
         "axis": axis,
         "angle": angle,
     }
@@ -301,8 +297,8 @@ def run(req: RunRequest) -> dict:
             est, ref, factor = _verify.curvature_probe(form, np.zeros(form.base_dim), req.eps, cfg)
             expected = 1.0
         doc["curvature"] = {
-            "estimate": [float(c) for c in est],
-            "closed_form": [float(c) for c in ref],
+            "estimate": est.tolist(),
+            "closed_form": ref.tolist(),
             "factor": factor,
             "expected_factor": expected,
         }
@@ -333,9 +329,9 @@ def run(req: RunRequest) -> dict:
         computed, formula = _verify.unit_sphere_section(p, config=_config(req))
         residual = _verify.section_residual(computed, formula)
         doc["section"] = {
-            "point": [float(c) for c in p],
-            "computed_quat": [float(c) for c in computed],
-            "formula_quat": [float(c) for c in formula],
+            "point": p.tolist(),
+            "computed_quat": computed.tolist(),
+            "formula_quat": formula.tolist(),
             "residual": residual,
         }
         doc["holonomy"] = _rotation_block(quat_to_rotation(computed))

@@ -22,21 +22,21 @@ runs, and for each block it
 
 1. samples a(t*) at every node of the block in one call: paths map an
    array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3).
-   The first block also carries the start point, where every map's shape
-   is checked (:func:`_form_sampler`), and positions are evaluated only
-   where the form reads them. Per-node
+   The form's shape is checked on every block; the first also carries the
+   start point, where the path's are checked (:func:`_form_sampler`), and
+   positions are evaluated only where the form reads them. Per-node
    arithmetic runs along the node axis: the catalog paths compute their
    (n, d) values as (d, n) and return the transpose, and dt a / 2 is formed
    as (3, n), so each numpy loop covers the whole block, not one node's
    2 to 4 components;
 2. exponentiates all steps at once as unit quaternions by half angles,
-   quat_exp(dt a / 2), refusing non-finite ones, and sums the step angles
-   |dt a| from those half angles. The image of that step under the double
-   cover is exactly exp_so3(dt a), so one product is both the SO(3) frame
-   (through :func:`liecurv.liecore.quat_to_rotation`) and its continuous
-   quaternion lift. Quaternion transport is such a lift: its so(3) input is
-   lie_hom_derivative(v) = 2 v for the path velocity v, so its step is
-   quat_exp(dt v);
+   quat_exp(dt a / 2), refusing the first non-finite one by its time, and
+   sums the step angles |dt a| from those half angles. A step's image under
+   the double cover is exactly exp_so3(dt a), so one product is both the
+   SO(3) frame (through :func:`liecurv.liecore.quat_to_rotation`) and its
+   continuous quaternion lift. Quaternion transport is such a lift: its
+   so(3) input is lie_hom_derivative(v) = 2 v for the path velocity v, so
+   its step is quat_exp(dt v);
 3. multiplies the factors, later ones on the left, by a pairwise (tree)
    reduction within chunks of ``stride`` steps, the sample-recording stride.
 
@@ -84,7 +84,6 @@ MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
 _BLOCK = 4096  # intervals evaluated per block (rounded to whole recording chunks)
 _SCALAR_ROWS = 64  # _last_product finishes on Python floats from this many rows down
-_SQUARE_OVERFLOW = 2.0**511  # the half angle theta from which (2 theta)^2 overflows
 SIDE_ROUNDING = 1e-6  # largest relative error rounding at the corner may leave on a parallelogram side
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY.flags.writeable = False
@@ -193,8 +192,9 @@ def _probe(path: PathSpec, form: LocalConnectionForm) -> None:
 def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np.ndarray]:
     """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times.
 
-    ``sample(ts, True)``, the first block, leads ``ts`` with the probe's m start rows, checks every shape
-    on them, words a failure by :func:`_probe`, and drops them. A translation-invariant form is given no
+    ``sample(ts, start)`` checks on every block that the form maps its n times to (n, 3). The first block
+    (``start``) is led by the probe's m start rows, dropped from the result; there the path's shapes are
+    checked too, and a failure is worded by :func:`_probe`. A translation-invariant form is given no
     positions: ``position`` is then called on the start rows alone, for ``states``.
     """
     if form.base_dim != path.base_dim:
@@ -202,29 +202,25 @@ def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np
                          f"path '{path.kind}' on R^{path.base_dim}")
     m, d, ev, reads_x = max(path.base_dim, 3) + 1, path.base_dim, form.evaluate, not form.translation_invariant
 
-    def sample(ts, start=False):
-        if not start:
-            X = _on_path(path.position, ts) if reads_x else None
-            return -np.asarray(ev(X, _on_path(path.velocity, ts)), dtype=float)
-        n = len(ts := np.concatenate((np.zeros(m), ts)))
+    def sample(ts, start):
+        ts = np.concatenate((np.zeros(m), ts)) if start else ts
+        n = len(ts)
         try:
-            X, V = _on_path(path.position, ts if reads_x else ts[:m]), _on_path(path.velocity, ts)
+            X = _on_path(path.position, ts if reads_x else ts[:m]) if reads_x or start else None
+            V = _on_path(path.velocity, ts)
             a = -np.asarray(ev(X if reads_x else None, V), dtype=float)
-            if (X.shape, V.shape, a.shape) != ((n if reads_x else m, d), (n, d), (n, 3)):
-                raise ValueError(f"path '{path.kind}' and form '{form.descriptor}' map a block of {n} times "
-                                 f"to shapes {X.shape}, {V.shape} and {a.shape}")
+            if start and (X.shape, V.shape) != ((n if reads_x else m, d), (n, d)):
+                raise ValueError(f"path '{path.kind}' maps a block of {n} times to shapes {X.shape} and {V.shape}")
+            if a.shape != (n, 3):
+                raise ValueError(f"form '{form.descriptor}' maps a block of {n} points to shape {a.shape}, "
+                                 f"not ({n}, 3)")
         except Exception:
-            _probe(path, form)
+            if start:
+                _probe(path, form)
             raise
-        return a[m:]
+        return a[m:] if start else a
 
     return sample
-
-
-def _first_bad(values: np.ndarray) -> int:
-    """The index of the first row of ``values`` that is not finite, or -1."""
-    bad = ~np.isfinite(values).all(axis=-1)
-    return int(np.argmax(bad)) if bad.any() else -1
 
 
 def _prefix_products(P: np.ndarray) -> np.ndarray:
@@ -295,13 +291,13 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
     """The ordered products of the half-angle steps quat_exp(dt_k a(t*_k) / 2) over chunks of the grid.
 
     ``sample(ts, first block)`` maps an array of times t* (left nodes, or interval midpoints if ``midpoint``)
-    to the (n, 3) so(3) inputs there, one block of at most ~_BLOCK intervals in whole chunks at a time. Each
-    step lifts exp_so3(dt a) through the double cover, for every caller. Returns ``(C, stride, angles)``:
-    ``C[j]`` is the product over the intervals ``[j stride, (j + 1) stride)`` (the last chunk may be
-    shorter), where stride is the smallest step keeping at most _MAX_RECORDED chunks, so the state after
-    chunk j is C_j ... C_0. ``angles`` sums the step angles |dt a| = 2 |dt a / 2|: each is
-    ``np.linalg.norm(dt a)`` bit for bit, as 0.5 is a power of two, and one whose square overflows makes the
-    sum inf, as that norm does. Non-finite samples or steps raise ValueError.
+    to the (n, 3) so(3) inputs there, shape checked, one block of at most ~_BLOCK intervals in whole chunks at
+    a time. Each step lifts exp_so3(dt a) through the double cover, for every caller. Returns ``(C, stride,
+    angles)``: ``C[j]`` is the product over the intervals ``[j stride, (j + 1) stride)`` (the last chunk may
+    be shorter), where stride is the smallest step keeping at most _MAX_RECORDED chunks, so the state after
+    chunk j is C_j ... C_0. ``angles`` sums the step angles |dt a| = 2 |dt a / 2| the steps were formed
+    from, each ``np.linalg.norm(dt a)`` bit for bit unless that norm's square overflows. The first
+    non-finite step raises ValueError, naming its time and whether its sample is finite.
     """
     n = len(nodes) - 1
     stride = max(1, -(-n // _MAX_RECORDED))
@@ -313,19 +309,15 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
         dt = nodes[k0 + 1 : k1 + 1] - t0
         ts = t0 + 0.5 * dt if midpoint else t0
         a = sample(ts, k0 == 0)
-        if a.shape != (k1 - k0, 3):
-            raise ValueError(f"algebra samples have shape {a.shape[1:]} per node, expected an so(3) vector (3,)")
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             # dt a / 2 laid out (3, n), so the product runs along the nodes; quat_exp reads its columns
             steps, theta = quat_exp_angle(np.multiply(0.5 * dt, a.T, out=np.empty((3, len(dt)))).T)
             angles += 2.0 * float(theta.sum())
-        if not np.isfinite(steps).all():  # a non-finite a(t*) gives a non-finite step, as dt > 0
-            if (k := _first_bad(a)) >= 0:
+        if not np.isfinite(steps).all():  # from a non-finite a(t*), as dt > 0, or an angle whose square overflows
+            k = int(np.argmax(~np.isfinite(steps).all(axis=1)))
+            if not np.isfinite(a[k]).all():
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
-            k = _first_bad(steps)
             raise ValueError(f"non-finite step rotation at t = {float(ts[k])!r}: the step angle |dt a| overflows")
-        if angles >= 2.0 * _SQUARE_OVERFLOW and theta.max() >= _SQUARE_OVERFLOW:
-            angles = math.inf
         # whole chunks of ``stride`` steps, a partial last one padded with identities
         if pad := -len(dt) % stride:
             steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))])
@@ -490,7 +482,7 @@ def small_loop_curvature(
 
     A loop past pi in holonomy angle wraps into a wrong estimate without an
     error, so a loop too large to be small is refused by two tests on the
-    eps/2 loop. Its step angles |dt a|, which its transport sums as it takes
+    eps/2 loop. Its step angles |dt a|, which its transport sums as it forms
     them, must sum to less than pi: the angle of a product of rotations is at
     most the sum of the factors' angles, so the loop's holonomy has not
     wrapped and log_so3 reads its angle truly. That angle |est(eps/2)|

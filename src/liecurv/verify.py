@@ -435,10 +435,10 @@ def run_check(name: str, seed: int = 0, config: IntegratorConfig | None = None) 
     return CHECKS[name][0](seed, config)
 
 
-def run_all_checks(config: IntegratorConfig | None = None, seed: int | None = None) -> list[ResidualReport]:
+def run_all_checks(config: IntegratorConfig | None = None, seed: int = 0) -> list[ResidualReport]:
     """The standard battery, ordered by check name.
 
     ``seed`` is passed to every randomized check; ``config`` overrides the integrator
     for the transport-based checks, each with its own step count unless ``config`` gives one.
     """
-    return [run_check(name, seed or 0, config) for name, (_, in_all) in sorted(CHECKS.items()) if in_all]
+    return [run_check(name, seed, config) for name, (_, in_all) in sorted(CHECKS.items()) if in_all]

@@ -708,6 +708,27 @@ def test_non_finite_sample_in_a_later_block_names_its_node():
         transport(nan_late, line(np.zeros(3), np.array([1.0, 0.0, 0.0])), config=IntegratorConfig(steps=12_000))
 
 
+@pytest.mark.parametrize("translation_invariant", [False, True])
+def test_a_wrong_shape_on_a_later_block_is_refused_by_the_form_name(translation_invariant):
+    # 12000 steps make blocks of 4092 intervals; the third block, of 3816, is the only one given two columns
+    late = LocalConnectionForm(3, lambda x, v: -v[:, :2] if len(v) == 3816 else -v, "late-shape",
+                               translation_invariant=translation_invariant)
+    assert 12_000 - 2 * (_BLOCK - _BLOCK % 12) == 3816  # a stride of 12 steps keeps 1,000 chunks
+    with pytest.raises(ValueError, match=re.escape("form 'late-shape' maps a block of 3816 points to shape (3816, 2), "
+                                                   "not (3816, 3)")):
+        transport(late, line(np.zeros(3), np.ones(3)), config=IntegratorConfig(steps=12_000))
+
+
+def test_the_first_failed_step_names_the_refusal():
+    # velocity 1e300: every step angle overflows, from the first step on, before the samples turn NaN past t = 0.75
+    nan_late = LocalConnectionForm(3, lambda x, v: np.where(x[..., :1] > 0.75e300, np.nan, -v), "nan-late")
+    huge = line(np.zeros(3), np.full(3, 1e300))
+    for method in METHODS:
+        t = 0.0 if method == "lie-euler" else 0.05
+        with pytest.raises(ValueError, match=re.escape(f"step rotation at t = {t!r}: the step angle |dt a| overflows")):
+            transport(nan_late, huge, config=IntegratorConfig(method, 10))
+
+
 def test_overflowing_step_angle_is_refused():
     huge = line(np.zeros(3), np.full(3, 1e300))  # finite samples, |dt a| overflows
     with pytest.raises(ValueError, match=re.escape(f"at t = {0.05!r}: the step angle |dt a| overflows")):

@@ -347,9 +347,10 @@ def test_small_loop_curvature_refuses_loops_whose_step_angles_reach_pi(eps, tota
         small_loop_curvature(NAT, np.zeros(3), E1, E2, eps, cfg)
 
 
-def test_a_step_angle_whose_square_overflows_sums_to_inf():
-    # one step per side of |dt a| = 1.5e154: its square, which np.linalg.norm forms, overflows
-    with pytest.raises(ValueError, match=r"step angles \|dt a\| sum to inf, at least pi"):
+def test_a_step_angle_whose_square_overflows_sums_to_the_angles_formed():
+    # one step per side of |dt a| = 1.5e154: its square, which np.linalg.norm would form, overflows, but the
+    # sum is of the four angles the engine formed
+    with pytest.raises(ValueError, match=r"step angles \|dt a\| sum to 6e\+154, at least pi"):
         small_loop_curvature(NAT, np.zeros(3), E1, E2, 3e154, IntegratorConfig(steps=1))
 
 
