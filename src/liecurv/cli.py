@@ -27,25 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import (
-    PLANE_ROLLING_PULLBACK,
-    LocalConnectionForm,
-    natural_form,
-    plane_rolling_form,
-    pullback_form,
-    sphere_surface,
-    surface_rolling_form,
-)
+from .connections import (PLANE_ROLLING_PULLBACK, LocalConnectionForm, natural_form, plane_rolling_form, pullback_form,
+                          sphere_surface, surface_rolling_form)
 from .liecore import quat_to_rotation, rotation_to_quat
-from .transport import (
-    IntegratorConfig,
-    PathSpec,
-    line,
-    circle,
-    parallelogram_loop,
-    polyline,
-    transport,
-)
+from .transport import IntegratorConfig, PathSpec, circle, line, parallelogram_loop, polyline, transport
 from . import verify as _verify
 
 _CONNECTIONS = ("natural-so3", "plane-rolling", "sphere-outer", "sphere-inner", "pullback-rhoJ")
@@ -249,12 +234,7 @@ def _rotation_block(R: np.ndarray, q: np.ndarray | None = None) -> dict:
     n = float(np.linalg.norm(im))
     angle = 2.0 * float(np.arctan2(n, q[0]))
     axis = [0.0, 0.0, 0.0] if n < 1e-15 else (im / n).tolist()
-    return {
-        "matrix": R.reshape(-1).tolist(),
-        "quat": q.tolist(),
-        "axis": axis,
-        "angle": angle,
-    }
+    return {"matrix": R.reshape(-1).tolist(), "quat": q.tolist(), "axis": axis, "angle": angle}
 
 
 def _trajectory(states) -> list[dict]:
@@ -296,12 +276,8 @@ def run(req: RunRequest) -> dict:
             form = _build_connection(req)
             est, ref, factor = _verify.curvature_probe(form, np.zeros(form.base_dim), req.eps, cfg)
             expected = 1.0
-        doc["curvature"] = {
-            "estimate": est.tolist(),
-            "closed_form": ref.tolist(),
-            "factor": factor,
-            "expected_factor": expected,
-        }
+        doc["curvature"] = {"estimate": est.tolist(), "closed_form": ref.tolist(), "factor": factor,
+                            "expected_factor": expected}
         return doc
 
     if req.command == "verify":
@@ -328,12 +304,8 @@ def run(req: RunRequest) -> dict:
         p = p / n
         computed, formula = _verify.unit_sphere_section(p, config=_config(req))
         residual = _verify.section_residual(computed, formula)
-        doc["section"] = {
-            "point": p.tolist(),
-            "computed_quat": computed.tolist(),
-            "formula_quat": formula.tolist(),
-            "residual": residual,
-        }
+        doc["section"] = {"point": p.tolist(), "computed_quat": computed.tolist(), "formula_quat": formula.tolist(),
+                          "residual": residual}
         doc["holonomy"] = _rotation_block(quat_to_rotation(computed))
         doc["reports"] = [dict(vars(_verify.ResidualReport("section-formula", residual, 1, 1e-6)))]
         return doc
@@ -348,10 +320,16 @@ def write_result(doc: dict, fmt: str = "json", out: str | None = None) -> str:
     byte-identical bytes. CSV emits the trajectory only (17 significant
     digits) and therefore requires a transport or holonomy result. A
     non-finite number raises ValueError in either format: NaN and infinity
-    are not valid JSON, and no result may carry them.
+    are not valid JSON, and no result may carry them. A JSON refusal names
+    the number's key path, such as ``curvature.factor``.
     """
     if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        try:
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        except ValueError:
+            if (key := _non_finite_key(doc)) is None:
+                raise
+            raise ValueError(f"{key} is not finite") from None
     elif fmt == "csv":
         traj = doc.get("trajectory") or []
         if not traj:
@@ -370,6 +348,17 @@ def write_result(doc: dict, fmt: str = "json", out: str | None = None) -> str:
         with open(out, "w") as fh:
             fh.write(text)
     return text
+
+
+def _non_finite_key(value, path: str = "") -> str | None:
+    """The key path (``trajectory[3].quat[1]``) of the first non-finite float in ``value``, in JSON's sorted order."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return path if isinstance(value, float) and not math.isfinite(value) else None
+    return next(filter(None, (_non_finite_key(v, key) for key, v in items)), None)
 
 
 def main(argv=None) -> int:

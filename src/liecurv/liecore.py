@@ -119,24 +119,38 @@ def log_so3(R) -> np.ndarray:
     return f * w
 
 
-def quat_mul(p, q) -> np.ndarray:
-    """Hamilton product of quaternions given as (w, x, y, z).
+def hamilton(p, q) -> tuple:
+    """The Hamilton product p q of quaternions given as component sequences (w, x, y, z), as ``(w, x, y, z)``.
 
-    Stacks of shape (..., 4) multiply elementwise, with broadcasting.
+    Components may be numpy rows (broadcast together), numpy scalars or Python floats. Each component adds
+    its four terms left to right, in place on rows (one temporary per term): the bits of
+    ``pw * qw - px * qx - py * qy - pz * qz`` and so on, whatever the component type.
     """
+    (pw, px, py, pz), (qw, qx, qy, qz) = p, q
+    w, x, y, z = pw * qw, pw * qx, pw * qy, pw * qz
+    w -= px * qx
+    w -= py * qy
+    w -= pz * qz
+    x += px * qw
+    x += py * qz
+    x -= pz * qy
+    y -= px * qz
+    y += py * qw
+    y += pz * qx
+    z += px * qy
+    z -= py * qx
+    z += pz * qw
+    return w, x, y, z
+
+
+def quat_mul(p, q) -> np.ndarray:
+    """Hamilton product of quaternions given as (w, x, y, z); stacks of shape (..., 4) multiply elementwise,
+    with broadcasting, by :func:`hamilton` on their components."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape[-1:] != (4,) or q.shape[-1:] != (4,):
         raise ValueError("quat_mul expects quaternions of shape (..., 4)")
-    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    w = pw * qw - px * qx - py * qy - pz * qz
-    out = np.empty(w.shape + (4,))  # the broadcast shape, read off the first component
-    out[..., 0] = w
-    out[..., 1] = pw * qx + px * qw + py * qz - pz * qy
-    out[..., 2] = pw * qy - px * qz + py * qw + pz * qx
-    out[..., 3] = pw * qz + px * qy - py * qx + pz * qw
-    return out
+    return np.stack(hamilton([p[..., i] for i in range(4)], [q[..., i] for i in range(4)]), axis=-1)
 
 
 def quat_conj(q) -> np.ndarray:
@@ -148,11 +162,8 @@ def quat_conj(q) -> np.ndarray:
 
 
 def quat_exp(u) -> np.ndarray:
-    """Exponential of the pure quaternion with imaginary part ``u``.
-
-    Returns the unit quaternion (cos|u|, sin|u| * u/|u|); the sinc factor
-    uses its Taylor expansion below 1e-6. A stack of shape (..., 3) gives
-    a stack of shape (..., 4).
+    """Exponential of the pure quaternion with imaginary part ``u``: the unit quaternion (cos|u|, sin|u| * u/|u|),
+    the sinc factor by its Taylor expansion below 1e-6. A stack of shape (..., 3) gives a stack of shape (..., 4).
     """
     return quat_exp_angle(u)[0]
 
@@ -162,21 +173,28 @@ def quat_exp_angle(u) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (3,):
         raise ValueError(f"quat_exp expects vectors of shape (..., 3), got shape {u.shape}")
-    # per-node arithmetic on the components, each ufunc loop running along the stack;
-    # (x x + y y) + z z is np.linalg.norm's summation order over the last axis
-    x, y, z = u[..., 0], u[..., 1], u[..., 2]
-    theta = np.sqrt((x * x + y * y) + z * z)
+    *q, theta = exp_components(u[..., 0], u[..., 1], u[..., 2])
+    return np.stack(q, axis=-1), theta
+
+
+def exp_components(x, y, z) -> tuple:
+    """:func:`quat_exp_angle` on the components of u, numpy rows or scalars, as ``(w, x, y, z, theta)``.
+
+    Each ufunc loop runs along the rows; |u|^2 = (x x + y y) + z z, np.linalg.norm's
+    summation order, and the sinc quotient are formed in place on rows.
+    """
+    theta = x * x
+    theta += y * y
+    theta += z * z
+    theta = np.sqrt(theta)
     small = theta < _EPS_ANGLE
-    sinc = np.sin(theta) / np.where(small, 1.0, theta)
+    sinc = np.sin(theta)
     if small.any():
         t2 = theta * theta
-        sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sinc)
-    q = np.empty(u.shape[:-1] + (4,))
-    q[..., 0] = np.cos(theta)
-    q[..., 1] = sinc * x
-    q[..., 2] = sinc * y
-    q[..., 3] = sinc * z
-    return q, theta
+        sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sinc / np.where(small, 1.0, theta))
+    else:
+        sinc /= theta
+    return np.cos(theta), sinc * x, sinc * y, sinc * z, theta
 
 
 def quat_to_rotation(q) -> np.ndarray:
@@ -196,13 +214,17 @@ def quat_to_rotation(q) -> np.ndarray:
         first = float(np.ravel(n2)[np.argmax(np.ravel(bad))])
         raise ValueError(f"quat_to_rotation: |q|^2 = {first:.12f} is not 1")
     n = np.sqrt(n2)
-    w, x, y, z = (q[..., i] / n for i in range(4))
-    entries = [
+    return np.stack(rotation_entries(*(q[..., i] / n for i in range(4))), axis=-1).reshape(q.shape[:-1] + (3, 3))
+
+
+def rotation_entries(w, x, y, z) -> list:
+    """The nine entries, row by row, of the rotation of the unit quaternion (w, x, y, z), given as
+    numpy arrays or Python floats: the same bits either way."""
+    return [
         w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y),
         2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z,
     ]
-    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def rotation_to_quat(R) -> np.ndarray:

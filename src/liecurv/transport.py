@@ -40,15 +40,20 @@ runs, and for each block it
 3. multiplies the factors, later ones on the left, by a pairwise (tree)
    reduction within chunks of ``stride`` steps, the sample-recording stride.
 
+From the exponential to the chunk products the steps are four component
+rows (w, x, y, z), and every product is :func:`liecurv.liecore.hamilton` on
+rows, each component formed in place. Chunks lie end to end along the rows, so
+while a chunk holds an even count its pairs are consecutive (``r[1::2]``,
+``r[0::2]``): numpy's one-dimensional loops, with no 3-D chunk views.
+
 The engine keeps only the run's chunk products, at most ~1024. The final
 frame is their pairwise reduction with the pairs aligned to the right end
 (:func:`_last_product`): exactly the products that the prefix scan
 (Hillis-Steele, :func:`_prefix_products`) forms on its way to its last state,
-so the two are bitwise equal. Its numpy passes stop at 64 rows, because a
-numpy ``quat_mul`` costs about 30 array operations whatever its row count;
-the top levels are reduced in Python floats with the same pairing and the
-same bits. The scan, which gives the recorded states, runs on the first read
-of :attr:`TransportResult.states`. Only the engine builds a result; it refuses
+so the two are bitwise equal. Its top levels, on at most 64 rows, run on
+Python floats through the same ``hamilton``, with the same bits. The scan,
+which gives the recorded states, runs on the first read of
+:attr:`TransportResult.states`. Only the engine builds a result; it refuses
 every non-finite step, so reading refuses nothing.
 
 The scalar work at the two ends of a run (``check_rotation`` on g0, the uniform
@@ -77,8 +82,8 @@ from typing import Callable
 import numpy as np
 
 from .connections import LocalConnectionForm, Surface, sphere_surface
-from .liecore import (check_rotation, check_unit_quat, exp_so3, lie_hom_derivative, log_so3, quat_exp_angle,
-                      quat_mul, quat_to_rotation)
+from .liecore import (check_rotation, check_unit_quat, exp_components, exp_so3, hamilton, lie_hom_derivative,
+                      log_so3, quat_mul, quat_to_rotation, rotation_entries)
 
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
@@ -234,37 +239,25 @@ def _prefix_products(P: np.ndarray) -> np.ndarray:
 
 
 def _last_product(P: np.ndarray) -> np.ndarray:
-    """P_{n-1} ... P_1 P_0, bitwise equal to ``_prefix_products(P)[-1]``.
+    """P_{n-1} ... P_1 P_0 of an (n, 4) stack, bitwise equal to ``_prefix_products(P)[-1]``.
 
-    Each halving pass multiplies the pairs (P_{n-1}, P_{n-2}), (P_{n-3},
-    P_{n-4}), ... and passes an unpaired first row through: the products
-    the scan forms on its way to the last row, and no others.
-
-    The passes run in numpy while more than ``_SCALAR_ROWS`` rows remain. A
-    numpy ``quat_mul`` costs about 30 array operations whatever its row count,
-    so the last few levels, on at most 64 rows, are finished on Python floats
-    with the same pairing and :func:`liecurv.liecore.quat_mul`'s terms in its
-    order. Both are IEEE doubles without fused multiply-add, so every bit,
-    signed zeros included, is the same.
+    Each halving pass multiplies the pairs (P_{n-1}, P_{n-2}), (P_{n-3}, P_{n-4}), ... and passes an
+    unpaired first row through: the products the scan forms on its way to the last row, and no others. The
+    passes run on P's four component rows while more than ``_SCALAR_ROWS`` rows remain, copying only to put
+    an unpaired row in front; a numpy product costs about 30 array operations whatever its row count, so the
+    last few levels are finished on Python floats. Both use :func:`liecurv.liecore.hamilton`, in IEEE doubles
+    without fused multiply-add, so every bit, signed zeros included, is the same.
     """
-    while len(P) > _SCALAR_ROWS:
-        odd = len(P) % 2
-        P = np.concatenate([P[:odd], quat_mul(P[odd + 1 :: 2], P[odd::2])])
-    rows = P.tolist()
+    rows = P.T
+    while len(rows[0]) > _SCALAR_ROWS:
+        odd = len(rows[0]) % 2
+        pairs = hamilton([r[odd + 1 :: 2] for r in rows], [r[odd::2] for r in rows])
+        rows = [np.concatenate((r[:1], s)) for r, s in zip(rows, pairs)] if odd else pairs
+    rows = np.transpose(rows).tolist()
     while len(rows) > 1:
         odd = len(rows) % 2
-        rows[odd:] = map(_hamilton, rows[odd + 1 :: 2], rows[odd::2])
+        rows[odd:] = map(hamilton, rows[odd + 1 :: 2], rows[odd::2])
     return np.array(rows[0])
-
-
-def _hamilton(p: list[float], q: list[float]) -> list[float]:
-    """The product p q of two quaternions given as Python floats, by
-    :func:`liecurv.liecore.quat_mul`'s terms in its order: the same bits."""
-    (pw, px, py, pz), (qw, qx, qy, qz) = p, q
-    return [pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw]
 
 
 def _rotation_on_floats(q: list[float]) -> np.ndarray:
@@ -279,12 +272,7 @@ def _rotation_on_floats(q: list[float]) -> np.ndarray:
     if not abs(n2 - 1.0) <= 1e-9:
         return quat_to_rotation(np.array(q)[None])
     n = math.sqrt(n2)
-    w, x, y, z = w / n, x / n, y / n, z / n
-    return np.array([
-        w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y),
-        2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x),
-        2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z,
-    ]).reshape(1, 3, 3)
+    return np.array(rotation_entries(w / n, x / n, y / n, z / n)).reshape(1, 3, 3)
 
 
 def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int, float]:
@@ -297,7 +285,9 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
     be shorter), where stride is the smallest step keeping at most _MAX_RECORDED chunks, so the state after
     chunk j is C_j ... C_0. ``angles`` sums the step angles |dt a| = 2 |dt a / 2| the steps were formed
     from, each ``np.linalg.norm(dt a)`` bit for bit unless that norm's square overflows. The first
-    non-finite step raises ValueError, naming its time and whether its sample is finite.
+    non-finite step raises ValueError, naming its time and whether its sample is finite. The steps are
+    component rows throughout; a chunk of odd width is padded with one identity, as the partial last chunk
+    is, so the pairing and the bits are those of a per-chunk tree on (chunks, stride, 4) stacks.
     """
     n = len(nodes) - 1
     stride = max(1, -(-n // _MAX_RECORDED))
@@ -306,28 +296,31 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         t0 = nodes[k0:k1]
-        dt = nodes[k0 + 1 : k1 + 1] - t0
-        ts = t0 + 0.5 * dt if midpoint else t0
+        half = 0.5 * (nodes[k0 + 1 : k1 + 1] - t0)
+        ts = t0 + half if midpoint else t0
         a = sample(ts, k0 == 0)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            # dt a / 2 laid out (3, n), so the product runs along the nodes; quat_exp reads its columns
-            steps, theta = quat_exp_angle(np.multiply(0.5 * dt, a.T, out=np.empty((3, len(dt)))).T)
+            # dt a / 2 laid out (3, n): the steps are four component rows from here to the chunk products
+            *q, theta = exp_components(*np.multiply(half, a.T, out=np.empty((3, len(half)))))
             angles += 2.0 * float(theta.sum())
-        if not np.isfinite(steps).all():  # from a non-finite a(t*), as dt > 0, or an angle whose square overflows
-            k = int(np.argmax(~np.isfinite(steps).all(axis=1)))
+        if not np.isfinite(theta).all():  # a step is finite exactly when its angle is
+            k = int(np.argmax(~np.isfinite(theta)))
             if not np.isfinite(a[k]).all():
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
             raise ValueError(f"non-finite step rotation at t = {float(ts[k])!r}: the step angle |dt a| overflows")
-        # whole chunks of ``stride`` steps, a partial last one padded with identities
-        if pad := -len(dt) % stride:
-            steps = np.concatenate([steps, np.tile(_IDENTITY, (pad, 1))])
-        steps = steps.reshape(-1, stride, 4)
-        while steps.shape[1] > 1:
-            if steps.shape[1] % 2:
-                steps = np.concatenate([steps, np.broadcast_to(_IDENTITY, (len(steps), 1, 4))], axis=1)
-            steps = quat_mul(steps[:, 1::2], steps[:, 0::2])
-        chunks.append(steps[:, 0])
-    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)), stride, angles
+        # chunks of ``width`` steps laid end to end along each component row, a partial last one padded with identities
+        if pad := -len(half) % stride:
+            q = np.concatenate((q, np.broadcast_to(_IDENTITY[:, None], (4, pad))), axis=1)
+        width = stride
+        while width > 1:
+            if width % 2:  # an identity at the end of every chunk
+                S = np.empty((4, len(q[0]) // width, width + 1))
+                S[..., :width], S[..., width] = np.reshape(q, (4, -1, width)), _IDENTITY[:, None]
+                q, width = S.reshape(4, -1), width + 1
+            q = hamilton([r[1::2] for r in q], [r[0::2] for r in q])  # an even width pairs within chunks
+            width //= 2
+        chunks.append(q)
+    return np.concatenate(chunks, axis=1).T, stride, angles
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +364,7 @@ def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
     """The run as unit quaternions: the chunk states applied to q0 (a fresh identity if None)."""
     q = _IDENTITY.copy() if q0 is None else check_unit_quat(q0).copy()  # frames are built after the return
     qs = q.tolist()
-    return TransportResult(sample, path, cfg, lambda S: quat_mul(S, q), lambda p: np.array(_hamilton(p, qs)), q)
+    return TransportResult(sample, path, cfg, lambda S: quat_mul(S, q), lambda p: np.array(hamilton(p, qs)), q)
 
 
 def transport(

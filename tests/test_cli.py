@@ -779,6 +779,23 @@ def test_write_result_refuses_non_finite_numbers():
             write_result({"trajectory": [finite, row]}, fmt="csv")
 
 
+def test_a_non_finite_json_number_is_refused_by_its_key_path(capsys, monkeypatch):
+    doc = run(parse_args(["transport", "--xi", "0.3,-0.7,0.5", "--steps", "8"]))
+    doc["curvature"] = {"estimate": [0.0, 0.0, 1.0], "factor": float("nan")}
+    with pytest.raises(ValueError, match=r"^curvature\.factor is not finite$"):
+        write_result(doc)
+    doc["curvature"]["factor"] = 1.0
+    doc["trajectory"][3]["quat"][2] = -math.inf
+    doc["trajectory"][5]["t"] = math.inf  # later in the document: the first in JSON's order is named
+    with pytest.raises(ValueError, match=r"^trajectory\[3\]\.quat\[2\] is not finite$"):
+        write_result(doc)
+    # through main: exit 1, empty stdout, and the key path on the error line
+    monkeypatch.setattr("liecurv.cli.run", lambda req: doc)
+    assert main(["transport", "--xi", "0.3,-0.7,0.5", "--steps", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: trajectory[3].quat[2] is not finite\n"
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 

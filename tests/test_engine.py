@@ -487,6 +487,52 @@ def test_engine_matches_sequential_reference(steps, method, path_name):
     assert got.states[0].tolist() == want_ts
 
 
+def chunked_compose(sample, nodes, midpoint):
+    """The chunk products as the engine once formed them: quat_exp on (n, 3) stacks, then a pairwise tree within
+    each chunk on (chunks, stride, 4) stacks, an odd level and a partial last chunk padded with identities."""
+    n, identity = len(nodes) - 1, np.array([1.0, 0.0, 0.0, 0.0])
+    stride = max(1, -(-n // _MAX_RECORDED))
+    block = stride * max(1, _BLOCK // stride)
+    chunks, angles = [], 0.0
+    for k0 in range(0, n, block):
+        k1 = min(k0 + block, n)
+        t0 = nodes[k0:k1]
+        dt = nodes[k0 + 1 : k1 + 1] - t0
+        a = sample(t0 + 0.5 * dt if midpoint else t0, k0 == 0)
+        steps = quat_exp(np.multiply(0.5 * dt, a.T, out=np.empty((3, len(dt)))).T)
+        angles += 2.0 * float(np.linalg.norm(0.5 * dt[:, None] * a, axis=1).sum())
+        if pad := -len(dt) % stride:
+            steps = np.concatenate([steps, np.tile(identity, (pad, 1))])
+        steps = steps.reshape(-1, stride, 4)
+        while steps.shape[1] > 1:
+            if steps.shape[1] % 2:
+                steps = np.concatenate([steps, np.broadcast_to(identity, (len(steps), 1, 4))], axis=1)
+            steps = quat_mul(steps[:, 1::2], steps[:, 0::2])
+        chunks.append(steps[:, 0])
+    return np.concatenate(chunks), stride, angles
+
+
+@pytest.mark.parametrize("stride", range(1, 17))
+@pytest.mark.parametrize("method", METHODS)
+def test_the_component_tree_gives_the_bits_of_the_chunked_tree(stride, method):
+    # step counts with this stride: whole chunks, a partial last chunk, and (past _BLOCK) several blocks whose
+    # last chunk is partial; steps about coordinate axes have signed zero components
+    def sample(ts, start):
+        a = np.stack([np.sin(40.0 * ts), np.cos(23.0 * ts) - 0.5, ts * ts - 0.3], axis=1)
+        k = np.round(ts * 7919.0).astype(int)
+        a[k % 3 == 0, :2] = -0.0
+        a[k % 5 == 1, 1:] = 0.0
+        return a
+
+    for n in {(stride - 1) * _MAX_RECORDED + 1, stride * _MAX_RECORDED - 3, stride * _MAX_RECORDED}:
+        nodes = integration_grid(n)
+        C, s, angles = ENGINE._compose(sample, nodes, method == "exp-midpoint")
+        want, want_stride, want_angles = chunked_compose(sample, nodes, method == "exp-midpoint")
+        assert s == want_stride == stride and C.shape == want.shape
+        assert np.ascontiguousarray(C).tobytes() == want.tobytes(), n
+        assert angles == want_angles
+
+
 # ---------------------------------------------------------------------------
 # only what the caller reads: the final frame by reduction, the recorded states on demand
 
@@ -566,15 +612,27 @@ def test_the_frame_on_python_floats_is_quat_to_rotation_bit_for_bit():
 def test_reading_final_calls_quat_mul_only_on_more_than_64_rows(monkeypatch, steps, calls, stepper):
     # 64 one-step chunks reduce on Python floats alone. 4,096 steps make 1,024 chunks of four: two numpy
     # passes reduce the chunks, four halve them down to 64 rows. Both final frames are built on Python
-    # floats, so neither stepper's adds a call; the frames of the states are one quat_to_rotation call
-    counted = {"quat_mul": [], "quat_to_rotation": []}
+    # floats, so neither stepper's adds a call; the frames of the states are one quat_to_rotation call.
+    # The engine's products are hamilton calls: those on numpy rows are counted, not those on floats
+    counted = {"hamilton": [], "quat_to_rotation": []}
+
+    def counting(name, log):
+        fn = getattr(ENGINE, name)
+
+        def call(p, *args):
+            if name != "hamilton" or isinstance(p[0], np.ndarray):
+                log.append(None)
+            return fn(p, *args)
+
+        return call
+
     for name, log in counted.items():
-        monkeypatch.setattr(ENGINE, name, lambda *a, fn=getattr(ENGINE, name), log=log: log.append(None) or fn(*a))
+        monkeypatch.setattr(ENGINE, name, counting(name, log))
     cfg = IntegratorConfig(steps=steps)
     loop = circle(np.zeros(3), 0.5)
     run = transport(NAT, loop, config=cfg) if stepper == "transport" else transport_quat(loop, config=cfg)
     run.final
-    assert (len(counted["quat_mul"]), len(counted["quat_to_rotation"])) == (calls, 0)
+    assert (len(counted["hamilton"]), len(counted["quat_to_rotation"])) == (calls, 0)
     run.states
     assert len(counted["quat_to_rotation"]) == (stepper == "transport")
 

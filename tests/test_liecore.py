@@ -34,7 +34,7 @@ from liecurv import (
     rotation_to_quat,
     vee,
 )
-from liecurv.liecore import _checked_entries, quat_exp_angle
+from liecurv.liecore import _checked_entries, exp_components, hamilton, quat_exp_angle
 
 LIECORE = importlib.import_module("liecurv.liecore")
 
@@ -743,3 +743,73 @@ def test_stacked_vee_refusal_names_the_first_bad_index():
     with pytest.raises(ValueError, match="^" + re.escape(message.format("")) + "$"):
         vee(M[1, 0])
     vee(M[0])  # the good rows alone pass
+
+
+# ---------------------------------------------------------------------------
+# the one Hamilton product and the component exponential, bit for bit
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e308, -1e308, 1.5, -0.75]
+
+
+def expression_product(p, q):
+    """quat_mul's terms as one expression per component, as the product was once written."""
+    (pw, px, py, pz), (qw, qx, qy, qz) = p, q
+    return (pw * qw - px * qx - py * qy - pz * qz, pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx, pw * qz + px * qy - py * qx + pz * qw)
+
+
+def component_exp(u):
+    """quat_exp_angle as once written: the norm in np.linalg.norm's order, then the sinc branch by np.where."""
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    theta = np.sqrt((x * x + y * y) + z * z)
+    small = theta < 1e-6
+    sinc = np.sin(theta) / np.where(small, 1.0, theta)
+    if small.any():
+        t2 = theta * theta
+        sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sinc)
+    return np.stack([np.cos(theta), sinc * x, sinc * y, sinc * z], axis=-1), theta
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(P=st.integers(1, 40).flatmap(lambda n: hnp.arrays(
+    np.float64, (2, 4, n), elements=st.floats(-3.0, 3.0) | st.sampled_from(SPECIAL))))
+def test_hamilton_is_the_expression_product_bit_for_bit(P):
+    # rows (the engine's), 0-d arrays, numpy scalars and Python floats; NaN bits too, since every type runs the
+    # same IEEE operations in the same order
+    p, q = P
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array(expression_product(p, q))
+        assert np.array(hamilton(p, q)).tobytes() == want.tobytes()
+        assert np.array(hamilton(list(p[:, ::-1]), tuple(q[:, ::-1]))).tobytes() == want[:, ::-1].tobytes()
+        for k in range(min(P.shape[-1], 5)):
+            for convert in (np.asarray, float, np.float64):  # 0-d arrays, Python floats, numpy scalars
+                got = np.array(hamilton([convert(c) for c in p[:, k]], [convert(c) for c in q[:, k]]))
+                assert got.tobytes() == want[:, k].tobytes(), (convert, k)
+        # quat_mul on broadcast stacks: its rows are hamilton's, stacked along the last axis
+        Ps, Qs = np.moveaxis(P, 1, -1)  # (n, 4) each
+        assert quat_mul(Ps, Qs).tobytes() == want.T.tobytes()
+        assert quat_mul(Ps[:, None], Qs[None, :2]).tobytes() == np.stack(
+            expression_product(np.moveaxis(Ps[:, None], -1, 0), np.moveaxis(Qs[None, :2], -1, 0)), axis=-1).tobytes()
+        assert quat_mul(Ps[0], Qs).tobytes() == np.stack(expression_product(Ps[0], Qs.T), axis=-1).tobytes()
+        assert quat_mul(Ps[0], Qs[0]).tobytes() == want[:, 0].tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(U=st.integers(1, 12).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, 3), elements=st.floats(-4.0, 4.0) | st.floats(-1e-6, 1e-6)
+    | st.sampled_from([0.0, -0.0, 5e-324, 3e-7, 1e200, -1e308, np.inf, np.nan]))))
+@example(U=np.array([[0.0, -0.0, 0.0], [1e-7, -2e-7, 3e-8], [1e200, 0.0, 1.0], [0.3, -0.4, 1.2]]))
+def test_exp_components_is_the_component_formula_bit_for_bit(U):
+    # one vector (0-d components) and stacks, on the small-angle branch (theta < 1e-6 and theta = 0) and on
+    # overflowing input (an infinite theta); a NaN's sign bit is not compared, numpy's SIMD and scalar sin set
+    # it differently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in [U, U.T.copy().T, *U]:
+            want, theta = component_exp(u)
+            got, got_theta = quat_exp_angle(u)
+            *rows, row_theta = exp_components(*np.moveaxis(u, -1, 0))
+            for q in (got, quat_exp(u), np.stack(rows, axis=-1)):
+                assert q.shape == want.shape and np.array_equal(q, want, equal_nan=True)
+                number = ~np.isnan(want)
+                assert q[number].tobytes() == want[number].tobytes()
+            assert np.asarray(got_theta).tobytes() == np.asarray(row_theta).tobytes() == np.asarray(theta).tobytes()
