@@ -268,8 +268,7 @@ def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
         u = points(u)
         return np.stack([(chart(u + e) - chart(u - e)) / (2 * h) for e in h * np.eye(2)], axis=-1)
 
-    def normal(u):
-        T = chart_tangent(u)
+    def normal(u, T):
         n = np.cross(T[..., 0], T[..., 1])
         nn = np.linalg.norm(n, axis=-1, keepdims=True)
         singular = nn[..., 0] <= 1e-12 * np.linalg.norm(T, axis=-2).prod(axis=-1)
@@ -280,8 +279,11 @@ def parametric_surface(chart: Callable[[np.ndarray], np.ndarray]) -> Surface:
 
     def rolling(u, v):
         v = np.asarray(v, dtype=float)
-        v_emb = (chart_tangent(u) * v[..., None, :]).sum(axis=-1)
-        return np.cross(normal(u), v_emb + (normal(u + h * v) - normal(u - h * v)) / (2 * h))
+        T = chart_tangent(u)  # once, for v_emb and the normal at u: three chart tangents, 12 chart calls
+        v_emb = (T * v[..., None, :]).sum(axis=-1)
+        n = normal(u, T)
+        ahead, behind = (normal(w, chart_tangent(w)) for w in (u + h * v, u - h * v))
+        return np.cross(n, v_emb + (ahead - behind) / (2 * h))
 
     return Surface("parametric", chart, chart_tangent, rolling, None)
 

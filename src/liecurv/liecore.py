@@ -165,20 +165,15 @@ def quat_exp(u) -> np.ndarray:
     """Exponential of the pure quaternion with imaginary part ``u``: the unit quaternion (cos|u|, sin|u| * u/|u|),
     the sinc factor by its Taylor expansion below 1e-6. A stack of shape (..., 3) gives a stack of shape (..., 4).
     """
-    return quat_exp_angle(u)[0]
-
-
-def quat_exp_angle(u) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`quat_exp` of ``u`` and the angle |u| it is formed from, of shape (...,), as ``(q, theta)``."""
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (3,):
         raise ValueError(f"quat_exp expects vectors of shape (..., 3), got shape {u.shape}")
-    *q, theta = exp_components(u[..., 0], u[..., 1], u[..., 2])
-    return np.stack(q, axis=-1), theta
+    return np.stack(exp_components(u[..., 0], u[..., 1], u[..., 2])[:4], axis=-1)
 
 
 def exp_components(x, y, z) -> tuple:
-    """:func:`quat_exp_angle` on the components of u, numpy rows or scalars, as ``(w, x, y, z, theta)``.
+    """:func:`quat_exp` on the components of u, numpy rows or scalars, with the angle theta = |u| it is formed
+    from, as ``(w, x, y, z, theta)``: the package's one exponential.
 
     Each ufunc loop runs along the rows; |u|^2 = (x x + y y) + z z, np.linalg.norm's
     summation order, and the sinc quotient are formed in place on rows.

@@ -40,17 +40,18 @@ runs, and for each block it
 3. multiplies the factors, later ones on the left, by a pairwise (tree)
    reduction within chunks of ``stride`` steps, the sample-recording stride.
 
-From the exponential to the chunk products the steps are four component
-rows (w, x, y, z), and every product is :func:`liecurv.liecore.hamilton` on
-rows, each component formed in place. Chunks lie end to end along the rows, so
-while a chunk holds an even count its pairs are consecutive (``r[1::2]``,
-``r[0::2]``): numpy's one-dimensional loops, with no 3-D chunk views.
+The engine's quaternions have one layout from the exponential to the frames:
+four component rows (w, x, y, z), one column per quaternion, for the steps,
+the chunk products and the scan's states. Every product is
+:func:`liecurv.liecore.hamilton` on rows, each component formed in place.
+Chunks lie end to end along the rows, so while a chunk holds an even count its
+pairs are consecutive (``r[1::2]``, ``r[0::2]``): numpy's one-dimensional loops.
 
 The engine keeps only the run's chunk products, at most ~1024. The final
 frame is their pairwise reduction with the pairs aligned to the right end
 (:func:`_last_product`): exactly the products that the prefix scan
 (Hillis-Steele, :func:`_prefix_products`) forms on its way to its last state,
-so the two are bitwise equal. Its top levels, on at most 64 rows, run on
+so the two are bitwise equal. Its top levels, on at most 64 columns, run on
 Python floats through the same ``hamilton``, with the same bits. The scan,
 which gives the recorded states, runs on the first read of
 :attr:`TransportResult.states`. Only the engine builds a result; it refuses
@@ -77,18 +78,18 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .connections import LocalConnectionForm, Surface, sphere_surface
 from .liecore import (check_rotation, check_unit_quat, exp_components, exp_so3, hamilton, lie_hom_derivative,
-                      log_so3, quat_mul, quat_to_rotation, rotation_entries)
+                      log_so3, quat_to_rotation, rotation_entries)
 
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
 _BLOCK = 4096  # intervals evaluated per block (rounded to whole recording chunks)
-_SCALAR_ROWS = 64  # _last_product finishes on Python floats from this many rows down
+_SCALAR_ROWS = 64  # _last_product finishes on Python floats from this many chunk products (columns) down
 SIDE_ROUNDING = 1e-6  # largest relative error rounding at the corner may leave on a parallelogram side
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY.flags.writeable = False
@@ -228,27 +229,27 @@ def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np
     return sample
 
 
-def _prefix_products(P: np.ndarray) -> np.ndarray:
-    """Inclusive scan S_j = P_j ... P_1 P_0 (later factors on the left) in log2 passes."""
-    S = P.copy()
+def _prefix_products(C: np.ndarray) -> np.ndarray:
+    """Inclusive scan S_j = C_j ... C_1 C_0 (later factors on the left) of (4, n) component rows, in log2 passes."""
+    S = C.copy()
     d = 1
-    while d < len(S):
-        S[d:] = quat_mul(S[d:], S[:-d])
+    while d < len(S[0]):
+        S[:, d:] = hamilton([r[d:] for r in S], [r[:-d] for r in S])
         d *= 2
     return S
 
 
-def _last_product(P: np.ndarray) -> np.ndarray:
-    """P_{n-1} ... P_1 P_0 of an (n, 4) stack, bitwise equal to ``_prefix_products(P)[-1]``.
+def _last_product(C: np.ndarray) -> Sequence[float]:
+    """C_{n-1} ... C_1 C_0 of (4, n) component rows, as four Python floats: bitwise ``_prefix_products(C)[:, -1]``.
 
-    Each halving pass multiplies the pairs (P_{n-1}, P_{n-2}), (P_{n-3}, P_{n-4}), ... and passes an
-    unpaired first row through: the products the scan forms on its way to the last row, and no others. The
-    passes run on P's four component rows while more than ``_SCALAR_ROWS`` rows remain, copying only to put
-    an unpaired row in front; a numpy product costs about 30 array operations whatever its row count, so the
+    Each halving pass multiplies the pairs (C_{n-1}, C_{n-2}), (C_{n-3}, C_{n-4}), ... and passes an
+    unpaired first column through: the products the scan forms on its way to the last column, and no others.
+    The passes run on the rows while more than ``_SCALAR_ROWS`` columns remain, copying only to put an
+    unpaired column in front; a numpy product costs about 30 array operations whatever its length, so the
     last few levels are finished on Python floats. Both use :func:`liecurv.liecore.hamilton`, in IEEE doubles
     without fused multiply-add, so every bit, signed zeros included, is the same.
     """
-    rows = P.T
+    rows = C
     while len(rows[0]) > _SCALAR_ROWS:
         odd = len(rows[0]) % 2
         pairs = hamilton([r[odd + 1 :: 2] for r in rows], [r[odd::2] for r in rows])
@@ -257,10 +258,10 @@ def _last_product(P: np.ndarray) -> np.ndarray:
     while len(rows) > 1:
         odd = len(rows) % 2
         rows[odd:] = map(hamilton, rows[odd + 1 :: 2], rows[odd::2])
-    return np.array(rows[0])
+    return rows[0]
 
 
-def _rotation_on_floats(q: list[float]) -> np.ndarray:
+def _rotation_on_floats(q: Sequence[float]) -> np.ndarray:
     """``quat_to_rotation(np.array(q)[None])`` for one quaternion given as Python floats, on those floats.
 
     The same bits: |q|^2 is summed in np.sum's order over four entries, and the
@@ -281,13 +282,13 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
     ``sample(ts, first block)`` maps an array of times t* (left nodes, or interval midpoints if ``midpoint``)
     to the (n, 3) so(3) inputs there, shape checked, one block of at most ~_BLOCK intervals in whole chunks at
     a time. Each step lifts exp_so3(dt a) through the double cover, for every caller. Returns ``(C, stride,
-    angles)``: ``C[j]`` is the product over the intervals ``[j stride, (j + 1) stride)`` (the last chunk may
-    be shorter), where stride is the smallest step keeping at most _MAX_RECORDED chunks, so the state after
-    chunk j is C_j ... C_0. ``angles`` sums the step angles |dt a| = 2 |dt a / 2| the steps were formed
-    from, each ``np.linalg.norm(dt a)`` bit for bit unless that norm's square overflows. The first
-    non-finite step raises ValueError, naming its time and whether its sample is finite. The steps are
-    component rows throughout; a chunk of odd width is padded with one identity, as the partial last chunk
-    is, so the pairing and the bits are those of a per-chunk tree on (chunks, stride, 4) stacks.
+    angles)``: column ``C[:, j]`` of the four component rows is the product over the intervals ``[j stride,
+    (j + 1) stride)`` (the last chunk may be shorter), where stride is the smallest step keeping at most
+    _MAX_RECORDED chunks, so the state after chunk j is C_j ... C_0. ``angles`` sums the step angles |dt a| =
+    2 |dt a / 2| the steps were formed from, each ``np.linalg.norm(dt a)`` bit for bit unless that norm's
+    square overflows. The first non-finite step raises ValueError, naming its time and whether its sample is
+    finite. The steps are component rows throughout; a chunk of odd width is padded with one identity, as the
+    partial last chunk is, so the pairing and the bits are those of a per-chunk tree on (chunks, stride, 4) stacks.
     """
     n = len(nodes) - 1
     stride = max(1, -(-n // _MAX_RECORDED))
@@ -320,7 +321,7 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
             q = hamilton([r[1::2] for r in q], [r[0::2] for r in q])  # an even width pairs within chunks
             width //= 2
         chunks.append(q)
-    return np.concatenate(chunks, axis=1).T, stride, angles
+    return np.concatenate(chunks, axis=1), stride, angles
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +334,13 @@ class TransportResult:
     Built by the engine alone: the constructor runs :func:`_compose` over the
     path's grid, which refuses every non-finite step, so reading refuses nothing.
     Long runs record at most ~1024 evenly strided states; the first and final
-    states are always included. Both are built from the run's chunk products on
-    first read: ``final`` by :func:`_last_product`, ``states`` (times (m,), points
-    (m, d), and frames (m, 3, 3) or, for the lifts, quaternions (m, 4); row 0 is the
-    start) by the prefix scan, which also fills ``final`` from its last row (the two
-    are bitwise equal). ``frames`` maps a stack of states to their frames, and
-    ``frame`` maps one state, given as four Python floats, to the same bits as a
-    one-row ``frames``. ``_angles`` is the engine's sum of the run's step angles |dt a|.
+    states are always included. Both are built on first read from the run's chunk
+    products, kept as component rows: ``final`` by :func:`_last_product`, ``states``
+    (times (m,), points (m, d), and frames (m, 3, 3) or, for the lifts, quaternions
+    (m, 4); row 0 is the start) by the prefix scan on the rows, which also fills
+    ``final`` from its last state (the two are bitwise equal). ``frames`` maps (4, n)
+    rows of states to their n frames, and ``frame`` maps one state, four Python
+    floats, to the bits of a one-column ``frames``. ``_angles`` sums the step angles |dt a|.
     """
 
     def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frames, frame, start: np.ndarray):
@@ -351,7 +352,7 @@ class TransportResult:
 
     @cached_property
     def final(self) -> np.ndarray:
-        return self._frame(_last_product(self._chunks).tolist())
+        return self._frame(_last_product(self._chunks))
 
     @cached_property
     def states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -364,7 +365,8 @@ def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
     """The run as unit quaternions: the chunk states applied to q0 (a fresh identity if None)."""
     q = _IDENTITY.copy() if q0 is None else check_unit_quat(q0).copy()  # frames are built after the return
     qs = q.tolist()
-    return TransportResult(sample, path, cfg, lambda S: quat_mul(S, q), lambda p: np.array(hamilton(p, qs)), q)
+    return TransportResult(sample, path, cfg, lambda S: np.stack(hamilton(S, qs), axis=-1),
+                           lambda p: np.array(hamilton(p, qs)), q)
 
 
 def transport(
@@ -388,7 +390,7 @@ def transport(
     """
     sample = _form_sampler(form, path)
     g = np.eye(3) if g0 is None else check_rotation(g0).copy()  # frames are built after the return
-    return TransportResult(sample, path, with_default_steps(config, 10_000), lambda S: quat_to_rotation(S) @ g,
+    return TransportResult(sample, path, with_default_steps(config, 10_000), lambda S: quat_to_rotation(S.T) @ g,
                            lambda p: (_rotation_on_floats(p) @ g)[0], g)
 
 

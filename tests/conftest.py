@@ -6,8 +6,10 @@ and its derandomization from the loaded profile. "tier-1", loaded here, runs
 500 derandomized examples. ``--hypothesis-profile=random-sweep`` runs 4,000
 random ones instead, drawn from the seed that ``--hypothesis-seed`` gives, so
 each seed explores new requests and a failure can be replayed from its seed.
-The property tests of ``test_structure.py`` keep their own counts but take
-their derandomization from the profile too, so each seed draws new inputs.
+The property tests of ``test_structure.py``, and
+``test_last_product_is_bitwise_the_last_prefix_product`` in ``test_engine.py``,
+keep their own counts but take their derandomization from the profile too, so
+each seed draws new inputs.
 """
 
 from hypothesis import settings

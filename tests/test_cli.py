@@ -137,11 +137,18 @@ def test_exit_zero_on_success(capsys):
 
 
 def test_exit_one_on_usage_error(capsys):
-    assert main(["transport", "--connection", "bogus"]) == 1
-    assert main(["transport", "--path", "line"]) == 1  # missing --xi
-    assert main(["holonomy", "--path", "line", "--xi", "1,0,0"]) == 1  # not closed
-    assert main(["verify"]) == 1  # needs --all or --check
-    assert "error:" in capsys.readouterr().err
+    for argv, message in (
+        (["transport", "--connection", "bogus"], "argument --connection: invalid choice: 'bogus'"),
+        (["transport", "--path", "line"], "--path line requires --xi"),
+        (["holonomy", "--path", "line", "--xi", "1,0,0"], "holonomy requires a closed path"),
+        (["verify"], "verify needs --all or --check NAME"),
+        (["transport", "--xi=1,0"], "--xi must have dimension 3"),
+        (["transport", "--path=polyline", "--points=;"], "empty point list"),
+        (["transport", "--path=file"], "--path file requires --file"),
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}"), argv
 
 
 def test_exit_two_on_failing_check(capsys):
@@ -864,6 +871,8 @@ def test_read_path_file_errors(tmp_path):
         read_path_file(write_csv(tmp_path, "t,x1\n0.1,0\n1,1\n"))
     with pytest.raises(ValueError, match="at least two"):
         read_path_file(write_csv(tmp_path, "t,x1\n0,0\n"))
+    with pytest.raises(ValueError, match=re.escape("row 3: could not convert string to float: 'abc'")):
+        read_path_file(write_csv(tmp_path, "t,x1\n0,0\n0.5,abc\n1,1\n"))
 
 
 def test_path_file_dimension_mismatch(tmp_path, capsys):

@@ -13,6 +13,7 @@ from liecurv import (
     cross,
     curvature_closed_form,
     exp_so3,
+    great_arc,
     hat,
     natural_alpha,
     natural_form,
@@ -83,6 +84,9 @@ def test_natural_alpha_rejects_non_tangent_vectors():
         natural_alpha(np.zeros(3), np.eye(3), np.zeros(3), np.eye(3))
     with pytest.raises(ValueError, match="base point and tangent"):
         natural_alpha(np.zeros(2), np.eye(3), np.zeros(3), np.zeros((3, 3)))
+    for g, xi in ((np.eye(2), np.zeros((3, 3))), (np.eye(3), np.zeros((3, 2))), (np.zeros(3), np.zeros((3, 3)))):
+        with pytest.raises(ValueError, match="^natural_alpha expects 3x3 group element and tangent matrix$"):
+            natural_alpha(np.zeros(3), g, np.zeros(3), xi)
 
 
 def test_stacked_natural_alpha_matches_rowwise():
@@ -238,6 +242,17 @@ def test_sphere_surface_validation():
         sphere_surface(1.0, side="top")
     with pytest.raises(ValueError, match="orthonormal"):
         sphere_surface(1.0, frame=(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0, 0, 1.0])))
+    for frame in (np.eye(3)[:2], np.eye(2), [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="^frame must consist of three 3-vectors$"):
+            sphere_surface(1.0, frame=frame)
+    s = sphere_surface(2.0)
+    for f in (s.chart, s.chart_tangent, lambda u: s.rolling(u, np.ones(u.shape))):
+        for shape in ((3,), (4, 1), ()):
+            with pytest.raises(ValueError, match=r"^sphere chart expects \(colatitude, longitude\) pairs$"):
+                f(np.full(shape, 1.0))
+    for p, q in (([1.0, 0.0], [0.0, 1.0]), ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]), (np.eye(3), np.eye(3))):
+        with pytest.raises(ValueError, match="^great_arc expects two points in R\\^3$"):
+            great_arc(p, q)
 
 
 def test_parametric_surface_matches_analytic_sphere():
@@ -361,6 +376,39 @@ def test_point_only_chart_is_refused_by_its_shapes():
     for f in (s.chart, s.chart_tangent, lambda u: s.rolling(u, u)):
         with pytest.raises(ValueError, match=re.escape(message)):
             f(np.ones((4, 2)))
+
+
+def parent_rolling(s, u, v):
+    """The parametric rolling map as once written, with the chart tangent at u evaluated twice."""
+    h = 1e-5
+
+    def normal(w):
+        T = s.chart_tangent(w)
+        n = np.cross(T[..., 0], T[..., 1])
+        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+    v_emb = (s.chart_tangent(u) * v[..., None, :]).sum(axis=-1)
+    return np.cross(normal(u), v_emb + (normal(u + h * v) - normal(u - h * v)) / (2 * h))
+
+
+@pytest.mark.parametrize("chart", sorted(PARAMETRIC_CHARTS))
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)])
+def test_parametric_rolling_evaluates_the_chart_tangent_at_u_once(chart, shape):
+    # three chart tangents (at u, u + h v and u - h v) of four chart calls each; the tangent at u was once
+    # evaluated a second time for the normal there, 16 calls in all
+    calls = []
+
+    def counting(u):
+        calls.append(None)
+        return PARAMETRIC_CHARTS[chart](u)
+
+    s = parametric_surface(counting)
+    rng = np.random.RandomState(len(shape) + 10 * len(chart))
+    u = np.stack([rng.uniform(0.3, np.pi - 0.3, shape), rng.uniform(-3.0, 3.0, shape)], axis=-1)
+    v = rng.standard_normal(shape + (2,)) * rng.uniform(0.01, 100.0)
+    got = s.rolling(u, v)
+    assert len(calls) == 12
+    assert got.shape == shape + (3,) and got.tobytes() == parent_rolling(s, u, v).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -528,8 +528,9 @@ def test_the_component_tree_gives_the_bits_of_the_chunked_tree(stride, method):
         nodes = integration_grid(n)
         C, s, angles = ENGINE._compose(sample, nodes, method == "exp-midpoint")
         want, want_stride, want_angles = chunked_compose(sample, nodes, method == "exp-midpoint")
-        assert s == want_stride == stride and C.shape == want.shape
-        assert np.ascontiguousarray(C).tobytes() == want.tobytes(), n
+        # the engine's chunk products are (4, n) component rows; the chunked tree's are an (n, 4) stack
+        assert s == want_stride == stride and C.shape == want.T.shape
+        assert C.tobytes() == np.ascontiguousarray(want.T).tobytes(), n
         assert angles == want_angles
 
 
@@ -539,7 +540,18 @@ def test_the_component_tree_gives_the_bits_of_the_chunked_tree(stride, method):
 EDGE_LENGTHS = sorted({2**k + d for k in range(12) for d in (-1, 0, 1)} - {0})  # 1 ... 2049
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def stacked_prefix_products(P):
+    """The prefix scan as the engine once ran it: quat_mul passes on an (n, 4) stack."""
+    S = P.copy()
+    d = 1
+    while d < len(S):
+        S[d:] = quat_mul(S[d:], S[:-d])
+        d *= 2
+    return S
+
+
+# the example count is fixed here; derandomization comes from the loaded hypothesis profile (conftest.py)
+@settings(max_examples=60, deadline=None)
 @given(
     n=st.one_of(st.integers(1, 2100), st.sampled_from(EDGE_LENGTHS)),
     seed=st.integers(0, 2**32 - 1),
@@ -551,11 +563,20 @@ EDGE_LENGTHS = sorted({2**k + d for k in range(12) for d in (-1, 0, 1)} - {0})  
 @example(n=1025, seed=3, zeros=True)
 def test_last_product_is_bitwise_the_last_prefix_product(n, seed, zeros):
     rng = np.random.default_rng(seed)
-    C = rng.standard_normal((n, 4))
-    C /= np.linalg.norm(C, axis=1)[:, None]
+    P = rng.standard_normal((n, 4))
     if zeros:  # signed zeros, as in rotations about a coordinate axis
-        C[rng.random((n, 4)) < 0.3] = -0.0
-    assert _last_product(C).tobytes() == _prefix_products(C)[-1].tobytes()
+        P[rng.random((n, 4)) < 0.3] = -0.0
+        P[~P.any(axis=1), 0] = 1.0
+    P /= np.linalg.norm(P, axis=1)[:, None]  # unit, as the chunk products are, so the frames are defined
+    C = np.ascontiguousarray(P.T)  # the engine's chunk products are (4, n) component rows
+    S = _prefix_products(C)
+    assert S.shape == (4, n) and C.tobytes() == np.ascontiguousarray(P.T).tobytes()  # the input is not written
+    last = _last_product(C)
+    assert all(type(c) is float for c in last) and np.array(last).tobytes() == S[:, -1].tobytes()
+    # the row scan and its frames have the bits of the (n, 4) quat_mul scan and of its frames
+    want = stacked_prefix_products(P)
+    assert S.tobytes() == np.ascontiguousarray(want.T).tobytes()
+    assert quat_to_rotation(S.T).tobytes() == quat_to_rotation(want).tobytes()
 
 
 @pytest.mark.parametrize("steps", [1, 64, 65, 129, 4096, 4097, 12_001])  # 64 to 129 straddle the Python-float tail
@@ -607,12 +628,13 @@ def test_the_frame_on_python_floats_is_quat_to_rotation_bit_for_bit():
         ENGINE._rotation_on_floats([2.0, 0.0, -0.0, 0.0])
 
 
-@pytest.mark.parametrize("steps, calls", [(64, 0), (4096, 6)])
+@pytest.mark.parametrize("steps, calls, passes", [(64, 0, 6), (4096, 6, 10)])
 @pytest.mark.parametrize("stepper", ["transport", "transport_quat"])
-def test_reading_final_calls_quat_mul_only_on_more_than_64_rows(monkeypatch, steps, calls, stepper):
+def test_reading_final_and_states_counts_hamilton_calls_on_rows(monkeypatch, steps, calls, passes, stepper):
     # 64 one-step chunks reduce on Python floats alone. 4,096 steps make 1,024 chunks of four: two numpy
     # passes reduce the chunks, four halve them down to 64 rows. Both final frames are built on Python
-    # floats, so neither stepper's adds a call; the frames of the states are one quat_to_rotation call.
+    # floats, so neither stepper's adds a call. The states are the prefix scan, log2 passes over the chunks'
+    # rows; their frames are one quat_to_rotation call, or for the lift one hamilton call with q0.
     # The engine's products are hamilton calls: those on numpy rows are counted, not those on floats
     counted = {"hamilton": [], "quat_to_rotation": []}
 
@@ -634,7 +656,8 @@ def test_reading_final_calls_quat_mul_only_on_more_than_64_rows(monkeypatch, ste
     run.final
     assert (len(counted["hamilton"]), len(counted["quat_to_rotation"])) == (calls, 0)
     run.states
-    assert len(counted["quat_to_rotation"]) == (stepper == "transport")
+    lifted = stepper == "transport_quat"
+    assert (len(counted["hamilton"]), len(counted["quat_to_rotation"])) == (calls + passes + lifted, not lifted)
 
 
 def recorded(path):
