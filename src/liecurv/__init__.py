@@ -32,7 +32,6 @@ from .liecore import (
     lie_hom_derivative,
     log_so3,
     quat_conj,
-    quat_exp,
     quat_mul,
     quat_to_rotation,
     rotation_to_quat,

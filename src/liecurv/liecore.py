@@ -7,8 +7,8 @@ Conventions used throughout the package:
 * Quaternions are arrays ``(w, x, y, z)`` with scalar part first and
   Hamilton's product rule.
 * ``quat_to_rotation`` is the usual double cover; its derivative at the
-  identity doubles the axis vector (``lie_hom_derivative``), hence
-  ``quat_to_rotation(quat_exp(u)) == exp_so3(2 * u)``.
+  identity doubles the axis vector (``lie_hom_derivative``), hence the
+  rotation of the quaternion ``exp_components(*u)[:4]`` is ``exp_so3(2 * u)``.
 
 All functions accept array-likes and return fresh ``float64`` arrays.
 ``exp_so3``, ``log_so3``, ``check_rotation`` and ``check_unit_quat`` take one
@@ -161,19 +161,10 @@ def quat_conj(q) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def quat_exp(u) -> np.ndarray:
-    """Exponential of the pure quaternion with imaginary part ``u``: the unit quaternion (cos|u|, sin|u| * u/|u|),
-    the sinc factor by its Taylor expansion below 1e-6. A stack of shape (..., 3) gives a stack of shape (..., 4).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1:] != (3,):
-        raise ValueError(f"quat_exp expects vectors of shape (..., 3), got shape {u.shape}")
-    return np.stack(exp_components(u[..., 0], u[..., 1], u[..., 2])[:4], axis=-1)
-
-
 def exp_components(x, y, z) -> tuple:
-    """:func:`quat_exp` on the components of u, numpy rows or scalars, with the angle theta = |u| it is formed
-    from, as ``(w, x, y, z, theta)``: the package's one exponential.
+    """Exponential of the pure quaternion with imaginary part u = (x, y, z), numpy rows or scalars: the unit
+    quaternion (cos|u|, sin|u| u/|u|), the sinc factor by its Taylor expansion below 1e-6, with the angle
+    theta = |u| it is formed from, as ``(w, x, y, z, theta)``: the package's one exponential.
 
     Each ufunc loop runs along the rows; |u|^2 = (x x + y y) + z z, np.linalg.norm's
     summation order, and the sinc quotient are formed in place on rows.
@@ -198,8 +189,17 @@ def quat_to_rotation(q) -> np.ndarray:
     Both q and -q map to the same rotation. The input must be unit to within
     1e-9; it is renormalized before use so products of many unit factors stay
     in domain. A stack of shape (..., 4) gives a stack of shape (..., 3, 3).
+    One unit quaternion is converted on Python floats, which cost less than
+    numpy's per-call overhead, by the stack's arithmetic in its order (|q|^2
+    in np.sum's order), so the bits are the same; a refusal is the stack's.
     """
     q = np.asarray(q, dtype=float)
+    if q.shape == (4,):
+        w, x, y, z = q.tolist()
+        n2 = ((w * w + x * x) + y * y) + z * z
+        if abs(n2 - 1.0) <= 1e-9:
+            n = math.sqrt(n2)
+            return np.array(rotation_entries(w / n, x / n, y / n, z / n)).reshape(3, 3)
     if q.shape[-1:] != (4,):
         raise ValueError("quat_to_rotation expects quaternions of shape (..., 4)")
     with np.errstate(over="ignore"):  # huge entries give an infinite |q|^2, refused just below

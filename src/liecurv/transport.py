@@ -30,13 +30,14 @@ runs, and for each block it
    as (3, n), so each numpy loop covers the whole block, not one node's
    2 to 4 components;
 2. exponentiates all steps at once as unit quaternions by half angles,
-   quat_exp(dt a / 2), refusing the first non-finite one by its time, and
+   exp(dt a / 2) (:func:`liecurv.liecore.exp_components`), refusing the
+   first non-finite one by its time, and
    sums the step angles |dt a| from those half angles. A step's image under
    the double cover is exactly exp_so3(dt a), so one product is both the
    SO(3) frame (through :func:`liecurv.liecore.quat_to_rotation`) and its
    continuous quaternion lift. Quaternion transport is such a lift: its
    so(3) input is lie_hom_derivative(v) = 2 v for the path velocity v, so
-   its step is quat_exp(dt v);
+   its step is exp(dt v);
 3. multiplies the factors, later ones on the left, by a pairwise (tree)
    reduction within chunks of ``stride`` steps, the sample-recording stride.
 
@@ -59,7 +60,9 @@ every non-finite step, so reading refuses nothing.
 
 The scalar work at the two ends of a run (``check_rotation`` on g0, the uniform
 grid, ``final``'s one frame) also avoids numpy's per-call cost by repeating
-numpy's operations in numpy's order on Python floats: the same bits.
+numpy's operations in numpy's order on Python floats: the same bits. Each such
+path lives in the kernel it copies: :func:`liecurv.liecore.check_rotation`,
+:func:`integration_grid` and :func:`liecurv.liecore.quat_to_rotation`.
 
 Regrouping the factors is legal because the product is associative, which
 is the paper's concatenation law T(c1 * c2) = T(c2) T(c1) read at the level
@@ -74,7 +77,6 @@ before it builds a matrix.
 from __future__ import annotations
 
 import dataclasses
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,7 +86,7 @@ import numpy as np
 
 from .connections import LocalConnectionForm, Surface, sphere_surface
 from .liecore import (check_rotation, check_unit_quat, exp_components, exp_so3, hamilton, lie_hom_derivative,
-                      log_so3, quat_to_rotation, rotation_entries)
+                      log_so3, quat_to_rotation)
 
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
@@ -261,23 +263,8 @@ def _last_product(C: np.ndarray) -> Sequence[float]:
     return rows[0]
 
 
-def _rotation_on_floats(q: Sequence[float]) -> np.ndarray:
-    """``quat_to_rotation(np.array(q)[None])`` for one quaternion given as Python floats, on those floats.
-
-    The same bits: |q|^2 is summed in np.sum's order over four entries, and the
-    unit-norm test and the entries are :func:`liecurv.liecore.quat_to_rotation`'s,
-    in its order. A refusal is left to that function, in its words.
-    """
-    w, x, y, z = q
-    n2 = ((w * w + x * x) + y * y) + z * z
-    if not abs(n2 - 1.0) <= 1e-9:
-        return quat_to_rotation(np.array(q)[None])
-    n = math.sqrt(n2)
-    return np.array(rotation_entries(w / n, x / n, y / n, z / n)).reshape(1, 3, 3)
-
-
 def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int, float]:
-    """The ordered products of the half-angle steps quat_exp(dt_k a(t*_k) / 2) over chunks of the grid.
+    """The ordered products of the half-angle steps exp(dt_k a(t*_k) / 2) over chunks of the grid.
 
     ``sample(ts, first block)`` maps an array of times t* (left nodes, or interval midpoints if ``midpoint``)
     to the (n, 3) so(3) inputs there, shape checked, one block of at most ~_BLOCK intervals in whole chunks at
@@ -338,21 +325,21 @@ class TransportResult:
     products, kept as component rows: ``final`` by :func:`_last_product`, ``states``
     (times (m,), points (m, d), and frames (m, 3, 3) or, for the lifts, quaternions
     (m, 4); row 0 is the start) by the prefix scan on the rows, which also fills
-    ``final`` from its last state (the two are bitwise equal). ``frames`` maps (4, n)
-    rows of states to their n frames, and ``frame`` maps one state, four Python
-    floats, to the bits of a one-column ``frames``. ``_angles`` sums the step angles |dt a|.
+    ``final`` from its last state (the two are bitwise equal). One map, ``frames``,
+    builds both: it takes (4, n) rows of states to their n frames, and one state,
+    four Python floats, to its frame. ``_angles`` sums the step angles |dt a|.
     """
 
-    def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frames, frame, start: np.ndarray):
+    def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frames, start: np.ndarray):
         nodes = integration_grid(config.steps, path.corners)
         self._chunks, stride, self._angles = _compose(sample, nodes, config.method == "exp-midpoint")
-        self._path, self._frames, self._frame, self._start = path, frames, frame, start
+        self._path, self._frames, self._start = path, frames, start
         # the start, then the end of every chunk: a copy, so the result does not keep the whole grid alive
         self._times = np.concatenate((nodes[:-1:stride], nodes[-1:]))
 
     @cached_property
     def final(self) -> np.ndarray:
-        return self._frame(_last_product(self._chunks))
+        return self._frames(_last_product(self._chunks))
 
     @cached_property
     def states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,8 +352,7 @@ def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
     """The run as unit quaternions: the chunk states applied to q0 (a fresh identity if None)."""
     q = _IDENTITY.copy() if q0 is None else check_unit_quat(q0).copy()  # frames are built after the return
     qs = q.tolist()
-    return TransportResult(sample, path, cfg, lambda S: np.stack(hamilton(S, qs), axis=-1),
-                           lambda p: np.array(hamilton(p, qs)), q)
+    return TransportResult(sample, path, cfg, lambda S: np.stack(hamilton(S, qs), axis=-1), q)
 
 
 def transport(
@@ -390,8 +376,8 @@ def transport(
     """
     sample = _form_sampler(form, path)
     g = np.eye(3) if g0 is None else check_rotation(g0).copy()  # frames are built after the return
-    return TransportResult(sample, path, with_default_steps(config, 10_000), lambda S: quat_to_rotation(S.T) @ g,
-                           lambda p: (_rotation_on_floats(p) @ g)[0], g)
+    return TransportResult(sample, path, with_default_steps(config, 10_000),
+                           lambda S: quat_to_rotation(np.transpose(S)) @ g, g)
 
 
 def transport_quat(
@@ -403,7 +389,7 @@ def transport_quat(
 
     The S^3 algebra input is the path velocity v, whose image in so(3) is
     lie_hom_derivative(v) = 2 v; the engine's half-angle step of 2 v is
-    q <- quat_exp(dt v(t*)) q. So this is the lift of :func:`transport` with
+    q <- exp(dt v(t*)) q. So this is the lift of :func:`transport` with
     the natural SO(3) form on the doubled path, and projects onto it through
     the double cover.
     """
@@ -426,7 +412,7 @@ def lift_transport(
 ) -> np.ndarray:
     """Continuous unit-quaternion lift of an SO(3) transport run.
 
-    Steps with half the algebra increment, quat_exp(dt a / 2), so the image
+    Steps with half the algebra increment, exp(dt a / 2), so the image
     under the double cover reproduces exp_so3(dt a) exactly at every step
     while the sign is tracked by continuity from q0 (identity by default).
     This is the quaternion product that :func:`transport` projects to SO(3).
@@ -661,7 +647,7 @@ def polyline(points, times=None, closed: bool | None = None) -> PathSpec:
     _check_finite("polyline points", P)
     m, d = P.shape
     if times is None:
-        T = np.linspace(0.0, 1.0, m)
+        T = integration_grid(m - 1)
     else:
         T = np.asarray(times, dtype=float)
         if T.shape != (m,):

@@ -34,13 +34,35 @@ def caller_trees():
     return [ast.parse(f.read_text()) for f in files]
 
 
+def liecurv_modules(tree):
+    """{local name: module} for each name ``tree`` binds to a liecurv module: by ``import``, by ``from ...
+    import`` of a module (a relative import is the package's own) or by ``importlib.import_module``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({alias.asname or "liecurv": importlib.import_module(alias.name if alias.asname else "liecurv")
+                          for alias in node.names if alias.name.split(".")[0] == "liecurv"})
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "liecurv"):
+            base = importlib.import_module(".".join(["liecurv", node.module or ""]).rstrip(".") if node.level
+                                           else node.module)
+            bound.update({alias.asname or alias.name: getattr(base, alias.name) for alias in node.names
+                          if inspect.ismodule(getattr(base, alias.name, None))})
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "attr", None) == "import_module"
+              and isinstance(arg := node.value.args[0], ast.Constant) and arg.value.split(".")[0] == "liecurv"):
+            bound.update({t.id: importlib.import_module(arg.value) for t in node.targets if isinstance(t, ast.Name)})
+    return bound
+
+
 def used_names():
+    """Names the callers read: bare names, and attributes of a name that the same file binds to a liecurv module."""
     used = set()
     for tree in caller_trees():
+        modules = liecurv_modules(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
                 used.add(node.attr)
     return used
 
@@ -93,17 +115,10 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
 def private_reads(path):
     """(line, name) of each underscore name ``path`` reads from another liecurv module."""
     tree = ast.parse(path.read_text())
-    modules = set()  # local names bound to liecurv modules
-    reads = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("liecurv")):
-            for alias in node.names:
-                if node.module in (None, "liecurv"):
-                    modules.add(alias.asname or alias.name)
-                if alias.name.startswith("_"):
-                    reads.append((node.lineno, alias.name))
-        elif isinstance(node, ast.Import):
-            modules.update(alias.asname or alias.name for alias in node.names if alias.name.startswith("liecurv"))
+    modules = liecurv_modules(tree)
+    reads = [(node.lineno, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("liecurv"))
+             for alias in node.names if alias.name.startswith("_")]
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
                 and node.attr.startswith("_") and not node.attr.startswith("__")):

@@ -1,12 +1,14 @@
 """Tests for the command-line interface: parsing, execution, serialization."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import re
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,10 @@ from liecurv.cli import main, parse_args, read_path_file, run, write_result, Run
 from liecurv.transport import IntegratorConfig
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+# the benchmark's closed forms, written without the library: the sweep's independent references
+_SPEC = importlib.util.spec_from_file_location("closed_forms", Path(__file__).parents[1] / "benchmarks/closed_forms.py")
+CF = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(CF)
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -736,6 +742,20 @@ def sweep_requests(draw):
     return argv
 
 
+def segment_increments(req):
+    """The increments c(t_{k+1}) - c(t_k) over the segments of a line, square or polyline request, one row each,
+    from the vertices as the library forms them (the square is ``parallelogram_loop(x0, e1, e2, eps)``)."""
+    if req["path"] == "line":
+        return np.array([req["xi"]])
+    if req["path"] == "polyline":
+        P = np.array(req["points"])
+    else:
+        d = 3 if req["connection"] == "natural-so3" else 2
+        x, (u, v), eps = np.zeros(d) if req["x0"] is None else np.array(req["x0"]), np.eye(d)[:2], req["eps"]
+        P = np.array([x, x + eps * u, x + eps * u + eps * v, x + eps * v, x])
+    return np.diff(P, axis=0)
+
+
 def _reject_constant(name):
     raise AssertionError(f"non-finite number {name} in the output")
 
@@ -762,11 +782,21 @@ def test_every_request_is_answered_correctly_or_refused(argv):
     for row in doc["trajectory"]:
         assert abs(np.dot(row["quat"], row["quat"]) - 1.0) <= 1e-12
     req = doc["request"]
-    if req["command"] == "transport" and req["connection"] == "natural-so3" and req["path"] == "line":
-        xi = np.array(req["xi"])
-        # a larger angle is not resolved in float64; the max first, as |xi| itself may overflow
-        if np.abs(xi).max() <= 100.0 and np.linalg.norm(xi) <= 100.0:
-            assert np.abs(np.reshape(doc["holonomy"]["matrix"], (3, 3)) - exp_so3(xi)).max() <= 1e-9
+    if req["command"] in ("transport", "holonomy") and req["connection"] in FLAT and req["path"] != "circle":
+        # the input is constant on each segment and the corners are grid nodes, so both methods are exact: the
+        # transport is the ordered product of the segments' exponentials, of a = delta for the natural form
+        # and a = (delta_2, -delta_1, 0) for the two plane forms
+        with np.errstate(over="ignore", invalid="ignore"):  # vertices near the float range
+            deltas = segment_increments(req)
+            # a larger angle is not resolved in float64; the max first, as a norm itself may overflow
+            exact = np.isfinite(deltas).all() and np.abs(deltas).max() <= 100.0
+            exact = exact and (np.linalg.norm(deltas, axis=1) <= 100.0).all()
+        if exact:
+            a = deltas if req["connection"] == "natural-so3" else [(d2, -d1, 0.0) for d1, d2 in deltas]
+            assert np.abs(np.reshape(doc["holonomy"]["matrix"], (3, 3)) - CF.ordered_product(a)).max() <= 1e-9
+    if req["command"] == "section" and code == 0:
+        section = doc["section"]
+        assert CF.sign_free_distance(section["computed_quat"], CF.section_formula(section["point"])) <= 1e-6
     if req["command"] == "curvature" and req["connection"] in FLAT:
         assert abs(doc["curvature"]["factor"] - doc["curvature"]["expected_factor"]) <= 0.15
 

@@ -38,7 +38,6 @@ from liecurv import (
     plane_rolling_form,
     polyline,
     pullback_form,
-    quat_exp,
     quat_mul,
     quat_to_rotation,
     small_loop_curvature,
@@ -48,12 +47,18 @@ from liecurv import (
     transport,
     transport_quat,
 )
+from liecurv.liecore import exp_components
 from liecurv.transport import _BLOCK, _MAX_RECORDED, _last_product, _prefix_products
 
 ENGINE = importlib.import_module("liecurv.transport")  # the package exports a function of the same name
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 NAT = natural_form()
 METHODS = ("lie-euler", "exp-midpoint")
+
+
+def exp_quaternion(u):
+    """The unit quaternion exp_components forms from u (..., 3), stacked along the last axis as (..., 4)."""
+    return np.stack(exp_components(*np.moveaxis(np.asarray(u, dtype=float), -1, 0))[:4], axis=-1)
 
 
 def tilted_circle():
@@ -238,10 +243,10 @@ def test_stacked_quaternion_kernels_match_rowwise(data):
     n = data.draw(st.integers(1, 20))
     U = data.draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(-4.0, 4.0)))
     U[0] *= 1e-8  # one row on the small-angle branch
-    Q = quat_exp(U)
-    P = quat_exp(U[::-1])
+    Q = exp_quaternion(U)
+    P = exp_quaternion(U[::-1])
     for u, p, q, qp, R in zip(U, P, Q, quat_mul(P, Q), quat_to_rotation(Q)):
-        np.testing.assert_allclose(q, quat_exp(u), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(q, exp_quaternion(u), rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(qp, quat_mul(p, q), rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(R, quat_to_rotation(q), rtol=1e-15, atol=1e-15)
 
@@ -441,6 +446,9 @@ def test_the_uniform_grid_is_linspace_bit_for_bit():
     # the grid repeats linspace's own operations: a range, a multiply by 1/n in place, the end set to 1.0
     for n in [*range(1, 20_001), 10**6]:
         assert integration_grid(n).tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes(), n
+    # a polyline's uniform vertex times are that grid: its corners are linspace's interior nodes
+    for m in range(2, 402):
+        assert np.array(polyline(np.zeros((m, 2))).corners).tobytes() == np.linspace(0.0, 1.0, m)[1:-1].tobytes(), m
     with pytest.raises(ValueError, match="steps must be at least 1, got 0"):
         integration_grid(0)
     for steps in (64.0, 64.5):  # a count, as linspace takes it; IntegratorConfig refuses these before any run
@@ -475,20 +483,20 @@ def test_engine_matches_sequential_reference(steps, method, path_name):
     for t, x in zip(times[::every].tolist(), points[::every]):
         np.testing.assert_allclose(x, path.position(t), rtol=0.0, atol=1e-14)
 
-    # quaternion transport composes the same way: compare with q <- quat_exp(dt v) q
+    # quaternion transport composes the same way: compare with q <- exp(dt v) q
     nodes = integration_grid(steps, path.corners)
     q = np.array([1.0, 0.0, 0.0, 0.0])
     for k in range(len(nodes) - 1):
         dt = nodes[k + 1] - nodes[k]
         t = nodes[k] + 0.5 * dt if method == "exp-midpoint" else nodes[k]
-        q = quat_mul(quat_exp(dt * path.velocity(t)), q)
+        q = quat_mul(exp_quaternion(dt * path.velocity(t)), q)
     got = transport_quat(path, config=cfg)
     np.testing.assert_allclose(got.final, q, rtol=0.0, atol=1e-12)
     assert got.states[0].tolist() == want_ts
 
 
 def chunked_compose(sample, nodes, midpoint):
-    """The chunk products as the engine once formed them: quat_exp on (n, 3) stacks, then a pairwise tree within
+    """The chunk products as the engine once formed them: exponentials of (n, 3) stacks, then a pairwise tree within
     each chunk on (chunks, stride, 4) stacks, an odd level and a partial last chunk padded with identities."""
     n, identity = len(nodes) - 1, np.array([1.0, 0.0, 0.0, 0.0])
     stride = max(1, -(-n // _MAX_RECORDED))
@@ -499,7 +507,7 @@ def chunked_compose(sample, nodes, midpoint):
         t0 = nodes[k0:k1]
         dt = nodes[k0 + 1 : k1 + 1] - t0
         a = sample(t0 + 0.5 * dt if midpoint else t0, k0 == 0)
-        steps = quat_exp(np.multiply(0.5 * dt, a.T, out=np.empty((3, len(dt)))).T)
+        steps = exp_quaternion(np.multiply(0.5 * dt, a.T, out=np.empty((3, len(dt)))).T)
         angles += 2.0 * float(np.linalg.norm(0.5 * dt[:, None] * a, axis=1).sum())
         if pad := -len(dt) % stride:
             steps = np.concatenate([steps, np.tile(identity, (pad, 1))])
@@ -587,7 +595,7 @@ def test_final_is_the_same_bits_whether_read_first_or_after_samples(steps, metho
     # signed, zero components
     rng = np.random.default_rng(steps)
     cfg = IntegratorConfig(method=method, steps=steps)
-    g0, q0 = exp_so3(rng.standard_normal(3) * 2.0), quat_exp(rng.standard_normal(3))
+    g0, q0 = exp_so3(rng.standard_normal(3) * 2.0), exp_quaternion(rng.standard_normal(3))
     sphere, arc = FORMS["sphere-outer"], PATHS["great_arc"]
     e3 = line(np.array([0.3, -1.0, 2.0]), np.array([0.0, 0.0, -2.5]))
     run = {
@@ -622,10 +630,10 @@ def test_the_frame_on_python_floats_is_quat_to_rotation_bit_for_bit():
     Q = rng.standard_normal((4000, 4))
     Q[::3, 1:3] = rng.choice([0.0, -0.0], (len(Q[::3]), 2))
     Q *= ((1.0 + rng.uniform(-1e-12, 1e-12, len(Q))) / np.linalg.norm(Q, axis=1))[:, None]
-    for q in Q:
-        assert ENGINE._rotation_on_floats(q.tolist()).tobytes() == quat_to_rotation(q[None]).tobytes()
+    for q in Q:  # one quaternion, converted on Python floats, against a stack of one
+        assert quat_to_rotation(q).tobytes() == quat_to_rotation(q[None]).tobytes()
     with pytest.raises(ValueError, match=re.escape("quat_to_rotation: |q|^2 = 4.000000000000 is not 1")):
-        ENGINE._rotation_on_floats([2.0, 0.0, -0.0, 0.0])
+        quat_to_rotation([2.0, 0.0, -0.0, 0.0])
 
 
 @pytest.mark.parametrize("steps, calls, passes", [(64, 0, 6), (4096, 6, 10)])
@@ -635,14 +643,14 @@ def test_reading_final_and_states_counts_hamilton_calls_on_rows(monkeypatch, ste
     # passes reduce the chunks, four halve them down to 64 rows. Both final frames are built on Python
     # floats, so neither stepper's adds a call. The states are the prefix scan, log2 passes over the chunks'
     # rows; their frames are one quat_to_rotation call, or for the lift one hamilton call with q0.
-    # The engine's products are hamilton calls: those on numpy rows are counted, not those on floats
+    # Calls on numpy rows and stacks are counted: not hamilton on floats, nor quat_to_rotation on one quaternion
     counted = {"hamilton": [], "quat_to_rotation": []}
 
     def counting(name, log):
         fn = getattr(ENGINE, name)
 
         def call(p, *args):
-            if name != "hamilton" or isinstance(p[0], np.ndarray):
+            if isinstance(p[0], np.ndarray) if name == "hamilton" else np.ndim(p) > 1:
                 log.append(None)
             return fn(p, *args)
 
@@ -885,7 +893,7 @@ def test_reversal_inverts_transport_on_random_circles(center, radius, steps):
 
 
 # Naturality under the double cover: the quaternion transport steps by
-# quat_exp(dt v) with the full velocity, which is the half-angle step of the
+# exp(dt v) with the full velocity, which is the half-angle step of the
 # natural SO(3) form along the doubled path 2c; it is that run's lift, bit for bit.
 # 2c is built directly, through the doubled vertices or the doubled center and radius.
 

@@ -28,7 +28,6 @@ from liecurv import (
     lie_hom_derivative,
     log_so3,
     quat_conj,
-    quat_exp,
     quat_mul,
     quat_to_rotation,
     rotation_to_quat,
@@ -47,6 +46,11 @@ def series_exp(A, terms=20):
         term = term @ A / k
         E = E + term
     return E
+
+
+def exp_quaternion(u):
+    """The unit quaternion exp_components forms from u (..., 3), stacked along the last axis as (..., 4)."""
+    return np.stack(exp_components(*np.moveaxis(np.asarray(u, dtype=float), -1, 0))[:4], axis=-1)
 
 
 def left_matrix(q):
@@ -113,8 +117,6 @@ def test_hat_vee_shape_errors():
         (quat_mul, (np.zeros(3), np.zeros(4)), "quat_mul expects quaternions of shape (..., 4)"),
         (quat_mul, (np.zeros((2, 4)), np.zeros((2, 3))), "quat_mul expects quaternions of shape (..., 4)"),
         (quat_conj, (np.zeros((2, 3)),), "quat_conj expects a 4-vector"),
-        (quat_exp, (np.zeros((2, 4)),), "quat_exp expects vectors of shape (..., 3), got shape (2, 4)"),
-        (quat_exp, (0.5,), "quat_exp expects vectors of shape (..., 3), got shape ()"),
         (quat_to_rotation, (np.zeros(3),), "quat_to_rotation expects quaternions of shape (..., 4)"),
         (rotation_to_quat, (np.eye(2),), "rotation_to_quat expects matrices of shape (..., 3, 3), got shape (2, 2)"),
         (rotation_to_quat, (np.zeros((3, 3, 2)),), "rotation_to_quat expects matrices of shape (..., 3, 3), got "
@@ -286,25 +288,25 @@ def test_quat_conj_gives_inverse():
     )
 
 
-def test_quat_exp_is_unit():
+def test_exp_components_is_unit():
     rng = np.random.RandomState(12)
     for _ in range(20):
-        q = quat_exp(rng.standard_normal(3))
+        q = exp_quaternion(rng.standard_normal(3))
         np.testing.assert_allclose(q @ q, 1.0, atol=1e-14)
 
 
-def test_quat_exp_matches_matrix_representation():
-    # left regular representation: exp of L(pure u) applied to 1 is quat_exp(u)
+def test_exp_components_matches_matrix_representation():
+    # left regular representation: exp of L(pure u) applied to 1 is the quaternion exp(u)
     rng = np.random.RandomState(13)
     for _ in range(10):
         u = rng.standard_normal(3)
         L = left_matrix(np.concatenate([[0.0], u]))
-        np.testing.assert_allclose(series_exp(L, terms=40)[:, 0], quat_exp(u), atol=1e-12)
+        np.testing.assert_allclose(series_exp(L, terms=40)[:, 0], exp_quaternion(u), atol=1e-12)
 
 
-def test_quat_exp_small_angle_branch():
+def test_exp_components_small_angle_branch():
     u = 1e-8 * np.array([1.0, 2.0, -1.0])
-    np.testing.assert_allclose(quat_exp(u), np.array([1.0, *u]), atol=1e-15)
+    np.testing.assert_allclose(exp_quaternion(u), np.array([1.0, *u]), atol=1e-15)
 
 
 def test_quat_to_rotation_axis_angle():
@@ -345,12 +347,12 @@ def test_quat_to_rotation_rejects_non_unit():
 
 
 def test_cover_of_exponential_doubles_axis():
-    # phi(quat_exp(u)) = exp_so3(2 u)
+    # phi(exp(u)) = exp_so3(2 u)
     rng = np.random.RandomState(16)
     for _ in range(20):
         u = rng.standard_normal(3)
         np.testing.assert_allclose(
-            quat_to_rotation(quat_exp(u)), exp_so3(2.0 * u), atol=1e-9
+            quat_to_rotation(exp_quaternion(u)), exp_so3(2.0 * u), atol=1e-9
         )
 
 
@@ -405,12 +407,12 @@ def test_lie_hom_derivative_doubles():
 
 
 def test_lie_hom_derivative_is_cover_derivative():
-    """Central finite difference of the cover composed with quat_exp."""
+    """Central finite difference of the cover composed with the quaternion exponential."""
     rng = np.random.RandomState(19)
     eps = 1e-5
     for _ in range(5):
         u = rng.standard_normal(3)
-        fd = (quat_to_rotation(quat_exp(eps * u)) - quat_to_rotation(quat_exp(-eps * u))) / (2 * eps)
+        fd = (quat_to_rotation(exp_quaternion(eps * u)) - quat_to_rotation(exp_quaternion(-eps * u))) / (2 * eps)
         np.testing.assert_allclose(fd, hat(lie_hom_derivative(u)), atol=1e-6)
 
 
@@ -716,8 +718,8 @@ def test_stacked_kernels_match_rowwise(U, data):
     assert bitwise_equal(quat_to_rotation(Q[:m].reshape(2, -1, 4)), R[:m].reshape(2, -1, 3, 3))
 
 
-def broadcast_quat_exp(u):
-    """quat_exp as once written: np.linalg.norm over the last axis, then a concatenate of broadcasts."""
+def broadcast_exp(u):
+    """The quaternion exponential as once written: np.linalg.norm over the last axis, then a concatenate of broadcasts."""
     u = np.asarray(u, dtype=float)
     theta = np.linalg.norm(u, axis=-1)
     t2 = theta * theta
@@ -730,7 +732,7 @@ def broadcast_quat_exp(u):
 @given(U=st.integers(1, 12).flatmap(lambda n: hnp.arrays(
     np.float64, (n, 3), elements=st.floats(-4.0, 4.0) | st.floats(-1e-6, 1e-6)
     | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e-300]))))
-def test_quat_exp_gives_the_bits_of_the_norm_and_concatenate_expression(U):
+def test_exp_components_gives_the_bits_of_the_norm_and_concatenate_expression(U):
     # the norm is now summed from components in norm's order and the result
     # written into one array; values and signed zeros must not move. A NaN's
     # sign bit is not compared: numpy's SIMD and scalar loops set it differently.
@@ -740,10 +742,10 @@ def test_quat_exp_gives_the_bits_of_the_norm_and_concatenate_expression(U):
     inputs = [U, U[:1], U[:m].reshape(2, -1, 3), *U]
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite rows
         for u in inputs:
-            got, want = quat_exp(u), broadcast_quat_exp(u)
+            got, want = exp_quaternion(u), broadcast_exp(u)
             assert got.shape == want.shape == u.shape[:-1] + (4,)
             assert np.array_equal(got, want, equal_nan=True)
-            theta = exp_components(*np.moveaxis(u, -1, 0))[4]  # the norm that quat_exp is formed from
+            theta = exp_components(*np.moveaxis(u, -1, 0))[4]  # the norm that the quaternion is formed from
             assert np.array_equal(theta, np.linalg.norm(u, axis=-1), equal_nan=True)
             number = ~np.isnan(want)
             assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
@@ -775,7 +777,7 @@ def expression_product(p, q):
 
 
 def component_exp(u):
-    """quat_exp and its angle as once written: the norm in np.linalg.norm's order, then the sinc branch by np.where."""
+    """The quaternion exponential and its angle as once written: the norm in np.linalg.norm's order, then the sinc branch by np.where."""
     x, y, z = u[..., 0], u[..., 1], u[..., 2]
     theta = np.sqrt((x * x + y * y) + z * z)
     small = theta < 1e-6
@@ -823,8 +825,8 @@ def test_exp_components_is_the_component_formula_bit_for_bit(U):
         for u in [U, U.T.copy().T, *U]:
             want, theta = component_exp(u)
             *rows, row_theta = exp_components(*np.moveaxis(u, -1, 0))
-            for q in (quat_exp(u), np.stack(rows, axis=-1)):
-                assert q.shape == want.shape and np.array_equal(q, want, equal_nan=True)
-                number = ~np.isnan(want)
-                assert q[number].tobytes() == want[number].tobytes()
+            q = np.stack(rows, axis=-1)
+            assert q.shape == want.shape and np.array_equal(q, want, equal_nan=True)
+            number = ~np.isnan(want)
+            assert q[number].tobytes() == want[number].tobytes()
             assert np.asarray(row_theta).tobytes() == np.asarray(theta).tobytes()
