@@ -23,8 +23,9 @@ runs, and for each block it
 1. samples a(t*) at every node of the block in one call: paths map an
    array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3).
    The form's shape is checked on every block; the first also carries the
-   start point, where the path's are checked (:func:`_form_sampler`), and
-   positions are evaluated only where the form reads them. Per-node
+   start point, where the path's shapes are checked before the form is
+   called (:func:`_form_sampler`), once each, and positions are evaluated
+   only where the form reads them. Per-node
    arithmetic runs along the node axis: the catalog paths compute their
    (n, d) values as (d, n) and return the transpose, and dt a / 2 is formed
    as (3, n), so each numpy loop covers the whole block, not one node's
@@ -178,32 +179,16 @@ def _on_path(fn: Callable, ts: np.ndarray) -> np.ndarray:
     return np.asarray(fn(ts), dtype=float)
 
 
-def _probe(path: PathSpec, form: LocalConnectionForm) -> None:
-    """Refuse maps that do not take arrays, by their shapes on m = max(d, 3) + 1 times.
-
-    m differs from d and from 3, so a map written for one time at a time shows
-    a wrong shape here, where a block of d or 3 nodes could pass it unseen.
-    Every probe time is 0, the start point; non-finite values are left to the
-    engine's refusal, which names their time. It runs when a first block fails.
-    """
-    m, d = max(path.base_dim, 3) + 1, path.base_dim
-    ts = np.zeros(m)
-    X, V = _on_path(path.position, ts), _on_path(path.velocity, ts)
-    if X.shape != (m, d) or V.shape != (m, d):
-        raise ValueError(f"path '{path.kind}' maps {m} times to shapes {X.shape} and {V.shape}, "
-                         f"not ({m}, {d}): paths must take arrays of times")
-    if (got := np.shape(form.evaluate(None if form.translation_invariant else X, V))) != (m, 3):
-        raise ValueError(f"form '{form.descriptor}' maps {m} points to shape {got}, "
-                         f"not ({m}, 3): forms must take stacks of points and tangents")
-
-
 def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np.ndarray]:
     """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times.
 
     ``sample(ts, start)`` checks on every block that the form maps its n times to (n, 3). The first block
-    (``start``) is led by the probe's m start rows, dropped from the result; there the path's shapes are
-    checked too, and a failure is worded by :func:`_probe`. A translation-invariant form is given no
-    positions: ``position`` is then called on the start rows alone, for ``states``.
+    (``start``) is led by m = max(d, 3) + 1 rows at time 0, the start point, dropped from the result: they
+    make n exceed d and 3, so a map written for one time or point at a time shows a wrong shape there, where
+    a block of d or 3 nodes could pass it unseen. On that block the path's shapes are checked before the form
+    is called, so a form never meets a malformed path's output. A translation-invariant form is given no
+    positions: ``position`` is then called on the m start rows alone, for ``states``. Each refusal names the
+    map, the rows it was called with, the shapes it returned and the shapes expected.
     """
     if form.base_dim != path.base_dim:
         raise ValueError(f"dimension mismatch: form '{form.descriptor}' lives on R^{form.base_dim}, "
@@ -213,19 +198,15 @@ def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np
     def sample(ts, start):
         ts = np.concatenate((np.zeros(m), ts)) if start else ts
         n = len(ts)
-        try:
-            X = _on_path(path.position, ts if reads_x else ts[:m]) if reads_x or start else None
-            V = _on_path(path.velocity, ts)
-            a = -np.asarray(ev(X if reads_x else None, V), dtype=float)
-            if start and (X.shape, V.shape) != ((n if reads_x else m, d), (n, d)):
-                raise ValueError(f"path '{path.kind}' maps a block of {n} times to shapes {X.shape} and {V.shape}")
-            if a.shape != (n, 3):
-                raise ValueError(f"form '{form.descriptor}' maps a block of {n} points to shape {a.shape}, "
-                                 f"not ({n}, 3)")
-        except Exception:
-            if start:
-                _probe(path, form)
-            raise
+        X = _on_path(path.position, ts if reads_x else ts[:m]) if reads_x or start else None
+        V = _on_path(path.velocity, ts)
+        if start and (X.shape, V.shape) != ((k := n if reads_x else m, d), (n, d)):
+            raise ValueError(f"path '{path.kind}' maps {n if reads_x else f'{m} and {n}'} times to shapes {X.shape} "
+                             f"and {V.shape}, not ({k}, {d}) and ({n}, {d}): paths must take arrays of times")
+        a = -np.asarray(ev(X if reads_x else None, V), dtype=float)
+        if a.shape != (n, 3):
+            raise ValueError(f"form '{form.descriptor}' maps a block of {n} points to shape {a.shape}, "
+                             f"not ({n}, 3): forms must take stacks of points and tangents")
         return a[m:] if start else a
 
     return sample

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from liecurv import (
@@ -718,6 +718,13 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-154, 1e154, 1e-300, 1e300,
 SWEEP_FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(-4.0, 4.0) | st.floats(1e-3, 16.0)
 LOOP_SCALES = SWEEP_FLOATS | st.floats(-3.0, 12.0).map(lambda k: 10.0**k)  # and log-uniform sizes for --eps
 FLAT = ("natural-so3", "plane-rolling", "pullback-rhoJ")
+# The sweep's sphere factors, against 1 - 1/r^2, relative to max(1, |1 - 1/r^2|): the answers run from loops as large
+# as the wrap guards admit, and the worst measured over the answerable region (radii 1e-3 to 1e3, loop sides eps / r
+# to 4) is 0.61, at r = 0.71 and eps / r = 0.95 with one Euler step; over 3,000 derandomized sweep-like draws it is 0.20.
+SPHERE_FACTOR_BOUND = 0.75
+# Derandomized profiles (tier-1) draw the sweep from this fixed seed, not from a digest of the test's source, so an
+# edit to its body keeps the drawn requests. Other profiles draw from --hypothesis-seed, which a @seed would override.
+SWEEP_DRAWS = seed(0) if settings.default.derandomize else (lambda test: test)
 
 
 @st.composite
@@ -760,6 +767,7 @@ def _reject_constant(name):
     raise AssertionError(f"non-finite number {name} in the output")
 
 
+@SWEEP_DRAWS
 @settings(deadline=None)  # the example count and derandomization come from the loaded profile (conftest.py)
 @given(argv=sweep_requests())
 @example(argv=["curvature", "--steps=512", "--method=midpoint", "--connection=natural-so3", "--radius=1.0",
@@ -768,6 +776,8 @@ def _reject_constant(name):
                "--eps=1e-154"])  # |d|^2 underflowed in the factor: a RuntimeWarning, then json's message
 @example(argv=["transport", "--steps=1", "--method=euler", "--path=line", "--x0=0,0,0",
                "--xi=0,1e154,1e154"])  # a correct answer whose |xi| overflowed in the oracle's gate
+@example(argv=["curvature", "--steps=64", "--method=midpoint", "--connection=sphere-inner", "--radius=2.0",
+               "--eps=0.01"])  # an ordinary sphere factor, so that every run checks one against 1 - 1/r^2
 def test_every_request_is_answered_correctly_or_refused(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -799,6 +809,11 @@ def test_every_request_is_answered_correctly_or_refused(argv):
         assert CF.sign_free_distance(section["computed_quat"], CF.section_formula(section["point"])) <= 1e-6
     if req["command"] == "curvature" and req["connection"] in FLAT:
         assert abs(doc["curvature"]["factor"] - doc["curvature"]["expected_factor"]) <= 0.15
+    if req["command"] == "curvature" and req["connection"] not in FLAT:
+        # both sphere sides; the exact factor from the radius as requested, not from the output
+        r = float(next(a for a in argv if a.startswith("--radius=")).split("=", 1)[1])
+        exact = 1.0 - 1.0 / (r * r)
+        assert abs(doc["curvature"]["factor"] - exact) <= SPHERE_FACTOR_BOUND * max(1.0, abs(exact))
 
 
 def test_write_result_refuses_non_finite_numbers():

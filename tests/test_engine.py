@@ -283,8 +283,9 @@ def test_form_with_wrong_output_shape_is_refused():
 
 
 # Maps written for one point at a time. On a block of d or 3 nodes the engine
-# would get a transposed block of the right shape and a wrong answer; the shape
-# probe on max(d, 3) + 1 times refuses them before any step is taken.
+# would get a transposed block of the right shape and a wrong answer; the first
+# block, led by max(d, 3) + 1 start rows, refuses them by their shapes before any
+# step is taken. A translation-invariant form reads positions on the start rows alone.
 POINT_ONLY_PATH = PathSpec(
     base_dim=2,
     position=lambda t: np.array([np.cos(t), np.sin(t)]),
@@ -300,30 +301,48 @@ POINT_ONLY_SPACE_PATH = dataclasses.replace(
 
 @pytest.mark.parametrize("method", METHODS)
 def test_point_only_maps_are_refused_by_their_shape(method):
-    with pytest.raises(ValueError, match=r"path 'custom' maps 4 times to shapes \(2, 4\) and \(2, 4\)"):
+    # first blocks of 4 start rows and 2 or 3 steps: 6 and 7 rows
+    with pytest.raises(ValueError, match=r"path 'custom' maps 4 and 6 times to shapes \(2, 4\) and \(2, 6\), "
+                                         r"not \(4, 2\) and \(6, 2\)"):
         transport(plane_rolling_form(), POINT_ONLY_PATH, config=IntegratorConfig(method=method, steps=2))
-    with pytest.raises(ValueError, match=r"form 'point-only' maps 4 points to shape \(3, 3\)"):
+    with pytest.raises(ValueError, match=r"form 'point-only' maps a block of 7 points to shape \(3, 3\), not \(7, 3\)"):
         transport(POINT_ONLY_FORM, PATHS["line"], config=IntegratorConfig(method=method, steps=3))
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match=r"form 'point-only' maps a block of 7 points to shape \(3, 3\)"):
         time_ordered_product(POINT_ONLY_FORM, PATHS["line"], 3)
-    with pytest.raises(ValueError, match=r"shapes \(3, 4\) and \(3, 4\)"):
+    with pytest.raises(ValueError, match=r"maps 4 and 7 times to shapes \(3, 4\) and \(3, 7\)"):
         transport_quat(POINT_ONLY_SPACE_PATH, config=IntegratorConfig(method=method, steps=3))
+
+
+def test_a_form_never_meets_a_malformed_path():
+    # the path's shapes are checked before the form is called: this form would raise TypeError on (2, n) blocks
+    def strict(x, v):
+        if np.ndim(v) != 2 or np.shape(v)[1] != 2:
+            raise TypeError(f"strict form called on shape {np.shape(v)}")
+        return np.stack([v[:, 0], v[:, 1], 0.0 * v[:, 0]], axis=-1)
+
+    form = LocalConnectionForm(base_dim=2, evaluate=strict, descriptor="strict", translation_invariant=True)
+    with pytest.raises(ValueError, match=r"path 'custom' maps 4 and 7 times to shapes \(2, 4\) and \(2, 7\)"):
+        transport(form, POINT_ONLY_PATH, config=IntegratorConfig(steps=3))
 
 
 # Every public entry point that evaluates a user path or form, as a call on
 # (form, path); the loop is closed so that holonomy accepts it.
-PROBE_CFG = IntegratorConfig(steps=3)
+FIRST_BLOCK_CFG = IntegratorConfig(steps=3)
 ENTRY_POINTS = {
-    "transport": lambda form, path: transport(form, path, config=PROBE_CFG),
-    "holonomy": lambda form, path: holonomy(form, path, PROBE_CFG),
+    "transport": lambda form, path: transport(form, path, config=FIRST_BLOCK_CFG),
+    "holonomy": lambda form, path: holonomy(form, path, FIRST_BLOCK_CFG),
     "time_ordered_product": lambda form, path: time_ordered_product(form, path, 3),
-    "lift_transport": lambda form, path: lift_transport(form, path, config=PROBE_CFG),
+    "lift_transport": lambda form, path: lift_transport(form, path, config=FIRST_BLOCK_CFG),
     "convergence_order": lambda form, path: convergence_order(form, path, n0=3),
     "small_loop_curvature": lambda form, path: small_loop_curvature(
-        form, np.zeros(form.base_dim), *np.eye(form.base_dim)[:2], 1e-2, PROBE_CFG
+        form, np.zeros(form.base_dim), *np.eye(form.base_dim)[:2], 1e-2, FIRST_BLOCK_CFG
     ),
-    "transport_quat": lambda form, path: transport_quat(path, config=PROBE_CFG),
+    "transport_quat": lambda form, path: transport_quat(path, config=FIRST_BLOCK_CFG),
 }
+# the rows of each entry point's first block: m = max(d, 3) + 1 = 4 start rows and its first run's intervals, which
+# are 3 steps (4 + 3 = 7), 48 for convergence_order's 16 n0 reference, and 6 for the parallelogram's 3 steps merged
+# with its 3 corners at 1/4, 1/2 and 3/4 (4 + 6 = 10)
+FIRST_BLOCK_ROWS = dict.fromkeys(ENTRY_POINTS, 7) | {"convergence_order": 4 + 48, "small_loop_curvature": 4 + 6}
 POINT_ONLY_LOOP = PathSpec(
     base_dim=3,
     position=lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t), 0.0 * t]),
@@ -336,24 +355,26 @@ POINT_ONLY_LOOP = PathSpec(
 POINT_ONLY_CHART = surface_rolling_form(
     parametric_surface(lambda u: np.array([u[0], u[1], 0.3 * np.sin(u[0]) * np.cos(u[1])]))
 )
-# (form, a closed path in its base, the refusal)
+# (form, a closed path in its base, the refusal for a first block of n rows)
 POINT_ONLY_FORMS = [
-    (POINT_ONLY_FORM, tilted_circle(), r"form 'point-only' maps 4 points to shape \(3, 3\)"),
+    (POINT_ONLY_FORM, tilted_circle(), r"form 'point-only' maps a block of {n} points to shape \(3, 3\), not \({n}, 3\)"),
     (POINT_ONLY_CHART, circle(np.array([0.3, -0.2]), 0.8),
-     r"chart maps points of shape \(4, 2\) to shape \(3, 2\), not \(4, 3\)"),
+     r"chart maps points of shape \({n}, 2\) to shape \(3, 2\), not \({n}, 3\)"),
 ]
 
 
 @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"transport_quat"}))
 def test_every_entry_point_refuses_a_point_only_form(entry):
     for form, path, message in POINT_ONLY_FORMS:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message.format(n=FIRST_BLOCK_ROWS[entry])):
             ENTRY_POINTS[entry](form, path)
 
 
 @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"small_loop_curvature"}))
 def test_every_entry_point_refuses_a_point_only_path(entry):
-    with pytest.raises(ValueError, match=r"path 'custom' maps 4 times to shapes \(3, 4\) and \(3, 4\)"):
+    n = FIRST_BLOCK_ROWS[entry]  # the natural form reads no positions: only the 4 start rows
+    with pytest.raises(ValueError, match=rf"path 'custom' maps 4 and {n} times to shapes \(3, 4\) and \(3, {n}\), "
+                                         rf"not \(4, 3\) and \({n}, 3\)"):
         ENTRY_POINTS[entry](NAT, POINT_ONLY_LOOP)
 
 
@@ -372,40 +393,42 @@ def user_form(d, evaluate):
     return LocalConnectionForm(base_dim=d, evaluate=evaluate, descriptor="user")
 
 
-# (form, path, the shapes the refusal names); m = max(d, 3) + 1 probe times.
+# (form, path, the shapes the refusal names). The first block has m = max(d, 3) + 1 start rows and FIRST_BLOCK_CFG's
+# 3 steps: 4 + 3 = 7 rows in R^2 and R^3, 6 + 3 = 9 in R^5. Translation-invariant forms (plane rolling, natural) read
+# positions on the m start rows alone.
 WRONG_SHAPES = {
     "path into a wider space": (
         plane_rolling_form(), stacked_path(2, position=lambda t: np.stack([t, t, t], axis=-1)),
-        r"path 'custom' maps 4 times to shapes \(4, 3\) and \(4, 2\), not \(4, 2\)",
+        r"path 'custom' maps 4 and 7 times to shapes \(4, 3\) and \(7, 2\), not \(4, 2\) and \(7, 2\)",
     ),
     "flat velocity": (
         NAT, stacked_path(3, velocity=lambda t: np.ones_like(t)),
-        r"path 'custom' maps 4 times to shapes \(4, 3\) and \(4,\), not \(4, 3\)",
+        r"path 'custom' maps 4 and 7 times to shapes \(4, 3\) and \(7,\), not \(4, 3\) and \(7, 3\)",
     ),
     "point-only path in R^5": (
         user_form(5, lambda x, v: v[..., :3]), stacked_path(5, position=lambda t: np.array([t, t, t, t, t])),
-        r"path 'custom' maps 6 times to shapes \(5, 6\) and \(6, 5\), not \(6, 5\)",
+        r"path 'custom' maps 9 times to shapes \(5, 9\) and \(9, 5\), not \(9, 5\) and \(9, 5\)",
     ),
     "one number per point": (
         user_form(3, lambda x, v: v[..., 0]), stacked_path(3),
-        r"form 'user' maps 4 points to shape \(4,\), not \(4, 3\)",
+        r"form 'user' maps a block of 7 points to shape \(7,\), not \(7, 3\)",
     ),
     "one vector per stack": (
         user_form(3, lambda x, v: v.sum(axis=0)), stacked_path(3),
-        r"form 'user' maps 4 points to shape \(3,\), not \(4, 3\)",
+        r"form 'user' maps a block of 7 points to shape \(3,\), not \(7, 3\)",
     ),
     "trailing axis": (
         user_form(2, lambda x, v: np.stack([v[..., 0], v[..., 1], x[..., 0]], axis=-1)[..., None]), stacked_path(2),
-        r"form 'user' maps 4 points to shape \(4, 3, 1\), not \(4, 3\)",
+        r"form 'user' maps a block of 7 points to shape \(7, 3, 1\), not \(7, 3\)",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
-def test_probe_names_the_wrong_shape(case):
+def test_the_first_block_names_the_wrong_shape(case):
     form, path, message = WRONG_SHAPES[case]
     with pytest.raises(ValueError, match=message):
-        transport(form, path, config=PROBE_CFG)
+        transport(form, path, config=FIRST_BLOCK_CFG)
 
 
 # ---------------------------------------------------------------------------
