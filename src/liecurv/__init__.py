@@ -31,8 +31,6 @@ from .liecore import (
     hat,
     lie_hom_derivative,
     log_so3,
-    quat_conj,
-    quat_mul,
     quat_to_rotation,
     rotation_to_quat,
     vee,

@@ -30,12 +30,12 @@ import numpy as np
 from .connections import (PLANE_ROLLING_PULLBACK, LocalConnectionForm, natural_form, plane_rolling_form, pullback_form,
                           sphere_surface, surface_rolling_form)
 from .liecore import quat_to_rotation, rotation_to_quat
-from .transport import IntegratorConfig, PathSpec, circle, line, parallelogram_loop, polyline, transport
+from .transport import METHODS, IntegratorConfig, PathSpec, circle, line, parallelogram_loop, polyline, transport
 from . import verify as _verify
 
 _CONNECTIONS = ("natural-so3", "plane-rolling", "sphere-outer", "sphere-inner", "pullback-rhoJ")
 _PATHS = ("line", "circle", "square", "polyline", "file")
-_METHODS = {"euler": "lie-euler", "midpoint": "exp-midpoint"}
+_METHODS = {name.split("-")[-1]: name for name in METHODS}  # CLI name: the library name's last word
 _NEGATIVE_VALUE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 
 @dataclass(frozen=True)

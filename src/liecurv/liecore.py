@@ -4,16 +4,18 @@ Conventions used throughout the package:
 
 * Vectors in R^3 identify with so(3) through the hat map, so that
   ``hat(u) @ w == cross(u, w)``.
-* Quaternions are arrays ``(w, x, y, z)`` with scalar part first and
-  Hamilton's product rule.
+* Quaternions are ``(w, x, y, z)`` with scalar part first. The package's one
+  product is ``hamilton`` and its one exponential ``exp_components``; both
+  work on the four components, numpy rows or Python floats, so a stack of
+  quaternions (n, 4) is multiplied as its component rows, ``hamilton(p.T, q.T)``.
 * ``quat_to_rotation`` is the usual double cover; its derivative at the
   identity doubles the axis vector (``lie_hom_derivative``), hence the
   rotation of the quaternion ``exp_components(*u)[:4]`` is ``exp_so3(2 * u)``.
 
-All functions accept array-likes and return fresh ``float64`` arrays.
+The other kernels accept array-likes and return fresh ``float64`` arrays.
 ``exp_so3``, ``log_so3``, ``check_rotation`` and ``check_unit_quat`` take one
-input; every other kernel also takes a stack of vectors (..., 3), matrices
-(..., 3, 3) or quaternions (..., 4) and equals its row-by-row calls bit for bit.
+input; the rest also take a stack of vectors (..., 3), matrices (..., 3, 3) or
+quaternions (..., 4) and equal their row-by-row calls bit for bit.
 """
 
 from __future__ import annotations
@@ -141,24 +143,6 @@ def hamilton(p, q) -> tuple:
     z -= py * qx
     z += pz * qw
     return w, x, y, z
-
-
-def quat_mul(p, q) -> np.ndarray:
-    """Hamilton product of quaternions given as (w, x, y, z); stacks of shape (..., 4) multiply elementwise,
-    with broadcasting, by :func:`hamilton` on their components."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape[-1:] != (4,) or q.shape[-1:] != (4,):
-        raise ValueError("quat_mul expects quaternions of shape (..., 4)")
-    return np.stack(hamilton([p[..., i] for i in range(4)], [q[..., i] for i in range(4)]), axis=-1)
-
-
-def quat_conj(q) -> np.ndarray:
-    """Quaternion conjugate (w, -x, -y, -z)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1:] != (4,):
-        raise ValueError("quat_conj expects a 4-vector")
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def exp_components(x, y, z) -> tuple:

@@ -7,8 +7,9 @@ time-ordered product
 
     exp(dt a(t_{n-1})) ... exp(dt a(t_1)) exp(dt a(t_0)) g0.
 
-Two steppers are provided: "lie-euler" samples a at the left node of each
-interval (first order) and "exp-midpoint" at the interval midpoint (second
+The steppers are the rows of :data:`METHODS`, each named by where it samples
+a in its interval, as a fraction of the interval: "lie-euler" at the left
+node, 0 (first order), and "exp-midpoint" at the midpoint, 1/2 (second
 order). The integration grid is the union of a uniform grid with the path's
 registered corner times, so piecewise-smooth paths never straddle a kink.
 
@@ -96,6 +97,7 @@ _SCALAR_ROWS = 64  # _last_product finishes on Python floats from this many chun
 SIDE_ROUNDING = 1e-6  # largest relative error rounding at the corner may leave on a parallelogram side
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY.flags.writeable = False
+METHODS = {"lie-euler": 0.0, "exp-midpoint": 0.5}  # each stepper's sample point, as a fraction of its interval
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,8 @@ class IntegratorConfig:
     steps: int | None = None
 
     def __post_init__(self):
-        if self.method not in ("lie-euler", "exp-midpoint"):
-            raise ValueError(f"unknown method {self.method!r}; use 'lie-euler' or 'exp-midpoint'")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; use {' or '.join(map(repr, METHODS))}")
         if self.steps is None:  # the computation's own default
             return
         if isinstance(self.steps, bool) or not hasattr(type(self.steps), "__index__"):  # what operator.index takes
@@ -244,19 +246,19 @@ def _last_product(C: np.ndarray) -> Sequence[float]:
     return rows[0]
 
 
-def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: bool) -> tuple[np.ndarray, int, float]:
+def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, offset: float) -> tuple[np.ndarray, int, float]:
     """The ordered products of the half-angle steps exp(dt_k a(t*_k) / 2) over chunks of the grid.
 
-    ``sample(ts, first block)`` maps an array of times t* (left nodes, or interval midpoints if ``midpoint``)
-    to the (n, 3) so(3) inputs there, shape checked, one block of at most ~_BLOCK intervals in whole chunks at
-    a time. Each step lifts exp_so3(dt a) through the double cover, for every caller. Returns ``(C, stride,
-    angles)``: column ``C[:, j]`` of the four component rows is the product over the intervals ``[j stride,
-    (j + 1) stride)`` (the last chunk may be shorter), where stride is the smallest step keeping at most
-    _MAX_RECORDED chunks, so the state after chunk j is C_j ... C_0. ``angles`` sums the step angles |dt a| =
-    2 |dt a / 2| the steps were formed from, each ``np.linalg.norm(dt a)`` bit for bit unless that norm's
-    square overflows. The first non-finite step raises ValueError, naming its time and whether its sample is
-    finite. The steps are component rows throughout; a chunk of odd width is padded with one identity, as the
-    partial last chunk is, so the pairing and the bits are those of a per-chunk tree on (chunks, stride, 4) stacks.
+    ``offset`` is the method's :data:`METHODS` entry: each interval [t0, t0 + dt] is sampled at t* = t0 + offset dt.
+    ``sample(ts, first block)`` maps an array of those times to the (n, 3) so(3) inputs there, shape checked, one block
+    of at most ~_BLOCK intervals in whole chunks at a time. Each step lifts exp_so3(dt a) through the double cover, for
+    every caller. Returns ``(C, stride, angles)``: column ``C[:, j]`` of the four component rows is the product over the
+    intervals ``[j stride, (j + 1) stride)`` (the last chunk may be shorter), where stride is the smallest step keeping
+    at most _MAX_RECORDED chunks, so the state after chunk j is C_j ... C_0. ``angles`` sums the step angles
+    |dt a| = 2 |dt a / 2| the steps were formed from, each ``np.linalg.norm(dt a)`` bit for bit unless that norm's
+    square overflows. The first non-finite step raises ValueError, naming its time and whether its sample is finite.
+    The steps are component rows throughout; a chunk of odd width is padded with one identity, as the partial last
+    chunk is, so the pairing and the bits are those of a per-chunk tree on (chunks, stride, 4) stacks.
     """
     n = len(nodes) - 1
     stride = max(1, -(-n // _MAX_RECORDED))
@@ -265,8 +267,8 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, midpoint: boo
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         t0 = nodes[k0:k1]
-        half = 0.5 * (nodes[k0 + 1 : k1 + 1] - t0)
-        ts = t0 + half if midpoint else t0
+        dt = nodes[k0 + 1 : k1 + 1] - t0
+        half, ts = 0.5 * dt, t0 + offset * dt  # offset * dt is half, or 0.0, bit for bit
         a = sample(ts, k0 == 0)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             # dt a / 2 laid out (3, n): the steps are four component rows from here to the chunk products
@@ -313,7 +315,7 @@ class TransportResult:
 
     def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frames, start: np.ndarray):
         nodes = integration_grid(config.steps, path.corners)
-        self._chunks, stride, self._angles = _compose(sample, nodes, config.method == "exp-midpoint")
+        self._chunks, stride, self._angles = _compose(sample, nodes, METHODS[config.method])
         self._path, self._frames, self._start = path, frames, start
         # the start, then the end of every chunk: a copy, so the result does not keep the whole grid alive
         self._times = np.concatenate((nodes[:-1:stride], nodes[-1:]))

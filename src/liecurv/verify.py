@@ -28,11 +28,10 @@ from .connections import (
 from .liecore import (
     commutator,
     cross,
+    hamilton,
     hat,
     lie_hom_derivative,
     log_so3,
-    quat_conj,
-    quat_mul,
     quat_to_rotation,
 )
 from .transport import (
@@ -138,8 +137,10 @@ def check_alpha_naturality(seed: int = 0) -> ResidualReport:
     x, v, w = xvw.reshape(-1, 3, 3).transpose(1, 0, 2)
     R = quat_to_rotation(q)
 
-    xi_quat = quat_mul(_pure(w), q)
-    alpha_s3 = (quat_mul(quat_conj(q), xi_quat) - quat_mul(quat_mul(quat_conj(q), _pure(v)), q))[:, 1:]
+    # quaternions as component rows (w, x, y, z): q's conjugate, and pure quaternions (0, u) on a zero row
+    qc, zero = (q[:, 0], -q[:, 1], -q[:, 2], -q[:, 3]), np.zeros(NATURALITY_SAMPLES)
+    xi_quat = hamilton((zero, *w.T), q.T)
+    alpha_s3 = np.subtract(hamilton(qc, xi_quat), hamilton(hamilton(qc, (zero, *v.T)), q.T))[1:].T
     lhs = lie_hom_derivative(alpha_s3)
     rhs = natural_alpha(2.0 * x, R, 2.0 * v, hat(2.0 * w) @ R)
     return ResidualReport("alpha-naturality", _worst(lhs - rhs), NATURALITY_SAMPLES, 1e-8)

@@ -763,6 +763,23 @@ def segment_increments(req):
     return np.diff(P, axis=0)
 
 
+# where each CLI method samples its interval, as a fraction of the interval: stated here, not read from the library
+SAMPLE_POINT = {"euler": 0.0, "midpoint": 0.5}
+
+
+def circle_product(req):
+    """The stepper's own product around a circle request under a flat form, in closed form.
+
+    The circle of radius r in the first two axes gives a(t) = Rz(2 pi t) a0, with a0 = (0, 2 pi r, 0) for the
+    natural form and (2 pi r, 0, 0) for the plane forms. With n steps, d = 2 pi / n, E = exp(a0 / n) and the
+    samples at theta_k = (k + s) d, the product exp(a_{n-1} / n) ... exp(a_0 / n) is
+    Rz(theta_{n-1}) E (Rz(-d) E)^(n-1) Rz(-theta_0)."""
+    n, s, speed = req["steps"], SAMPLE_POINT[req["method"]], 2.0 * np.pi * req["eps"]
+    a0 = np.array([0.0, speed, 0.0] if req["connection"] == "natural-so3" else [speed, 0.0, 0.0])
+    d, E = 2.0 * np.pi / n, CF.rodrigues(a0 / n)
+    return CF.rz((n - 1 + s) * d) @ E @ np.linalg.matrix_power(CF.rz(-d) @ E, n - 1) @ CF.rz(-s * d)
+
+
 def _reject_constant(name):
     raise AssertionError(f"non-finite number {name} in the output")
 
@@ -778,6 +795,10 @@ def _reject_constant(name):
                "--xi=0,1e154,1e154"])  # a correct answer whose |xi| overflowed in the oracle's gate
 @example(argv=["curvature", "--steps=64", "--method=midpoint", "--connection=sphere-inner", "--radius=2.0",
                "--eps=0.01"])  # an ordinary sphere factor, so that every run checks one against 1 - 1/r^2
+@example(argv=["holonomy", "--connection=natural-so3", "--path=circle", "--eps=0.3", "--steps=64",
+               "--method=midpoint"])  # a circle whose two methods' holonomies differ, so the sample point is checked
+@example(argv=["holonomy", "--connection=plane-rolling", "--path=square", "--eps=0.5", "--steps=7",
+               "--method=euler"])  # corners off the uniform grid, so the corner merge is checked
 def test_every_request_is_answered_correctly_or_refused(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -804,6 +825,9 @@ def test_every_request_is_answered_correctly_or_refused(argv):
         if exact:
             a = deltas if req["connection"] == "natural-so3" else [(d2, -d1, 0.0) for d1, d2 in deltas]
             assert np.abs(np.reshape(doc["holonomy"]["matrix"], (3, 3)) - CF.ordered_product(a)).max() <= 1e-9
+    if req["command"] in ("transport", "holonomy") and req["connection"] in FLAT and req["path"] == "circle":
+        if 2.0 * np.pi * req["eps"] <= 100.0:  # a larger total angle is not resolved in float64
+            assert np.abs(np.reshape(doc["holonomy"]["matrix"], (3, 3)) - circle_product(req)).max() <= 1e-9
     if req["command"] == "section" and code == 0:
         section = doc["section"]
         assert CF.sign_free_distance(section["computed_quat"], CF.section_formula(section["point"])) <= 1e-6

@@ -10,9 +10,10 @@ paper's concatenation and reversal laws.
 """
 
 import dataclasses
-import importlib
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from liecurv import (
     plane_rolling_form,
     polyline,
     pullback_form,
-    quat_mul,
     quat_to_rotation,
     small_loop_curvature,
     sphere_surface,
@@ -47,13 +47,18 @@ from liecurv import (
     transport,
     transport_quat,
 )
-from liecurv.liecore import exp_components
+from liecurv.liecore import exp_components, hamilton
 from liecurv.transport import _BLOCK, _MAX_RECORDED, _last_product, _prefix_products
 
 ENGINE = importlib.import_module("liecurv.transport")  # the package exports a function of the same name
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 NAT = natural_form()
 METHODS = ("lie-euler", "exp-midpoint")
+# the benchmark's closed forms, written without the library: quat_mul is the Hamilton product as one expression
+# per component, which has hamilton's bits (tests/test_liecore.py)
+_SPEC = importlib.util.spec_from_file_location("closed_forms", Path(__file__).parents[1] / "benchmarks/closed_forms.py")
+CF = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(CF)
 
 
 def exp_quaternion(u):
@@ -245,9 +250,9 @@ def test_stacked_quaternion_kernels_match_rowwise(data):
     U[0] *= 1e-8  # one row on the small-angle branch
     Q = exp_quaternion(U)
     P = exp_quaternion(U[::-1])
-    for u, p, q, qp, R in zip(U, P, Q, quat_mul(P, Q), quat_to_rotation(Q)):
+    for u, p, q, qp, R in zip(U, P, Q, np.transpose(hamilton(P.T, Q.T)), quat_to_rotation(Q)):
         np.testing.assert_allclose(q, exp_quaternion(u), rtol=1e-15, atol=1e-15)
-        np.testing.assert_allclose(qp, quat_mul(p, q), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(qp, CF.quat_mul(p, q), rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(R, quat_to_rotation(q), rtol=1e-15, atol=1e-15)
 
 
@@ -512,7 +517,7 @@ def test_engine_matches_sequential_reference(steps, method, path_name):
     for k in range(len(nodes) - 1):
         dt = nodes[k + 1] - nodes[k]
         t = nodes[k] + 0.5 * dt if method == "exp-midpoint" else nodes[k]
-        q = quat_mul(exp_quaternion(dt * path.velocity(t)), q)
+        q = CF.quat_mul(exp_quaternion(dt * path.velocity(t)), q)
     got = transport_quat(path, config=cfg)
     np.testing.assert_allclose(got.final, q, rtol=0.0, atol=1e-12)
     assert got.states[0].tolist() == want_ts
@@ -538,7 +543,8 @@ def chunked_compose(sample, nodes, midpoint):
         while steps.shape[1] > 1:
             if steps.shape[1] % 2:
                 steps = np.concatenate([steps, np.broadcast_to(identity, (len(steps), 1, 4))], axis=1)
-            steps = quat_mul(steps[:, 1::2], steps[:, 0::2])
+            c = np.moveaxis(steps, -1, 0)  # the four components first
+            steps = np.moveaxis(CF.quat_mul(c[..., 1::2], c[..., 0::2]), 0, -1)
         chunks.append(steps[:, 0])
     return np.concatenate(chunks), stride, angles
 
@@ -557,7 +563,7 @@ def test_the_component_tree_gives_the_bits_of_the_chunked_tree(stride, method):
 
     for n in {(stride - 1) * _MAX_RECORDED + 1, stride * _MAX_RECORDED - 3, stride * _MAX_RECORDED}:
         nodes = integration_grid(n)
-        C, s, angles = ENGINE._compose(sample, nodes, method == "exp-midpoint")
+        C, s, angles = ENGINE._compose(sample, nodes, ENGINE.METHODS[method])
         want, want_stride, want_angles = chunked_compose(sample, nodes, method == "exp-midpoint")
         # the engine's chunk products are (4, n) component rows; the chunked tree's are an (n, 4) stack
         assert s == want_stride == stride and C.shape == want.T.shape
@@ -572,11 +578,11 @@ EDGE_LENGTHS = sorted({2**k + d for k in range(12) for d in (-1, 0, 1)} - {0})  
 
 
 def stacked_prefix_products(P):
-    """The prefix scan as the engine once ran it: quat_mul passes on an (n, 4) stack."""
+    """The prefix scan as the engine once ran it: passes of the expression product on an (n, 4) stack."""
     S = P.copy()
     d = 1
     while d < len(S):
-        S[d:] = quat_mul(S[d:], S[:-d])
+        S[d:] = CF.quat_mul(S[d:].T, S[:-d].T).T
         d *= 2
     return S
 
@@ -604,7 +610,7 @@ def test_last_product_is_bitwise_the_last_prefix_product(n, seed, zeros):
     assert S.shape == (4, n) and C.tobytes() == np.ascontiguousarray(P.T).tobytes()  # the input is not written
     last = _last_product(C)
     assert all(type(c) is float for c in last) and np.array(last).tobytes() == S[:, -1].tobytes()
-    # the row scan and its frames have the bits of the (n, 4) quat_mul scan and of its frames
+    # the row scan and its frames have the bits of the (n, 4) stacked scan and of its frames
     want = stacked_prefix_products(P)
     assert S.tobytes() == np.ascontiguousarray(want.T).tobytes()
     assert quat_to_rotation(S.T).tobytes() == quat_to_rotation(want).tobytes()

@@ -1,6 +1,7 @@
 """Tests for the residual checks and their building blocks."""
 
-import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,6 @@ from liecurv import (
     natural_form,
     plane_rolling_form,
     polyline,
-    quat_conj,
-    quat_mul,
     quat_to_rotation,
     run_all_checks,
     section_residual,
@@ -47,6 +46,12 @@ from liecurv import (
     unit_sphere_section,
 )
 from liecurv.verify import _s3_bracket, curvature_probe, default_naturality_path, default_span_loops, run_check
+
+# the benchmark's closed forms, written without the library: quat_mul is the Hamilton product as one expression
+# per component, which has hamilton's bits (tests/test_liecore.py)
+_SPEC = importlib.util.spec_from_file_location("closed_forms", Path(__file__).parents[1] / "benchmarks/closed_forms.py")
+CF = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(CF)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +139,11 @@ def reference_alpha_naturality(seed):
         w = rng.standard_normal(3)
         q = reference_unit_quat(rng)
         R = quat_to_rotation(q)
-        xi_quat = quat_mul(np.concatenate([[0.0], w]), q)
+        q_conj = q * np.array([1.0, -1.0, -1.0, -1.0])
+        xi_quat = CF.quat_mul(np.concatenate([[0.0], w]), q)
         alpha_s3 = (
-            quat_mul(quat_conj(q), xi_quat)
-            - quat_mul(quat_mul(quat_conj(q), np.concatenate([[0.0], v])), q)
+            CF.quat_mul(q_conj, xi_quat)
+            - CF.quat_mul(CF.quat_mul(q_conj, np.concatenate([[0.0], v])), q)
         )[1:]
         lhs = lie_hom_derivative(alpha_s3)
         rhs = natural_alpha(2.0 * x, R, 2.0 * v, hat(2.0 * w) @ R)
