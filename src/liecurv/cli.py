@@ -23,47 +23,31 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import (PLANE_ROLLING_PULLBACK, LocalConnectionForm, natural_form, plane_rolling_form, pullback_form,
-                          sphere_surface, surface_rolling_form)
+from .connections import (PLANE_ROLLING_PULLBACK, natural_form, plane_rolling_form, pullback_form, sphere_surface,
+                          surface_rolling_form)
 from .liecore import quat_to_rotation, rotation_to_quat
 from .transport import METHODS, IntegratorConfig, PathSpec, circle, line, parallelogram_loop, polyline, transport
 from . import verify as _verify
 
-_CONNECTIONS = ("natural-so3", "plane-rolling", "sphere-outer", "sphere-inner", "pullback-rhoJ")
+# each connection's form at a radius, which only the sphere connections read; a sphere's name is "sphere-<side>"
+_CONNECTIONS = {
+    "natural-so3": lambda radius: natural_form(),
+    "plane-rolling": lambda radius: plane_rolling_form(),
+    "sphere-outer": lambda radius: surface_rolling_form(sphere_surface(radius, side="outer")),
+    "sphere-inner": lambda radius: surface_rolling_form(sphere_surface(radius, side="inner")),
+    "pullback-rhoJ": lambda radius: pullback_form(PLANE_ROLLING_PULLBACK, natural_form()),
+}
 _PATHS = ("line", "circle", "square", "polyline", "file")
 _METHODS = {name.split("-")[-1]: name for name in METHODS}  # CLI name: the library name's last word
 _NEGATIVE_VALUE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
-
-@dataclass(frozen=True)
-class RunRequest:
-    """Normalized CLI request; everything the run depends on, seed included."""
-
-    command: str
-    connection: str = "natural-so3"
-    radius: float = 1.0
-    path: str = "line"
-    xi: tuple[float, ...] | None = None
-    x0: tuple[float, ...] | None = None
-    points: tuple[tuple[float, ...], ...] | None = None
-    file: str | None = None
-    point: tuple[float, ...] | None = None
-    eps: float | None = None  # None: 1e-2 for curvature, else 1.0
-    steps: int | None = None
-    method: str = "midpoint"
-    format: str = "json"
-    out: str | None = None
-    seed: int = 0
-    check: str | None = None
-    all_checks: bool = False
-
-    def __post_init__(self):
-        # the effective loop scale is part of the echoed request
-        if self.eps is None:
-            object.__setattr__(self, "eps", 1e-2 if self.command == "curvature" else 1.0)
+# The request: every key but ``command``, with its default (the table's first connection). Each subparser starts
+# from all of them, so every request carries and echoes the same keys, at the default where an option is not taken.
+_REQUEST = {"connection": next(iter(_CONNECTIONS)), "radius": 1.0, "path": "line", "xi": None, "x0": None,
+            "points": None, "file": None, "point": None, "eps": 1.0, "steps": None, "method": "midpoint",
+            "format": "json", "out": None, "seed": 0, "check": None, "all_checks": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,45 +76,47 @@ def _point_list(text: str) -> tuple[tuple[float, ...], ...]:
 
 @functools.cache
 def _parser() -> _Parser:
-    """The argument parser, built on first use and shared by later calls."""
+    """The argument parser, built on first use and shared by later calls: the CLI's one request schema. Its options
+    carry no defaults; each subparser takes :data:`_REQUEST`'s, and curvature and section override one each."""
     parser = _Parser(prog="liecurv", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, connection=True, path=True):
+    def add_common(p, connection=True, path=True, **defaults):
+        p.set_defaults(**{**_REQUEST, **defaults})
         if connection:
-            p.add_argument("--connection", choices=_CONNECTIONS, default="natural-so3")
-            p.add_argument("--radius", type=float, default=1.0, help="sphere radius for sphere connections")
-            p.add_argument("--eps", type=float, default=None,
+            p.add_argument("--connection", choices=_CONNECTIONS)
+            p.add_argument("--radius", type=float, help="sphere radius for sphere connections")
+            p.add_argument("--eps", type=float,
                            help="square side or circle radius (default 1); curvature loop scale (default 1e-2)")
         if path:
-            p.add_argument("--path", choices=_PATHS, default="line")
-            p.add_argument("--xi", type=str, default=None, help="line direction, comma separated")
-            p.add_argument("--x0", type=str, default=None, help="start point / center, comma separated")
-            p.add_argument("--points", type=str, default=None, help="polyline vertices 'x,y;x,y;...'")
-            p.add_argument("--file", type=str, default=None, help="CSV path file (header t,x1,...,xd)")
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--method", choices=sorted(_METHODS), default="midpoint")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", type=str, default=None)
+            p.add_argument("--path", choices=_PATHS)
+            p.add_argument("--xi", type=str, help="line direction, comma separated")
+            p.add_argument("--x0", type=str, help="start point / center, comma separated")
+            p.add_argument("--points", type=str, help="polyline vertices 'x,y;x,y;...'")
+            p.add_argument("--file", type=str, help="CSV path file (header t,x1,...,xd)")
+        p.add_argument("--steps", type=int)
+        p.add_argument("--method", choices=sorted(_METHODS))
+        p.add_argument("--format", choices=("json", "csv"))
+        p.add_argument("--out", type=str)
 
     add_common(sub.add_parser("transport", help="integrate a frame along a path"))
     add_common(sub.add_parser("holonomy", help="transport around a closed path"))
-    add_common(sub.add_parser("curvature", help="small-loop curvature vs closed form"), path=False)
+    add_common(sub.add_parser("curvature", help="small-loop curvature vs closed form"), path=False, eps=1e-2)
 
     pv = sub.add_parser("verify", help="run residual checks")
     add_common(pv, connection=False, path=False)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--check", choices=sorted(_verify.CHECKS), default=None)
+    pv.add_argument("--seed", type=int)
+    pv.add_argument("--check", choices=sorted(_verify.CHECKS))
     pv.add_argument("--all", action="store_true", dest="all_checks")
 
     ps = sub.add_parser("section", help="unit-sphere rolling section at a point")
-    add_common(ps, connection=False, path=False)
-    ps.add_argument("--point", type=str, default="1,0,0", help="target point on the unit sphere")
+    add_common(ps, connection=False, path=False, point="1,0,0")
+    ps.add_argument("--point", type=str, help="target point on the unit sphere")
     return parser
 
 
-def parse_args(argv=None) -> RunRequest:
-    """Parse command-line arguments into a :class:`RunRequest`.
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse command-line arguments into the request: every key of :data:`_REQUEST`, and ``command``.
 
     ``--xi -1,0,0`` parses as ``--xi=-1,0,0``; argparse alone would read the
     value as an option. Raises ValueError on any usage problem (exit code 1).
@@ -139,11 +125,11 @@ def parse_args(argv=None) -> RunRequest:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1].startswith("--") and _NEGATIVE_VALUE.match(argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    ns = vars(_parser().parse_args(argv))
+    req = _parser().parse_args(argv)
+    ns = vars(req)
     for name, parse in (("xi", _vector), ("x0", _vector), ("points", _point_list), ("point", _vector)):
-        if name in ns:
-            ns[name] = parse(ns[name]) if ns[name] else None
-    return RunRequest(**ns)
+        ns[name] = parse(ns[name]) if ns[name] else None
+    return req
 
 
 def read_path_file(filename: str) -> PathSpec:
@@ -174,19 +160,7 @@ def read_path_file(filename: str) -> PathSpec:
     return polyline(points, times=times)
 
 
-def _build_connection(req: RunRequest) -> LocalConnectionForm:
-    if req.connection == "natural-so3":
-        return natural_form()
-    if req.connection == "plane-rolling":
-        return plane_rolling_form()
-    if req.connection in ("sphere-outer", "sphere-inner"):
-        return surface_rolling_form(sphere_surface(req.radius, side=req.connection.split("-")[1]))
-    if req.connection == "pullback-rhoJ":
-        return pullback_form(PLANE_ROLLING_PULLBACK, natural_form())
-    raise ValueError(f"unknown connection {req.connection!r}")
-
-
-def _build_path(req: RunRequest, dim: int) -> PathSpec:
+def _build_path(req: argparse.Namespace, dim: int) -> PathSpec:
     def option(name: str) -> np.ndarray:
         """The value of ``--name``, which ``--path`` requires, as points of dimension ``dim``."""
         if (value := getattr(req, name)) is None:
@@ -197,7 +171,7 @@ def _build_path(req: RunRequest, dim: int) -> PathSpec:
 
     def base_point() -> np.ndarray:
         if req.x0 is None:
-            if req.connection in ("sphere-outer", "sphere-inner"):
+            if req.connection.startswith("sphere-"):
                 raise ValueError(f"--connection {req.connection} requires --x0 (colatitude, longitude): "
                                  "the default (0, 0) is the sphere chart's pole")
             return np.zeros(dim)
@@ -223,7 +197,7 @@ def _build_path(req: RunRequest, dim: int) -> PathSpec:
     raise ValueError(f"unknown path {req.path!r}")
 
 
-def _config(req: RunRequest) -> IntegratorConfig:
+def _config(req: argparse.Namespace) -> IntegratorConfig:
     """The request's stepper; without ``--steps`` each computation runs its own default count."""
     return IntegratorConfig(_METHODS[req.method], req.steps)
 
@@ -243,10 +217,10 @@ def _trajectory(states) -> list[dict]:
     return [{"t": t, "x": x, "quat": q} for t, x, q in zip(ts.tolist(), xs.tolist(), rotation_to_quat(gs).tolist())]
 
 
-def run(req: RunRequest) -> dict:
+def run(req: argparse.Namespace) -> dict:
     """Execute a request; returns the result document as plain Python data."""
     doc = {
-        "request": dict(vars(req)),  # its fields are flat: str, numbers, None, tuples
+        "request": dict(vars(req)),  # its values are flat: str, numbers, None, tuples
         "holonomy": None,
         "trajectory": [],
         "reports": [],
@@ -255,7 +229,7 @@ def run(req: RunRequest) -> dict:
     }
 
     if req.command in ("transport", "holonomy"):
-        form = _build_connection(req)
+        form = _CONNECTIONS[req.connection](req.radius)
         path = _build_path(req, form.base_dim)
         cfg = _config(req)
         if req.command == "holonomy" and not path.closed:
@@ -268,12 +242,12 @@ def run(req: RunRequest) -> dict:
 
     if req.command == "curvature":
         cfg = _config(req)
-        if req.connection in ("sphere-outer", "sphere-inner"):
+        if req.connection.startswith("sphere-"):
             # eps names the embedded loop scale; the factor recovers 1 - 1/r^2
             est, ref, factor, expected = _verify.sphere_curvature_probe(
-                req.radius, req.connection.split("-")[1], req.eps, cfg)
+                req.radius, req.connection.removeprefix("sphere-"), req.eps, cfg)
         else:
-            form = _build_connection(req)
+            form = _CONNECTIONS[req.connection](req.radius)
             est, ref, factor = _verify.curvature_probe(form, np.zeros(form.base_dim), req.eps, cfg)
             expected = 1.0
         doc["curvature"] = {"estimate": est.tolist(), "closed_form": ref.tolist(), "factor": factor,

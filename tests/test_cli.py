@@ -1,5 +1,6 @@
 """Tests for the command-line interface: parsing, execution, serialization."""
 
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -7,7 +8,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from liecurv import (
     transport,
     verify,
 )
-from liecurv.cli import main, parse_args, read_path_file, run, write_result, RunRequest
+from liecurv.cli import main, parse_args, read_path_file, run, write_result
 from liecurv.transport import IntegratorConfig
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -87,7 +87,6 @@ def test_eps_defaults_per_subcommand():
     assert parse_args(["transport", "--path", "circle"]).eps == 1.0
     assert parse_args(["curvature"]).eps == 1e-2
     assert parse_args(["curvature", "--eps", "1.0"]).eps == 1.0
-    assert RunRequest(command="curvature").eps == 1e-2
 
 
 # a pool of requests; -1 stands for one that fails to parse
@@ -377,10 +376,10 @@ def test_trajectory_from_states_is_the_bytes_of_the_tuple_construction(connectio
     dim = {"natural-so3": 3}.get(connection, 2)
     points = {3: "0,0,0;1,0.5,-0.3;0.4,1.2,0.9;0,0,0", 2: "0,0;0.3,0.1;-0.2,0.4"}[dim]
     for path in ("circle", "polyline"):  # smooth, then with corners
-        req = RunRequest("holonomy", connection=connection, radius=2.0, path=path, eps=0.3, method=method,
-                         steps=steps, x0=(1.1, 0.4) if sphere else None,
-                         points=((1.1, 0.4), (1.3, 0.5), (1.0, 0.7)) if sphere else cli._point_list(points))
-        form = cli._build_connection(req)
+        req = parse_args(["holonomy", f"--connection={connection}", "--radius=2.0", f"--path={path}", "--eps=0.3",
+                          f"--method={method}", f"--steps={steps}", *["--x0=1.1,0.4"] * sphere,
+                          "--points=" + ("1.1,0.4;1.3,0.5;1.0,0.7" if sphere else points)])
+        form = cli._CONNECTIONS[req.connection](req.radius)
         runs = [transport(form, cli._build_path(req, form.base_dim), config=cli._config(req)) for _ in range(2)]
         assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].states))
 
@@ -393,6 +392,23 @@ def test_trajectory_from_states_is_the_bytes_of_the_tuple_construction_from_a_ra
     assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].states))
 
 
+# The echo of a bare request: all 17 keys, written out here, whatever options the subcommand takes; curvature's
+# loop scale and section's point are their own.
+BARE_ECHO = {"connection": "natural-so3", "radius": 1.0, "path": "line", "xi": None, "x0": None, "points": None,
+             "file": None, "point": None, "eps": 1.0, "steps": None, "method": "midpoint", "format": "json",
+             "out": None, "seed": 0, "check": None, "all_checks": False}
+OWN_DEFAULTS = {"curvature": {"eps": 0.01}, "section": {"point": [1.0, 0.0, 0.0]}}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_bare_request_echoes_every_key_with_its_subcommands_defaults(command):
+    want = {"command": command, **BARE_ECHO, **OWN_DEFAULTS.get(command, {})}
+    req = parse_args([command])
+    # a bare transport, holonomy or verify is refused when run, so its echo is read from the request as run reads it
+    echo = run(req)["request"] if command in OWN_DEFAULTS else dict(vars(req))
+    assert len(echo) == 17 and write_result({"request": echo}) == write_result({"request": want})
+
+
 # the pool's natural-so3 square at --x0 1,2 is refused when run (its points are 3-vectors), so its echo is
 # checked under plane-rolling, whose points are 2-vectors
 ECHO_ARGVS = [
@@ -402,12 +418,19 @@ ECHO_ARGVS = [
     ["curvature", "--connection", "sphere-outer", "--radius", "2"],
     ["transport", "--path", "polyline", "--points", "0,0,0;1,0.5,-0.3;0.4,1.2,0.9", "--steps", "64"],
 ]
+ECHO_VALUE = {"radius": float, "eps": float, "steps": int, "seed": int,
+              **dict.fromkeys(["xi", "x0", "point"], lambda text: [float(c) for c in text.split(",")]),
+              "points": lambda text: [[float(c) for c in row.split(",")] for row in text.split(";")]}
 
 
 @pytest.mark.parametrize("argv", ECHO_ARGVS, ids=" ".join)
-def test_the_request_echo_is_the_dataclass_as_a_dict(argv):
-    req = parse_args(argv)
-    assert json.dumps(run(req)["request"], sort_keys=True) == json.dumps(asdict(req), sort_keys=True)
+def test_the_request_echo_holds_each_given_value_and_the_defaults_of_the_rest(argv):
+    given, options = {}, iter(argv[1:])
+    for option in options:
+        key = option.removeprefix("--")
+        given.update({"all_checks": True} if key == "all" else {key: ECHO_VALUE.get(key, str)(next(options))})
+    want = {"command": argv[0], **BARE_ECHO, **OWN_DEFAULTS.get(argv[0], {}), **given}
+    assert write_result({"request": run(parse_args(argv))["request"]}) == write_result({"request": want})
 
 
 def test_pullback_connection_runs(tmp_path):
@@ -572,7 +595,7 @@ def test_euler_curvature_without_steps_is_the_library_probe_at_512_steps(connect
     if sphere:
         est, ref, factor, expected = verify.sphere_curvature_probe(2.0, connection.split("-")[1], 1e-2, EULER)
     else:
-        form = cli._build_connection(req)
+        form = cli._CONNECTIONS[req.connection](req.radius)
         (est, ref, factor), expected = verify.curvature_probe(form, np.zeros(form.base_dim), 1e-2, EULER), 1.0
     want = {"estimate": est.tolist(), "closed_form": ref.tolist(), "factor": factor, "expected_factor": expected}
     assert write_result({"curvature": run(req)["curvature"]}) == write_result({"curvature": want})
@@ -735,7 +758,7 @@ def sweep_requests(draw):
     argv = [command, f"--steps={draw(st.integers(1, 300))}", f"--method={draw(st.sampled_from(['euler', 'midpoint']))}"]
     if command == "section":
         return argv + [f"--point={vector(3)}"]
-    connection = draw(st.sampled_from(cli._CONNECTIONS))
+    connection = draw(st.sampled_from(tuple(cli._CONNECTIONS)))
     argv += [f"--connection={connection}", f"--radius={draw(SWEEP_FLOATS)!r}", f"--eps={draw(LOOP_SCALES)!r}"]
     if command == "curvature":
         return argv
@@ -749,18 +772,19 @@ def sweep_requests(draw):
     return argv
 
 
-def segment_increments(req):
-    """The increments c(t_{k+1}) - c(t_k) over the segments of a line, square or polyline request, one row each,
-    from the vertices as the library forms them (the square is ``parallelogram_loop(x0, e1, e2, eps)``)."""
-    if req["path"] == "line":
-        return np.array([req["xi"]])
+def path_vertices(req):
+    """The vertices of a square or polyline request, one row each, as the library forms them (the square is
+    ``parallelogram_loop(x0, e1, e2, eps)``)."""
     if req["path"] == "polyline":
-        P = np.array(req["points"])
-    else:
-        d = 3 if req["connection"] == "natural-so3" else 2
-        x, (u, v), eps = np.zeros(d) if req["x0"] is None else np.array(req["x0"]), np.eye(d)[:2], req["eps"]
-        P = np.array([x, x + eps * u, x + eps * u + eps * v, x + eps * v, x])
-    return np.diff(P, axis=0)
+        return np.array(req["points"])
+    d = 3 if req["connection"] == "natural-so3" else 2
+    x, (u, v), eps = np.zeros(d) if req["x0"] is None else np.array(req["x0"]), np.eye(d)[:2], req["eps"]
+    return np.array([x, x + eps * u, x + eps * u + eps * v, x + eps * v, x])
+
+
+def segment_increments(req):
+    """The increments c(t_{k+1}) - c(t_k) over the segments of a line, square or polyline request, one row each."""
+    return np.array([req["xi"]]) if req["path"] == "line" else np.diff(path_vertices(req), axis=0)
 
 
 # where each CLI method samples its interval, as a fraction of the interval: stated here, not read from the library
@@ -778,6 +802,45 @@ def circle_product(req):
     a0 = np.array([0.0, speed, 0.0] if req["connection"] == "natural-so3" else [speed, 0.0, 0.0])
     d, E = 2.0 * np.pi / n, CF.rodrigues(a0 / n)
     return CF.rz((n - 1 + s) * d) @ E @ np.linalg.matrix_power(CF.rz(-d) @ E, n - 1) @ CF.rz(-s * d)
+
+
+def chart_path(req):
+    """``(at, corners)`` for a transport or holonomy request: ``at(t)`` is the path's position and velocity at t, and
+    ``corners`` its vertex times. A polyline's vertices sit at uniform times, as the square's four sides do."""
+    x0, eps, tau = np.array(req["x0"]), req["eps"], 2.0 * np.pi
+    if req["path"] == "line":
+        xi = np.array(req["xi"])
+        return lambda t: (x0 + xi * t, xi), ()
+    if req["path"] == "circle":
+        return lambda t: (x0 + eps * np.array([np.cos(tau * t), np.sin(tau * t)]),
+                          eps * tau * np.array([-np.sin(tau * t), np.cos(tau * t)])), ()
+    P = path_vertices(req)
+    T = np.linspace(0.0, 1.0, len(P))
+    slopes = np.diff(P, axis=0) / np.diff(T)[:, None]
+
+    def at(t):
+        k = min(int(np.searchsorted(T, t, side="right")) - 1, len(P) - 2)
+        return P[k] + (t - T[k]) * slopes[k], slopes[k]
+
+    return at, T[1:-1]
+
+
+def sphere_chart_transport(req):
+    """The frame a sphere request's chart path transports, and the sum of its step angles |dt a|, stepped in order.
+
+    The grid is the CLI's: ``linspace(0, 1, steps + 1)`` with the path's vertex times merged in, nodes closer than
+    1e-12 coalesced (the later kept). Each interval [t0, t0 + dt] is sampled at t* = t0 + s dt, with the method's s,
+    and steps R <- exp(dt a) R with a = -omega_c(t*)(c'(t*)) from ``closed_forms.sphere_algebra``."""
+    at, corners = chart_path(req)
+    merged = np.unique(np.concatenate([np.linspace(0.0, 1.0, req["steps"] + 1), corners]))
+    nodes = merged[np.append(np.diff(merged) > 1e-12, True)]
+    side, s = req["connection"].removeprefix("sphere-"), SAMPLE_POINT[req["method"]]
+    R, angles = np.eye(3), 0.0
+    for t0, dt in zip(nodes[:-1], np.diff(nodes)):
+        (theta, phi), v = at(t0 + s * dt)
+        step = dt * CF.sphere_algebra(req["radius"], side, theta, phi, v)
+        R, angles = CF.rodrigues(step) @ R, angles + float(np.linalg.norm(step))
+    return R, angles
 
 
 def _reject_constant(name):
@@ -799,6 +862,10 @@ def _reject_constant(name):
                "--method=midpoint"])  # a circle whose two methods' holonomies differ, so the sample point is checked
 @example(argv=["holonomy", "--connection=plane-rolling", "--path=square", "--eps=0.5", "--steps=7",
                "--method=euler"])  # corners off the uniform grid, so the corner merge is checked
+@example(argv=["transport", "--connection=sphere-outer", "--radius=2.0", "--path=line", "--x0=1.1,0.4",
+               "--xi=0.2,0.3", "--steps=64", "--method=midpoint"])  # an ordinary sphere chart line
+@example(argv=["holonomy", "--connection=sphere-inner", "--radius=0.5", "--path=square", "--x0=1.1,0.4",
+               "--eps=0.3", "--steps=7", "--method=euler"])  # a sphere chart square whose corners are off the grid
 def test_every_request_is_answered_correctly_or_refused(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -828,6 +895,11 @@ def test_every_request_is_answered_correctly_or_refused(argv):
     if req["command"] in ("transport", "holonomy") and req["connection"] in FLAT and req["path"] == "circle":
         if 2.0 * np.pi * req["eps"] <= 100.0:  # a larger total angle is not resolved in float64
             assert np.abs(np.reshape(doc["holonomy"]["matrix"], (3, 3)) - circle_product(req)).max() <= 1e-9
+    if req["command"] in ("transport", "holonomy") and req["connection"] not in FLAT:
+        with np.errstate(all="ignore"):  # samples near the float range; gated just below
+            want, angles = sphere_chart_transport(req)
+        if angles <= 100.0:  # and finite: a larger total angle is not resolved in float64
+            assert np.abs(np.reshape(doc["holonomy"]["matrix"], (3, 3)) - want).max() <= 1e-9
     if req["command"] == "section" and code == 0:
         section = doc["section"]
         assert CF.sign_free_distance(section["computed_quat"], CF.section_formula(section["point"])) <= 1e-6
@@ -964,4 +1036,11 @@ def test_path_file_transport(tmp_path):
 
 def test_run_unknown_command():
     with pytest.raises(ValueError, match="unknown command"):
-        run(RunRequest(command="bogus"))
+        run(argparse.Namespace(command="bogus"))
+
+
+def test_run_refuses_an_unknown_path():
+    req = parse_args(["transport", "--xi=1,0,0"])
+    req.path = "helix"  # argparse's choices let no such request through
+    with pytest.raises(ValueError, match=r"^unknown path 'helix'$"):
+        run(req)

@@ -117,6 +117,7 @@ def test_hat_vee_shape_errors():
         (rotation_to_quat, (np.zeros((3, 3, 2)),), "rotation_to_quat expects matrices of shape (..., 3, 3), got "
                                                     "shape (3, 3, 2)"),
         (canonical_quat, (np.zeros((2, 3)),), "canonical_quat expects quaternions of shape (..., 4), got shape (2, 3)"),
+        (lie_hom_derivative, (np.zeros(4),), "lie_hom_derivative expects a 3-vector"),
     ):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             fn(*args)
