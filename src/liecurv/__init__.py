@@ -70,7 +70,6 @@ from .verify import (
     run_all_checks,
     section_residual,
     sphere_curvature_factor,
-    sphere_factor_report,
     unit_sphere_section,
 )
 

@@ -300,10 +300,8 @@ def write_result(doc: dict, fmt: str = "json", out: str | None = None) -> str:
     if fmt == "json":
         try:
             text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-        except ValueError:
-            if (key := _non_finite_key(doc)) is None:
-                raise
-            raise ValueError(f"{key} is not finite") from None
+        except ValueError:  # a non-finite float: ``run`` builds no circular document, so json raises no other
+            raise ValueError(f"{_non_finite_key(doc)} is not finite") from None
     elif fmt == "csv":
         traj = doc.get("trajectory") or []
         if not traj:

@@ -176,11 +176,6 @@ def integration_grid(steps: int, corners: tuple[float, ...] = ()) -> np.ndarray:
 # the stepping engine
 
 
-def _on_path(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """``fn`` (the path's position or velocity) at every time in ``ts``, as an (n, d) array."""
-    return np.asarray(fn(ts), dtype=float)
-
-
 def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np.ndarray]:
     """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times.
 
@@ -200,8 +195,8 @@ def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np
     def sample(ts, start):
         ts = np.concatenate((np.zeros(m), ts)) if start else ts
         n = len(ts)
-        X = _on_path(path.position, ts if reads_x else ts[:m]) if reads_x or start else None
-        V = _on_path(path.velocity, ts)
+        X = np.asarray(path.position(ts if reads_x else ts[:m]), dtype=float) if reads_x or start else None
+        V = np.asarray(path.velocity(ts), dtype=float)
         if start and (X.shape, V.shape) != ((k := n if reads_x else m, d), (n, d)):
             raise ValueError(f"path '{path.kind}' maps {n if reads_x else f'{m} and {n}'} times to shapes {X.shape} "
                              f"and {V.shape}, not ({k}, {d}) and ({n}, {d}): paths must take arrays of times")
@@ -328,7 +323,7 @@ class TransportResult:
     def states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         G = np.concatenate((self._start[None], self._frames(_prefix_products(self._chunks))))
         self.__dict__.setdefault("final", G[-1].copy())
-        return self._times, _on_path(self._path.position, self._times), G
+        return self._times, np.asarray(self._path.position(self._times), dtype=float), G
 
 
 def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:

@@ -171,21 +171,17 @@ def check_curvature_naturality(seed: int = 0) -> ResidualReport:
     return ResidualReport("curvature-naturality", _worst(lhs - rhs), NATURALITY_SAMPLES, 1e-10)
 
 
-def default_naturality_path() -> PathSpec:
-    """Non-planar figure-eight polyline used by the transport naturality check."""
-    return polyline(_FIGURE_EIGHT, closed=True)
-
-
 def check_transport_naturality(config: IntegratorConfig | None = None) -> ResidualReport:
     """Quaternion transport projects onto SO(3) transport along the doubled path.
 
     Because the covering map doubles algebra increments, the S^3 run along c
-    corresponds to the SO(3) run along 2c on the same grid; each step maps
-    exactly, so the residual is pure roundoff. c is
-    :func:`default_naturality_path`, and 2c the polyline through its doubled vertices. Both runs take
-    ``config``, with the transports' own 10,000 steps unless it gives a count.
+    corresponds to the SO(3) run along 2c on the same grid. c is the closed polyline through
+    ``_FIGURE_EIGHT`` and 2c the one through its doubled vertices. Doubling is exact, so both runs feed one
+    engine bitwise equal increments and the residual is 0.0 by construction; the engine itself is checked
+    against an ordered product of exponentials in the tests. Both runs take ``config``, with the
+    transports' own 10,000 steps unless it gives a count.
     """
-    q = transport_quat(default_naturality_path(), config=config).final
+    q = transport_quat(polyline(_FIGURE_EIGHT, closed=True), config=config).final
     lhs = quat_to_rotation(q)
     rhs = transport(natural_form(), polyline(2.0 * _FIGURE_EIGHT, closed=True), config=config).final
     return ResidualReport("transport-naturality", float(np.linalg.norm(lhs - rhs)), 1, 1e-7)
@@ -408,12 +404,6 @@ def sphere_curvature_factor(radius: float, config: IntegratorConfig | None = Non
     return sphere_curvature_probe(radius, "outer", 1e-2, config)[2]
 
 
-def sphere_factor_report(config: IntegratorConfig | None = None) -> ResidualReport:
-    """Report the radius-2 curvature factor against its exact value 0.75."""
-    factor = sphere_curvature_factor(2.0, config=config)
-    return ResidualReport("sphere-curvature-factor", abs(factor - 0.75), 1, 7.5e-4)
-
-
 # The check registry: name -> (run(seed, config), in the battery). Randomized
 # checks pass the requested seed on; the others ignore it. span-degenerate is a control fixture built to fail
 # (repeated loops cannot span so(3)), so it stays out of the battery.
@@ -426,7 +416,8 @@ CHECKS = {
     "antipodal-sections": (lambda s, cfg: antipodal_check(seed=s, config=cfg), True),
     "inner-unit-sphere-identity": (lambda s, cfg: inner_unit_sphere_identity(config=cfg), True),
     "plane-rolling-span": (lambda s, cfg: holonomy_span_check(config=cfg), True),
-    "sphere-curvature-factor": (lambda s, cfg: sphere_factor_report(config=cfg), True),
+    "sphere-curvature-factor": (lambda s, cfg: ResidualReport(
+        "sphere-curvature-factor", abs(sphere_curvature_factor(2.0, cfg) - 0.75), 1, 7.5e-4), True),
     "span-degenerate": (lambda s, cfg: holonomy_span_check(loops=degenerate_span_loops(), config=cfg), False),
 }
 

@@ -38,14 +38,13 @@ from liecurv import (
     section_residual,
     small_loop_curvature,
     sphere_curvature_factor,
-    sphere_factor_report,
     sphere_surface,
     surface_rolling_form,
     transport,
     transport_quat,
     unit_sphere_section,
 )
-from liecurv.verify import _s3_bracket, curvature_probe, default_naturality_path, default_span_loops, run_check
+from liecurv.verify import _BASEPOINT, _FIGURE_EIGHT, _s3_bracket, curvature_probe, default_span_loops, run_check
 
 # the benchmark's closed forms, written without the library: quat_mul is the Hamilton product as one expression
 # per component, which has hamilton's bits (tests/test_liecore.py)
@@ -203,8 +202,23 @@ def test_transport_naturality_default_and_line():
 
 
 def test_default_naturality_path_shape():
-    c = default_naturality_path()
+    c = polyline(_FIGURE_EIGHT, closed=True)
     assert c.base_dim == 3 and c.closed
+
+
+@pytest.mark.parametrize("method", ["lie-euler", "exp-midpoint"])
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 64, 1000, 10_000, None])
+def test_naturality_runs_match_products_of_exponentials(method, steps):
+    # the check's two runs feed one engine bitwise equal increments, so its residual shows nothing of the engine:
+    # each run is held here to the closed form, a product of one exponential per segment (the velocity is
+    # constant on each, and the grid steps at every corner)
+    cfg = IntegratorConfig(method) if steps is None else IntegratorConfig(method, steps)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    for u in np.diff(_FIGURE_EIGHT, axis=0):
+        q = CF.quat_mul(CF.quat_exp(u), q)
+    assert np.abs(transport_quat(polyline(_FIGURE_EIGHT, closed=True), config=cfg).final - q).max() <= 1e-12
+    R = transport(natural_form(), polyline(2.0 * _FIGURE_EIGHT, closed=True), config=cfg).final
+    assert np.abs(R - CF.ordered_product(2.0 * np.diff(_FIGURE_EIGHT, axis=0))).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +298,18 @@ def test_section_path_independence_report():
     rep = check_section_path_independence()
     assert rep.name == "section-path-independence"
     assert rep.tolerance == 1e-6 and rep.passed
+
+
+def test_section_path_independence_redraws_a_rejected_waypoint():
+    # at seed 6 two draws of RandomState(410) give a leg whose ends are nearly equal or antipodal (|a . b| > 0.99);
+    # the check draws again, and its report still holds 5 samples
+    rng, rejected = np.random.RandomState(410), 0
+    for _ in range(5 + 2):
+        p, m = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
+        rejected += any(abs(float(a @ b)) > 0.99 for a, b in [(_BASEPOINT, p), (_BASEPOINT, m), (m, p)])
+    assert rejected == 2
+    rep = check_section_path_independence(seed=6)
+    assert rep.samples == 5 and rep.max_residual <= 1e-13 and rep.passed
 
 
 def test_antipodal_check_report():
@@ -371,8 +397,9 @@ def test_sphere_curvature_factor_approaches_plane_value():
 
 
 def test_sphere_factor_report():
-    rep = sphere_factor_report()
+    rep = run_check("sphere-curvature-factor")
     assert rep.name == "sphere-curvature-factor" and rep.passed
+    assert rep.samples == 1 and rep.tolerance == 7.5e-4
 
 
 # ---------------------------------------------------------------------------
