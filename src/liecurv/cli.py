@@ -28,7 +28,7 @@ import numpy as np
 
 from .connections import (PLANE_ROLLING_PULLBACK, natural_form, plane_rolling_form, pullback_form, sphere_surface,
                           surface_rolling_form)
-from .liecore import quat_to_rotation, rotation_to_quat
+from .liecore import canonical_quat, quat_to_rotation
 from .transport import METHODS, IntegratorConfig, PathSpec, circle, line, parallelogram_loop, polyline, transport
 from . import verify as _verify
 
@@ -202,8 +202,7 @@ def _config(req: argparse.Namespace) -> IntegratorConfig:
     return IntegratorConfig(_METHODS[req.method], req.steps)
 
 
-def _rotation_block(R: np.ndarray, q: np.ndarray | None = None) -> dict:
-    q = rotation_to_quat(R) if q is None else q
+def _rotation_block(R: np.ndarray, q: np.ndarray) -> dict:
     im = q[1:]
     n = float(np.linalg.norm(im))
     angle = 2.0 * float(np.arctan2(n, q[0]))
@@ -211,10 +210,15 @@ def _rotation_block(R: np.ndarray, q: np.ndarray | None = None) -> dict:
     return {"matrix": R.reshape(-1).tolist(), "quat": q.tolist(), "axis": axis, "angle": angle}
 
 
-def _trajectory(states) -> list[dict]:
-    """Trajectory rows from a result's stacked ``states``: one ``rotation_to_quat`` and one ``tolist`` per stack."""
-    ts, xs, gs = states
-    return [{"t": t, "x": x, "quat": q} for t, x, q in zip(ts.tolist(), xs.tolist(), rotation_to_quat(gs).tolist())]
+def _unit(q: np.ndarray) -> np.ndarray:
+    """Quaternions (..., 4) over their norms, |q|^2 summed in np.sum's order, signed by :func:`canonical_quat`."""
+    return canonical_quat(q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True)))
+
+
+def _trajectory(res) -> list[dict]:
+    """Rows ``{t, x, quat}`` from a result's ``quat_states``: the engine's own quaternions, :func:`_unit`; no frames."""
+    ts, xs, qs = res.quat_states
+    return [{"t": t, "x": x, "quat": q} for t, x, q in zip(ts.tolist(), xs.tolist(), _unit(qs).tolist())]
 
 
 def run(req: argparse.Namespace) -> dict:
@@ -235,7 +239,7 @@ def run(req: argparse.Namespace) -> dict:
         if req.command == "holonomy" and not path.closed:
             raise ValueError("holonomy requires a closed path")
         res = transport(form, path, config=cfg)
-        doc["trajectory"] = _trajectory(res.states)
+        doc["trajectory"] = _trajectory(res)
         # the last sample's frame is res.final, so its quaternion is already known
         doc["holonomy"] = _rotation_block(res.final, np.array(doc["trajectory"][-1]["quat"]))
         return doc
@@ -280,7 +284,7 @@ def run(req: argparse.Namespace) -> dict:
         residual = _verify.section_residual(computed, formula)
         doc["section"] = {"point": p.tolist(), "computed_quat": computed.tolist(), "formula_quat": formula.tolist(),
                           "residual": residual}
-        doc["holonomy"] = _rotation_block(quat_to_rotation(computed))
+        doc["holonomy"] = _rotation_block(quat_to_rotation(computed), _unit(computed))
         doc["reports"] = [dict(vars(_verify.ResidualReport("section-formula", residual, 1, 1e-6)))]
         return doc
 

@@ -99,7 +99,8 @@ def log_so3(R) -> np.ndarray:
     """Axis-angle vector of a rotation matrix; inverse of :func:`exp_so3`.
 
     Well defined for rotation angles in [0, pi). Angles within 1e-6 of pi
-    are refused because the axis becomes numerically ambiguous there.
+    are refused because the axis becomes numerically ambiguous there. It does
+    not check that ``R`` is a rotation: ``log_so3(2 I)`` returns zero.
     """
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):

@@ -57,8 +57,7 @@ frame is their pairwise reduction with the pairs aligned to the right end
 so the two are bitwise equal. Its top levels, on at most 64 columns, run on
 Python floats through the same ``hamilton``, with the same bits. The scan,
 which gives the recorded states, runs on the first read of
-:attr:`TransportResult.states`. Only the engine builds a result; it refuses
-every non-finite step, so reading refuses nothing.
+:attr:`TransportResult.quat_states` or of :attr:`TransportResult.states`.
 
 The scalar work at the two ends of a run (``check_rotation`` on g0, the uniform
 grid, ``final``'s one frame) also avoids numpy's per-call cost by repeating
@@ -296,16 +295,14 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, offset: float
 class TransportResult:
     """Final group element plus the recorded states, stacked.
 
-    Built by the engine alone: the constructor runs :func:`_compose` over the
-    path's grid, which refuses every non-finite step, so reading refuses nothing.
-    Long runs record at most ~1024 evenly strided states; the first and final
-    states are always included. Both are built on first read from the run's chunk
-    products, kept as component rows: ``final`` by :func:`_last_product`, ``states``
-    (times (m,), points (m, d), and frames (m, 3, 3) or, for the lifts, quaternions
-    (m, 4); row 0 is the start) by the prefix scan on the rows, which also fills
-    ``final`` from its last state (the two are bitwise equal). One map, ``frames``,
-    builds both: it takes (4, n) rows of states to their n frames, and one state,
-    four Python floats, to its frame. ``_angles`` sums the step angles |dt a|.
+    Built by the engine alone: the constructor runs :func:`_compose` over the path's grid, which refuses every
+    non-finite step, so reading refuses nothing. Long runs record at most ~1024 evenly strided states, the first and
+    final among them. Each attribute is built on first read from the run's chunk products (component rows): ``final``
+    by :func:`_last_product`; ``quat_states``, the times (m,), points (m, d) and the run's quaternions (m, 4) from the
+    identity (row 0), by the prefix scan, the one place it runs; ``states``, the same times and points with frames
+    (m, 3, 3), or for the lifts quaternions (m, 4), from the start (row 0), by the one map ``frames`` from
+    ``quat_states``. That map also takes one state, four Python floats, to its frame: the scan's last, for ``final``
+    if the states come first (bitwise :func:`_last_product`'s). ``_angles`` sums the step angles |dt a|.
     """
 
     def __init__(self, sample, path: PathSpec, config: IntegratorConfig, frames, start: np.ndarray):
@@ -320,10 +317,17 @@ class TransportResult:
         return self._frames(_last_product(self._chunks))
 
     @cached_property
+    def quat_states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        S = _prefix_products(self._chunks)
+        if "final" not in self.__dict__:
+            self.final = self._frames(S[:, -1].tolist())
+        Q = np.concatenate((_IDENTITY[None], S.T))
+        return self._times, np.asarray(self._path.position(self._times), dtype=float), Q
+
+    @cached_property
     def states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        G = np.concatenate((self._start[None], self._frames(_prefix_products(self._chunks))))
-        self.__dict__.setdefault("final", G[-1].copy())
-        return self._times, np.asarray(self._path.position(self._times), dtype=float), G
+        ts, xs, Q = self.quat_states
+        return ts, xs, np.concatenate((self._start[None], self._frames(Q[1:].T)))
 
 
 def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
@@ -578,14 +582,16 @@ def circle(center, radius: float, plane=None) -> PathSpec:
         b1 = np.asarray(plane[0], dtype=float)
         b2 = np.asarray(plane[1], dtype=float)
     _check_finite("circle center, radius and plane", center, radius, b1, b2)
-    n1 = np.linalg.norm(b1)
-    if n1 < 1e-12:
-        raise ValueError("degenerate circle plane: first spanning vector vanishes")
-    b1 = b1 / n1
-    b2 = b2 - (b2 @ b1) * b1
-    n2 = np.linalg.norm(b2)
-    if n2 < 1e-12:
-        raise ValueError("degenerate circle plane: spanning vectors are parallel")
+    # |b| from b 2^-e, its largest entry in [0.5, 1): exact, no overflow; the 1e-12 thresholds on |b| (inf past range)
+    e1, e2 = (int(np.frexp(np.abs(b).max())[1]) for b in (b1, b2))
+    b1, b2 = np.ldexp(b1, -e1), np.ldexp(b2, -e2)
+    with np.errstate(over="ignore"):
+        if np.ldexp(n1 := np.linalg.norm(b1), e1) < 1e-12:
+            raise ValueError("degenerate circle plane: first spanning vector vanishes")
+        b1 = b1 / n1
+        b2 = b2 - (b2 @ b1) * b1
+        if np.ldexp(n2 := np.linalg.norm(b2), e2) < 1e-12:
+            raise ValueError("degenerate circle plane: spanning vectors are parallel")
     b2 = b2 / n2
     tau = 2.0 * np.pi
     with np.errstate(over="ignore"):  # refused just below

@@ -230,21 +230,16 @@ def check_section_path_independence(seed: int = 0, config: IntegratorConfig | No
     waypoint, as rotations (so the quaternion sign ambiguity drops out).
     """
     rng = np.random.RandomState(404 + seed)
-    worst = 0.0
-    done = 0
+    worst, done = 0.0, 0
     while done < 5:
-        p = _unit(rng.standard_normal(3))
-        m = _unit(rng.standard_normal(3))
+        p, m = _unit(rng.standard_normal(3)), _unit(rng.standard_normal(3))
         # keep arcs well defined: no leg may connect near-identical points
         pairs = [(_BASEPOINT, p), (_BASEPOINT, m), (m, p)]
         if any(abs(float(a @ b)) > 0.99 for a, b in pairs):
             continue
         q_direct, _ = unit_sphere_section(p, config=config)
-        q_via, _ = unit_sphere_section(
-            p, config=config, legs=[great_arc(_BASEPOINT, m), great_arc(m, p)]
-        )
-        diff = np.linalg.norm(quat_to_rotation(q_direct) - quat_to_rotation(q_via))
-        worst = max(worst, float(diff))
+        q_via, _ = unit_sphere_section(p, config=config, legs=[great_arc(_BASEPOINT, m), great_arc(m, p)])
+        worst = max(worst, float(np.linalg.norm(quat_to_rotation(q_direct) - quat_to_rotation(q_via))))
         done += 1
     return ResidualReport("section-path-independence", worst, done, 1e-6)
 
@@ -265,8 +260,7 @@ def antipodal_check(seed: int = 0, config: IntegratorConfig | None = None) -> Re
     for p in points:
         q_plus, _ = unit_sphere_section(p, config=config)
         q_minus, _ = unit_sphere_section(-p, config=config)
-        diff = np.linalg.norm(quat_to_rotation(q_plus) - quat_to_rotation(q_minus))
-        worst = max(worst, float(diff))
+        worst = max(worst, float(np.linalg.norm(quat_to_rotation(q_plus) - quat_to_rotation(q_minus))))
     return ResidualReport("antipodal-sections", worst, len(points), 1e-6)
 
 
@@ -306,12 +300,7 @@ def lasso_loop(base, corner) -> PathSpec:
 
 def default_span_loops() -> list[PathSpec]:
     """Three unit-square lassos from the origin with well-spread tails."""
-    base = np.zeros(2)
-    return [
-        lasso_loop(base, np.array([2.0, 0.0])),
-        lasso_loop(base, np.array([-1.0, 1.5])),
-        lasso_loop(base, np.array([0.5, -2.0])),
-    ]
+    return [lasso_loop(np.zeros(2), np.array(corner)) for corner in ([2.0, 0.0], [-1.0, 1.5], [0.5, -2.0])]
 
 
 def holonomy_span_check(loops=None, config: IntegratorConfig | None = None) -> ResidualReport:

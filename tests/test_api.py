@@ -18,6 +18,7 @@ PACKAGE = ROOT / "src" / "liecurv"
 
 KEPT = {
     "parametric_surface": "rolling on an arbitrary oriented surface in R^3, the paper's general setting",
+    "rotation_to_quat": "the double cover read backwards, for a caller that holds frames (a g0, a row of states)",
 }
 
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from liecurv import (
+    canonical_quat,
     cli,
     exp_so3,
     holonomy,
@@ -342,26 +343,35 @@ def test_holonomy_square_matches_library(tmp_path):
     np.testing.assert_allclose(np.array(doc["holonomy"]["matrix"]).reshape(3, 3), want, atol=1e-12)
 
 
+def signed_unit(q):
+    """One quaternion state over its norm, |q|^2 by np.sum, signed by canonical_quat: the CLI's row, built alone."""
+    return canonical_quat(q / np.sqrt(np.sum(q * q)))
+
+
 @pytest.mark.parametrize("connection", cli._CONNECTIONS)
 def test_holonomy_quat_is_the_last_trajectory_quat(connection):
     x0 = "--x0=0.2,-0.1,0.3" if connection == "natural-so3" else "--x0=1.2,0.3"
     for command in ("transport", "holonomy"):
-        doc = run(parse_args([command, f"--connection={connection}", "--path=square", "--eps=0.3", x0,
-                              "--radius=2", "--steps=300"]))
+        req = parse_args([command, f"--connection={connection}", "--path=square", "--eps=0.3", x0, "--radius=2",
+                          "--steps=300"])
+        doc = run(req)
         block = doc["holonomy"]
         assert block["quat"] == doc["trajectory"][-1]["quat"]
-        # the same bytes as a quaternion computed from the final matrix itself
+        # within two ulps of the quaternion computed from the final matrix itself (Shepperd)
         R = np.array(block["matrix"]).reshape(3, 3)
-        assert block["quat"] == rotation_to_quat(R).tolist()
+        assert np.abs(np.array(block["quat"]) - rotation_to_quat(R)).max() <= 4.5e-16
+        # and the bytes of the engine's own last state, normalized and signed
+        form = cli._CONNECTIONS[req.connection](req.radius)
+        res = transport(form, cli._build_path(req, form.base_dim), config=cli._config(req))
+        assert block["quat"] == signed_unit(res.quat_states[2][-1]).tolist()
 
 
-def tuple_trajectory(states):
-    """The trajectory as once built from (t, x, g) tuples of the ``states`` rows: zipped apart, re-stacked,
-    one ``tolist`` per row."""
-    times, points, frames = states
-    ts, xs, gs = zip(*zip(times.tolist(), points, frames))
-    quats = rotation_to_quat(np.stack(gs)).tolist()
-    return [{"t": float(t), "x": x.tolist(), "quat": q} for t, x, q in zip(ts, xs, quats)]
+def tuple_trajectory(res):
+    """The trajectory built row by row from (t, x, q) tuples: t and x from the result's ``states``, q its
+    quaternion state over its norm and signed, one ``canonical_quat`` per row."""
+    times, points, _ = res.states
+    quats = [signed_unit(q).tolist() for q in res.quat_states[2]]
+    return [{"t": float(t), "x": x.tolist(), "quat": q} for t, x, q in zip(times.tolist(), points, quats)]
 
 
 def trajectory_bytes(rows):
@@ -381,7 +391,7 @@ def test_trajectory_from_states_is_the_bytes_of_the_tuple_construction(connectio
                           "--points=" + ("1.1,0.4;1.3,0.5;1.0,0.7" if sphere else points)])
         form = cli._CONNECTIONS[req.connection](req.radius)
         runs = [transport(form, cli._build_path(req, form.base_dim), config=cli._config(req)) for _ in range(2)]
-        assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].states))
+        assert trajectory_bytes(cli._trajectory(runs[0])) == trajectory_bytes(tuple_trajectory(runs[1]))
 
 
 @pytest.mark.parametrize("steps", [1, 64, 1025, 3001])
@@ -389,7 +399,56 @@ def test_trajectory_from_states_is_the_bytes_of_the_tuple_construction_from_a_ra
     g0 = exp_so3(np.random.default_rng(steps).standard_normal(3) * 2.0)
     path = polyline(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.3], [0.4, 1.2, 0.9]]))
     runs = [transport(natural_form(), path, g0, IntegratorConfig(steps=steps)) for _ in range(2)]
-    assert trajectory_bytes(cli._trajectory(runs[0].states)) == trajectory_bytes(tuple_trajectory(runs[1].states))
+    assert trajectory_bytes(cli._trajectory(runs[0])) == trajectory_bytes(tuple_trajectory(runs[1]))
+
+
+@st.composite
+def quat_requests(draw):
+    """A transport, holonomy or section request that is answered, so its output prints quaternions."""
+    command = draw(st.sampled_from(["transport", "holonomy", "section"]))
+    method = draw(st.sampled_from(["euler", "midpoint"]))
+    argv = [command, f"--steps={draw(st.integers(1, 3001))}", f"--method={method}"]
+
+    def vector(n, lo=-2.0, hi=2.0):
+        return ",".join(repr(x) for x in draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    def point():  # a sphere chart point away from the polar caps, which a path of the sizes below cannot reach
+        if "sphere" in connection:
+            return f"{draw(st.floats(0.6, 2.5))!r},{draw(st.floats(-3.0, 3.0))!r}"
+        return vector(d)
+
+    if command == "section":
+        return argv + [f"--point={vector(3, 0.1, 2.0)}"]
+    connection = draw(st.sampled_from(tuple(cli._CONNECTIONS)))
+    d = 3 if connection == "natural-so3" else 2
+    path = draw(st.sampled_from(["circle", "square"] + ["line", "polyline"] * (command == "transport")))
+    argv += [f"--connection={connection}", f"--radius={draw(st.floats(0.5, 3.0))!r}", f"--path={path}",
+             f"--x0={point()}", f"--eps={draw(st.floats(0.01, 0.4))!r}"]
+    if path == "line":
+        argv.append(f"--xi={vector(d, -0.4, 0.4)}")
+    if path == "polyline":
+        argv.append("--points=" + ";".join(point() for _ in range(draw(st.integers(2, 4)))))
+    return argv
+
+
+@SETTINGS
+@given(argv=quat_requests())
+def test_every_printed_quat_is_unit_signed_and_the_frames_shepperd_quat(argv):
+    req = parse_args(argv)
+    doc = run(req)
+    block = doc["holonomy"]
+    if req.command == "section":
+        frames, quats = np.array(block["matrix"]).reshape(1, 3, 3), [block["quat"]]
+    else:
+        form = cli._CONNECTIONS[req.connection](req.radius)
+        res = transport(form, cli._build_path(req, form.base_dim), config=cli._config(req))
+        frames, quats = res.states[2], [row["quat"] for row in doc["trajectory"]]
+        assert block["quat"] == quats[-1]
+        assert np.array(block["matrix"]).tobytes() == res.final.tobytes()
+    Q = np.array(quats)
+    assert np.abs(np.sqrt(np.sum(Q * Q, axis=1)) - 1.0).max() <= 4.5e-16
+    assert np.array_equal(canonical_quat(Q), Q)
+    assert np.abs(Q - rotation_to_quat(frames)).max() <= 4.5e-16
 
 
 # The echo of a bare request: all 17 keys, written out here, whatever options the subcommand takes; curvature's

@@ -581,6 +581,29 @@ def test_circle_validation():
         circle(np.zeros(3), 1.0, plane=(np.zeros(3), E2))
     with pytest.raises(ValueError, match="at least 2"):
         circle(np.zeros(1), 1.0)
+    # the thresholds hold on the spanning vectors as given, however small
+    with pytest.raises(ValueError, match="vanishes"):
+        circle(np.zeros(3), 1.0, plane=(5e-324 * E1, E2))
+    with pytest.raises(ValueError, match="vanishes"):
+        circle(np.zeros(3), 1.0, plane=(0.9e-12 * E1, E2))
+    with pytest.raises(ValueError, match="parallel"):
+        circle(np.zeros(3), 1.0, plane=(E1, E1 + 0.9e-12 * E2))
+    circle(np.zeros(3), 1.0, plane=(1.1e-12 * E1, E1 + 1.1e-12 * E2))
+
+
+def test_circle_holonomy_does_not_depend_on_the_scale_of_its_plane():
+    # |b|^2 of a spanning vector at 1e200 overflows: the circle once collapsed to a point, with the identity
+    # as its holonomy. Axis-aligned vectors normalize exactly, at every scale; a tilted pair to rounding
+    cfg, tilted = IntegratorConfig(steps=256), (np.array([0.3, -1.0, 2.0]), np.array([1.0, 0.7, -0.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        aligned = [holonomy(natural_form(), circle(np.zeros(3), 0.5, plane=(s * E3, s * E1)), cfg)
+                   for s in (1.0, 1e150, 1e200, 1e300)]
+        tilts = [holonomy(natural_form(), circle(np.zeros(3), 0.5, plane=(s * tilted[0], s * tilted[1])), cfg)
+                 for s in (1.0, 1e150, 1e200, 1e300)]
+    assert all(R.tobytes() == aligned[0].tobytes() for R in aligned)
+    assert abs(aligned[0][0, 0] - 0.790) < 5e-4
+    assert max(np.abs(R - tilts[0]).max() for R in tilts) <= 1e-15
 
 
 def test_polyline_path():
