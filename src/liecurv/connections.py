@@ -159,7 +159,7 @@ def _orthonormal_frame(frame) -> np.ndarray:
     F = np.column_stack([np.asarray(f, dtype=float) for f in frame])
     if F.shape != (3, 3):
         raise ValueError("frame must consist of three 3-vectors")
-    if np.linalg.norm(F.T @ F - np.eye(3)) > 1e-10:
+    if not np.linalg.norm(F.T @ F - np.eye(3)) <= 1e-10:  # NaN too
         raise ValueError("frame vectors are not orthonormal")
     return F
 

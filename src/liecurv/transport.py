@@ -582,6 +582,9 @@ def circle(center, radius: float, plane=None) -> PathSpec:
         b1 = np.asarray(plane[0], dtype=float)
         b2 = np.asarray(plane[1], dtype=float)
     _check_finite("circle center, radius and plane", center, radius, b1, b2)
+    if b1.shape != center.shape or b2.shape != center.shape:
+        raise ValueError(f"circle plane vectors must have the center's shape {center.shape}, "
+                         f"got {b1.shape} and {b2.shape}")
     # |b| from b 2^-e, its largest entry in [0.5, 1): exact, no overflow; the 1e-12 thresholds on |b| (inf past range)
     e1, e2 = (int(np.frexp(np.abs(b).max())[1]) for b in (b1, b2))
     b1, b2 = np.ldexp(b1, -e1), np.ldexp(b2, -e2)
@@ -716,6 +719,7 @@ def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
     q = np.asarray(q, dtype=float)
     if p.shape != (3,) or q.shape != (3,):
         raise ValueError("great_arc expects two points in R^3")
+    _check_finite("great_arc points p and q", p, q)
     r = float(np.linalg.norm(p))
     if r <= 0.0:
         raise ValueError("sphere radius must be positive")
@@ -723,7 +727,9 @@ def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
         raise ValueError(f"point q does not lie on the sphere of radius {r}")
 
     w = np.cross(p, q)
-    wn = float(np.linalg.norm(w))
+    # |w| from w 2^-e, its largest entry in [0.5, 1): |w|^2 = r^4 over- or underflows inside sphere_surface's radii
+    e = int(np.frexp(np.abs(w).max())[1])
+    wn = float(np.ldexp(np.linalg.norm(np.ldexp(w, -e)), e))
     dot = float(p @ q)
     if wn < 1e-12 * r * r:
         if dot > 0.0:

@@ -146,3 +146,13 @@ def unread_imports(path):
 def test_no_module_imports_a_name_it_does_not_read():
     unread = {f.name: unread_imports(f) for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"}
     assert {name: u for name, u in unread.items() if u} == {}
+
+
+def test_no_test_helper_is_defined_in_two_modules():
+    # a fixture or reference that two test modules need is defined once, in tests/references.py
+    defined = {}
+    for f in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(f.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("test_"):
+                defined.setdefault(node.name, []).append(f.name)
+    assert {name: files for name, files in defined.items() if len(files) > 1} == {}

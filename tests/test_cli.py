@@ -2,13 +2,11 @@
 
 import argparse
 import contextlib
-import importlib.util
 import io
 import json
 import math
 import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +29,9 @@ from liecurv import (
 )
 from liecurv.cli import main, parse_args, read_path_file, run, write_result
 from liecurv.transport import IntegratorConfig
+from references import CF, sequential_grid, stepped_product
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
-# the benchmark's closed forms, written without the library: the sweep's independent references
-_SPEC = importlib.util.spec_from_file_location("closed_forms", Path(__file__).parents[1] / "benchmarks/closed_forms.py")
-CF = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(CF)
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -885,21 +880,16 @@ def chart_path(req):
 
 
 def sphere_chart_transport(req):
-    """The frame a sphere request's chart path transports, and the sum of its step angles |dt a|, stepped in order.
-
-    The grid is the CLI's: ``linspace(0, 1, steps + 1)`` with the path's vertex times merged in, nodes closer than
-    1e-12 coalesced (the later kept). Each interval [t0, t0 + dt] is sampled at t* = t0 + s dt, with the method's s,
-    and steps R <- exp(dt a) R with a = -omega_c(t*)(c'(t*)) from ``closed_forms.sphere_algebra``."""
+    """The frame a sphere request's chart path transports, and the sum of its step angles |dt a|: the stepped product
+    of a = -omega_c(t)(c'(t)) from ``closed_forms.sphere_algebra`` over the CLI's grid, with the path's corners."""
     at, corners = chart_path(req)
-    merged = np.unique(np.concatenate([np.linspace(0.0, 1.0, req["steps"] + 1), corners]))
-    nodes = merged[np.append(np.diff(merged) > 1e-12, True)]
-    side, s = req["connection"].removeprefix("sphere-"), SAMPLE_POINT[req["method"]]
-    R, angles = np.eye(3), 0.0
-    for t0, dt in zip(nodes[:-1], np.diff(nodes)):
-        (theta, phi), v = at(t0 + s * dt)
-        step = dt * CF.sphere_algebra(req["radius"], side, theta, phi, v)
-        R, angles = CF.rodrigues(step) @ R, angles + float(np.linalg.norm(step))
-    return R, angles
+    side = req["connection"].removeprefix("sphere-")
+
+    def algebra(t):
+        (theta, phi), v = at(t)
+        return CF.sphere_algebra(req["radius"], side, theta, phi, v)
+
+    return stepped_product(algebra, sequential_grid(req["steps"], corners), SAMPLE_POINT[req["method"]])
 
 
 def _reject_constant(name):

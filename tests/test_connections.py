@@ -23,6 +23,7 @@ from liecurv import (
     sphere_surface,
     surface_rolling_form,
 )
+from references import graph_chart, random_frame
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +176,6 @@ def plane_chart(u):
     return np.stack([u[..., 0], u[..., 1], np.zeros_like(u[..., 0])], axis=-1)
 
 
-def graph_chart(u):
-    return np.stack([u[..., 0], u[..., 1], 0.3 * np.sin(u[..., 0]) * np.cos(u[..., 1])], axis=-1)
-
-
 def sphere_chart(r):
     def chart(u):
         th, ph = u[..., 0], u[..., 1]
@@ -242,6 +239,10 @@ def test_sphere_surface_validation():
         sphere_surface(1.0, side="top")
     with pytest.raises(ValueError, match="orthonormal"):
         sphere_surface(1.0, frame=(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0, 0, 1.0])))
+    for frame in ((np.array([np.nan, 0, 0]), *np.eye(3)[1:]), (*np.eye(3)[:2], np.full(3, np.nan))):
+        # a NaN defect once passed "> 1e-10", and det(F) warned; RuntimeWarnings are errors here (pyproject.toml)
+        with pytest.raises(ValueError, match="^frame vectors are not orthonormal$"):
+            sphere_surface(1.0, frame=frame)
     for frame in (np.eye(3)[:2], np.eye(2), [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, 0]]):
         with pytest.raises(ValueError, match="^frame must consist of three 3-vectors$"):
             sphere_surface(1.0, frame=frame)
@@ -426,12 +427,6 @@ def generic_rolling_form(surface, normal, shape_derivative, u, v):
         v_emb = surface.chart_tangent(ui) @ vi
         rows.append(-np.cross(normal(ui), v_emb + shape_derivative(v_emb)))
     return np.array(rows)
-
-
-def random_frame(rng, left_handed):
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    Q *= np.sign(np.linalg.det(Q)) * (-1.0 if left_handed else 1.0)  # det(Q) = -1 exactly when left-handed
-    return tuple(Q.T)  # sphere_surface stacks the frame vectors as columns: F = Q
 
 
 @SETTINGS

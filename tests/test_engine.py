@@ -4,16 +4,15 @@ The engine evaluates a whole block of grid nodes per call and composes the
 step quaternions by pairwise reduction into chunk products; the final frame
 is their right-aligned pairwise reduction and the recorded states their
 prefix scan, each built on first read. These tests hold it to the loop it
-replaced (one ``exp_so3(dt a) @ g`` per interval, written out below as the
-reference), to per-point evaluation of the same paths and forms, and to the
-paper's concatenation and reversal laws.
+replaced (one ``exp(dt a) g`` per interval, written without the library as
+``references.stepped_product``), to per-point evaluation of the same paths
+and forms, and to the paper's concatenation and reversal laws.
 """
 
 import dataclasses
-import importlib.util
+import importlib
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,38 +46,21 @@ from liecurv import (
     transport,
     transport_quat,
 )
-from liecurv.liecore import exp_components, hamilton
+from liecurv.liecore import hamilton
 from liecurv.transport import _BLOCK, _MAX_RECORDED, _last_product, _prefix_products
+from references import CF, exp_quaternion, graph_chart, rotated_frame, sequential_grid, stepped_product, tilted_circle
 
 ENGINE = importlib.import_module("liecurv.transport")  # the package exports a function of the same name
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 NAT = natural_form()
-METHODS = ("lie-euler", "exp-midpoint")
-# the benchmark's closed forms, written without the library: quat_mul is the Hamilton product as one expression
-# per component, which has hamilton's bits (tests/test_liecore.py)
-_SPEC = importlib.util.spec_from_file_location("closed_forms", Path(__file__).parents[1] / "benchmarks/closed_forms.py")
-CF = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(CF)
-
-
-def exp_quaternion(u):
-    """The unit quaternion exp_components forms from u (..., 3), stacked along the last axis as (..., 4)."""
-    return np.stack(exp_components(*np.moveaxis(np.asarray(u, dtype=float), -1, 0))[:4], axis=-1)
-
-
-def tilted_circle():
-    return circle(np.array([0.3, -0.2, 0.5]), 0.8, plane=(np.array([1.0, 0.2, 0.3]), np.array([-0.1, 1.0, 0.4])))
+SAMPLE_POINT = {"lie-euler": 0.0, "exp-midpoint": 0.5}  # each method's sample point, not read from the library
+METHODS = tuple(SAMPLE_POINT)
 
 
 def cornered_polyline():
     """Irregular vertex times, so corners fall between uniform grid nodes."""
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.3], [0.4, 1.2, 0.9], [-0.2, 0.3, 0.1], [0.0, 0.0, 0.0]])
     return polyline(pts, times=[0.0, 0.1234567, 0.4, 0.77777, 1.0])
-
-
-def rotated_frame():
-    R = exp_so3(np.array([0.4, -1.1, 0.7]))
-    return tuple(R[:, i] for i in range(3))
 
 
 PATHS = {
@@ -94,44 +76,23 @@ FORMS = {
     "pullback": pullback_form(PLANE_ROLLING_PULLBACK, natural_form()),
     "sphere-outer": surface_rolling_form(sphere_surface(2.0, side="outer", frame=rotated_frame())),
     "sphere-inner": surface_rolling_form(sphere_surface(0.5, side="inner")),
-    "parametric": surface_rolling_form(
-        parametric_surface(lambda u: np.stack([u[..., 0], u[..., 1], 0.3 * np.sin(u[..., 0]) * np.cos(u[..., 1])], -1))
-    ),
+    "parametric": surface_rolling_form(parametric_surface(graph_chart)),
 }
 
 TIMES = hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(0.0, 1.0))
 
 
-def sequential_grid(steps, corners=()):
-    """The grid's corner merge as a loop: a node within 1e-12 of the previous one replaces it."""
-    nodes = np.linspace(0.0, 1.0, steps + 1)
-    interior = [float(t) for t in corners if 0.0 < t < 1.0]
-    if interior:
-        merged = np.unique(np.concatenate([nodes, np.asarray(interior)]))
-        out = [merged[0]]
-        for t in merged[1:]:
-            if t - out[-1] > 1e-12:
-                out.append(t)
-            else:
-                out[-1] = t
-        nodes = np.asarray(out)
-    return nodes
-
-
 def sequential_transport(form, path, steps, method):
-    """The loop the engine replaced: one exp_so3 per interval, and its sample-recording rule."""
-    nodes = integration_grid(steps, path.corners)
+    """``(g, q, recorded)``: the loops the engine replaced, one exponential per interval for the frame and
+    q <- exp(dt v) q for the quaternion, and their sample-recording rule."""
+    nodes, s = sequential_grid(steps, path.corners), SAMPLE_POINT[method]
+    g, _ = stepped_product(lambda t: -form.evaluate(path.position(t), path.velocity(t)), nodes, s)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    for t0, dt in zip(nodes[:-1], np.diff(nodes)):
+        q = CF.quat_mul(CF.quat_exp(dt * path.velocity(t0 + s * dt)), q)
     n = len(nodes) - 1
     stride = max(1, -(-n // 1024))
-    g = np.eye(3)
-    recorded = [0.0]
-    for k in range(n):
-        dt = nodes[k + 1] - nodes[k]
-        t = nodes[k] + 0.5 * dt if method == "exp-midpoint" else nodes[k]
-        g = exp_so3(-dt * form.evaluate(path.position(t), path.velocity(t))) @ g
-        if (k + 1) % stride == 0 or k + 1 == n:
-            recorded.append(float(nodes[k + 1]))
-    return g, recorded
+    return g, q, [0.0] + [float(nodes[k]) for k in range(1, n + 1) if k % stride == 0 or k == n]
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +463,7 @@ def test_the_uniform_grid_is_linspace_bit_for_bit():
 def test_engine_matches_sequential_reference(steps, method, path_name):
     path = PATHS[path_name]
     cfg = IntegratorConfig(method=method, steps=steps)
-    want, want_ts = sequential_transport(NAT, path, steps, method)
+    want, want_q, want_ts = sequential_transport(NAT, path, steps, method)
     res = transport(NAT, path, config=cfg)
     np.testing.assert_allclose(res.final, want, rtol=0.0, atol=1e-12)
     times, points, _ = res.states
@@ -511,15 +472,9 @@ def test_engine_matches_sequential_reference(steps, method, path_name):
     for t, x in zip(times[::every].tolist(), points[::every]):
         np.testing.assert_allclose(x, path.position(t), rtol=0.0, atol=1e-14)
 
-    # quaternion transport composes the same way: compare with q <- exp(dt v) q
-    nodes = integration_grid(steps, path.corners)
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    for k in range(len(nodes) - 1):
-        dt = nodes[k + 1] - nodes[k]
-        t = nodes[k] + 0.5 * dt if method == "exp-midpoint" else nodes[k]
-        q = CF.quat_mul(exp_quaternion(dt * path.velocity(t)), q)
+    # quaternion transport composes the same way
     got = transport_quat(path, config=cfg)
-    np.testing.assert_allclose(got.final, q, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got.final, want_q, rtol=0.0, atol=1e-12)
     assert got.states[0].tolist() == want_ts
 
 

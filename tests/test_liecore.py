@@ -1,9 +1,9 @@
 """Tests for the so(3) / SO(3) / unit-quaternion kernels.
 
-Expected values come from independent oracles built inside this file:
-truncated power series for the exponentials, the 4x4 left-multiplication
-representation for quaternions, and quaternion conjugation for rotation
-images.
+Expected values come from independent oracles: truncated power series for
+the exponentials, the 4x4 left-multiplication representation for quaternions,
+quaternion conjugation for rotation images, and the benchmark's closed forms
+(``references.CF``).
 """
 
 import importlib
@@ -32,6 +32,7 @@ from liecurv import (
     vee,
 )
 from liecurv.liecore import _checked_entries, exp_components, hamilton
+from references import CF, exp_quaternion
 
 LIECORE = importlib.import_module("liecurv.liecore")
 
@@ -44,11 +45,6 @@ def series_exp(A, terms=20):
         term = term @ A / k
         E = E + term
     return E
-
-
-def exp_quaternion(u):
-    """The unit quaternion exp_components forms from u (..., 3), stacked along the last axis as (..., 4)."""
-    return np.stack(exp_components(*np.moveaxis(np.asarray(u, dtype=float), -1, 0))[:4], axis=-1)
 
 
 def left_matrix(q):
@@ -326,7 +322,7 @@ def test_quat_to_rotation_conjugation_oracle():
         q = rng.standard_normal(4)
         q = q / np.linalg.norm(q)
         v = rng.standard_normal(3)
-        img = expression_product(expression_product(q, np.concatenate([[0.0], v])), q * [1.0, -1.0, -1.0, -1.0])[1:]
+        img = CF.quat_mul(CF.quat_mul(q, np.concatenate([[0.0], v])), q * [1.0, -1.0, -1.0, -1.0])[1:]
         np.testing.assert_allclose(quat_to_rotation(q) @ v, img, atol=1e-12)
 
 
@@ -764,13 +760,6 @@ def test_stacked_vee_refusal_names_the_first_bad_index():
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e308, -1e308, 1.5, -0.75]
 
 
-def expression_product(p, q):
-    """The Hamilton product's terms as one expression per component, as the product was once written."""
-    (pw, px, py, pz), (qw, qx, qy, qz) = p, q
-    return (pw * qw - px * qx - py * qy - pz * qz, pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx, pw * qz + px * qy - py * qx + pz * qw)
-
-
 def component_exp(u):
     """The quaternion exponential and its angle as once written: the norm in np.linalg.norm's order, then the sinc branch by np.where."""
     x, y, z = u[..., 0], u[..., 1], u[..., 2]
@@ -791,7 +780,7 @@ def test_hamilton_is_the_expression_product_bit_for_bit(P):
     # same IEEE operations in the same order
     p, q = P
     with np.errstate(over="ignore", invalid="ignore"):
-        want = np.array(expression_product(p, q))
+        want = CF.quat_mul(p, q)
         assert np.array(hamilton(p, q)).tobytes() == want.tobytes()
         assert np.array(hamilton(list(p[:, ::-1]), tuple(q[:, ::-1]))).tobytes() == want[:, ::-1].tobytes()
         for k in range(min(P.shape[-1], 5)):
@@ -800,9 +789,9 @@ def test_hamilton_is_the_expression_product_bit_for_bit(P):
                 assert got.tobytes() == want[:, k].tobytes(), (convert, k)
         # components broadcast together: rows against rows of another shape, and one quaternion against rows
         Ps, Qs = np.moveaxis(P, 1, -1)  # (n, 4) each
-        assert np.array(hamilton(Ps.T[:, :, None], Qs.T[:, None, :2])).tobytes() == np.array(
-            expression_product(Ps.T[:, :, None], Qs.T[:, None, :2])).tobytes()
-        assert np.array(hamilton(Ps[0], Qs.T)).tobytes() == np.array(expression_product(Ps[0], Qs.T)).tobytes()
+        want = CF.quat_mul(Ps.T[:, :, None], Qs.T[:, None, :2])
+        assert np.array(hamilton(Ps.T[:, :, None], Qs.T[:, None, :2])).tobytes() == want.tobytes()
+        assert np.array(hamilton(Ps[0], Qs.T)).tobytes() == CF.quat_mul(Ps[0], Qs.T).tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

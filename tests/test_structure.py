@@ -33,6 +33,7 @@ from liecurv import (
     unit_sphere_section,
 )
 from liecurv.verify import sphere_curvature_probe
+from references import random_frame
 
 H = 1e-3  # stencil step
 TOL = 1e-8  # relative to the size of the structure equation's terms
@@ -52,12 +53,6 @@ def structure_equation(form, x, u, v):
     wu, wv = omega(x, u), omega(x, v)
     size = np.linalg.norm(du_v) + np.linalg.norm(dv_u) + np.linalg.norm(wu) * np.linalg.norm(wv)
     return du_v - dv_u + cross(wu, wv), size
-
-
-def random_frame(rng, left_handed):
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    Q *= np.sign(np.linalg.det(Q)) * (-1.0 if left_handed else 1.0)  # det(Q) = -1 exactly when left-handed
-    return tuple(Q.T)  # sphere_surface stacks the frame vectors as columns: F = Q
 
 
 def catalogued_form(kind, r, frame, rng):

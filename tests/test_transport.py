@@ -44,24 +44,10 @@ from liecurv import (
     transport,
     transport_quat,
 )
+from references import CF, rotated_frame, tilted_circle
 
 NAT = natural_form()
 E1, E2, E3 = np.eye(3)
-
-
-def quaternion_exp(u):
-    """The unit quaternion (cos|u|, sin|u| u/|u|) of a nonzero pure quaternion u, written out."""
-    theta = np.linalg.norm(u)
-    return np.concatenate([[np.cos(theta)], np.sin(theta) / theta * u])
-
-
-def tilted_circle():
-    """Smooth closed curve whose algebra increments do not commute."""
-    return circle(
-        np.array([0.3, -0.2, 0.5]),
-        0.8,
-        plane=(np.array([1.0, 0.2, 0.3]), np.array([-0.1, 1.0, 0.4])),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +176,7 @@ def test_integrator_config_accepts_any_integer_type(steps):
 @pytest.mark.parametrize("read_first", ["final", "states"])
 def test_results_do_not_see_later_changes_to_the_start_frame(read_first):
     cfg = IntegratorConfig(steps=3000)
-    g0, q0 = exp_so3(np.array([0.4, -1.2, 0.9])), quaternion_exp(np.array([0.3, 0.1, -0.7]))
+    g0, q0 = exp_so3(np.array([0.4, -1.2, 0.9])), CF.quat_exp(np.array([0.3, 0.1, -0.7]))
     want = (transport(NAT, tilted_circle(), g0.copy(), cfg), transport_quat(tilted_circle(), q0.copy(), cfg))
     got = (transport(NAT, tilted_circle(), g0, cfg), transport_quat(tilted_circle(), q0, cfg))
     g0[:] = np.eye(3)
@@ -222,7 +208,7 @@ def test_integration_grid_merges_corners():
 def test_transport_quat_line_is_the_quaternion_exponential():
     xi = np.array([0.4, -1.1, 0.8])
     res = transport_quat(line(np.zeros(3), xi), config=IntegratorConfig(steps=100))
-    np.testing.assert_allclose(res.final, quaternion_exp(xi), atol=1e-12)
+    np.testing.assert_allclose(res.final, CF.quat_exp(xi), atol=1e-12)
 
 
 def test_transport_quat_projects_onto_group_transport():
@@ -303,8 +289,7 @@ def test_small_loop_curvature_antisymmetry():
 
 
 def rotated_sphere(radius, side):
-    R = exp_so3(np.array([0.4, -1.1, 0.7]))
-    return surface_rolling_form(sphere_surface(radius, side=side, frame=tuple(R[:, i] for i in range(3))))
+    return surface_rolling_form(sphere_surface(radius, side=side, frame=rotated_frame()))
 
 
 CHART_POINT, CHART_U, CHART_V = np.array([1.1, 0.4]), np.array([0.6, 0.2]), np.array([-0.3, 1.1])
@@ -589,6 +574,11 @@ def test_circle_validation():
     with pytest.raises(ValueError, match="parallel"):
         circle(np.zeros(3), 1.0, plane=(E1, E1 + 0.9e-12 * E2))
     circle(np.zeros(3), 1.0, plane=(1.1e-12 * E1, E1 + 1.1e-12 * E2))
+    # a plane of another dimension was once built, and its first transport failed with numpy's broadcast error
+    for form, center, plane, shapes in ((plane_rolling_form(), np.zeros(2), (E1, E2), "(2,), got (3,) and (3,)"),
+                                        (NAT, np.zeros(3), tuple(np.eye(2)), "(3,), got (2,) and (2,)")):
+        with pytest.raises(ValueError, match=re.escape(f"plane vectors must have the center's shape {shapes}") + "$"):
+            transport(form, circle(center, 1.0, plane=plane))
 
 
 def test_circle_holonomy_does_not_depend_on_the_scale_of_its_plane():
@@ -738,6 +728,26 @@ def test_great_arc_antipodal_half_circle():
     path, surface = great_arc(p, -p)
     np.testing.assert_allclose(surface.chart(path.position(1.0)), -p, atol=1e-12)
     np.testing.assert_allclose(path.velocity(0.0)[1], np.pi, atol=1e-12)
+
+
+def test_great_arc_takes_every_power_of_two_radius_and_refuses_non_finite_points():
+    # |p x q|^2 = r^4 once overflowed from r ~ 1e78 and underflowed below r ~ 1e-80, and the arc was refused; a
+    # power-of-two radius scales every operation exactly, so the path is the unit arc's, bit for bit
+    p, q = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path, surface = great_arc(p, q)
+        u = path.position(np.linspace(0.0, 1.0, 5))
+        for k in range(-510, 511):
+            r = 2.0**k
+            scaled, chart = great_arc(r * p, r * q)
+            assert scaled.velocity(0.3).tobytes() == path.velocity(0.3).tobytes(), k
+            assert scaled.position(0.7).tobytes() == path.position(0.7).tobytes(), k
+            assert (chart.chart_tangent(u) / r).tobytes() == surface.chart_tangent(u).tobytes(), k
+        for bad in (np.nan, np.inf, -np.inf):
+            for points in ((np.array([0.0, bad, 1.0]), q), (p, np.array([0.6, 0.0, bad]))):
+                with pytest.raises(ValueError, match="^great_arc points p and q must be finite$"):
+                    great_arc(*points)
 
 
 def test_great_arc_validation():

@@ -1,7 +1,6 @@
 """Tests for the residual checks and their building blocks."""
 
-import importlib.util
-from pathlib import Path
+import importlib
 
 import numpy as np
 import pytest
@@ -45,12 +44,7 @@ from liecurv import (
     unit_sphere_section,
 )
 from liecurv.verify import _BASEPOINT, _FIGURE_EIGHT, _s3_bracket, curvature_probe, default_span_loops, run_check
-
-# the benchmark's closed forms, written without the library: quat_mul is the Hamilton product as one expression
-# per component, which has hamilton's bits (tests/test_liecore.py)
-_SPEC = importlib.util.spec_from_file_location("closed_forms", Path(__file__).parents[1] / "benchmarks/closed_forms.py")
-CF = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(CF)
+from references import CF, tilted_circle
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +420,6 @@ def test_run_all_checks_with_seed_offset():
 
 
 transport_module = importlib.import_module("liecurv.transport")  # the name liecurv.transport is the function
-
-
-def tilted_circle():
-    return circle(np.array([0.3, -0.2, 0.5]), 0.8, plane=(np.array([1.0, 0.2, 0.3]), np.array([-0.1, 1.0, 0.4])))
 
 
 SPHERE_FORM, CHART_CIRCLE = surface_rolling_form(sphere_surface(2.0)), circle(np.array([1.2, 0.5]), 0.4)
