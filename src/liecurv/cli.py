@@ -302,9 +302,10 @@ def write_result(doc: dict, fmt: str = "json", out: str | None = None) -> str:
     the number's key path, such as ``curvature.factor``.
     """
     if fmt == "json":
+        # ``run`` builds no circular document, so the encoder need not track the ids of its lists and dicts
         try:
-            text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-        except ValueError:  # a non-finite float: ``run`` builds no circular document, so json raises no other
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False) + "\n"
+        except ValueError:  # a non-finite float: with no cycle, json raises no other
             raise ValueError(f"{_non_finite_key(doc)} is not finite") from None
     elif fmt == "csv":
         traj = doc.get("trajectory") or []

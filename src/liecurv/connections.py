@@ -159,9 +159,18 @@ def _orthonormal_frame(frame) -> np.ndarray:
     F = np.column_stack([np.asarray(f, dtype=float) for f in frame])
     if F.shape != (3, 3):
         raise ValueError("frame must consist of three 3-vectors")
-    if not np.linalg.norm(F.T @ F - np.eye(3)) <= 1e-10:  # NaN too
+    # an orthonormal frame's entries are at most 1 in size: a bound first keeps F.T @ F free of inf and NaN
+    if not (np.abs(F) <= 2.0).all() or not np.linalg.norm(F.T @ F - np.eye(3)) <= 1e-10:  # NaN too
         raise ValueError("frame vectors are not orthonormal")
     return F
+
+
+def sphere_radius(radius) -> float:
+    """``radius`` as a float, refused unless r^2 and 1/r^2 are finite, nonzero floats (about 1e-154 < r < 1e154)."""
+    r = float(radius)
+    if not (0.0 < r and 0.0 < r * r < np.inf and 1.0 / (r * r) < np.inf):
+        raise ValueError(f"sphere radius must be positive and finite, with finite r^2 and 1/r^2, got {r}")
+    return r
 
 
 def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
@@ -180,14 +189,15 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
     rolling map is in closed form: n x (v_emb + Dn v_emb) = (s r + 1) det(F)
     F (v_th e_ph - v_ph sin(th) e_th), with e_th = (cos th cos ph, cos th sin ph,
     -sin th) and e_ph = (-sin ph, cos ph, 0). det(F) = -1 for a left-handed
-    frame, and s r + 1 is exactly 0 on the inner unit sphere.
+    frame, and s r + 1 is exactly 0 on the inner unit sphere. When every
+    colatitude of a stack is one float, as along a latitude or a great arc,
+    and the tangents have the points' shape, the rolling map takes its sine
+    and cosine once for the stack, with the same bits.
 
     A radius is refused unless r^2 and 1/r^2 are finite, nonzero floats (about
     1e-154 < r < 1e154), so that the Gauss curvature K = 1/r^2 and 1 - K are finite.
     """
-    r = float(radius)
-    if not (0.0 < r and 0.0 < r * r < np.inf and 1.0 / (r * r) < np.inf):
-        raise ValueError(f"sphere radius must be positive and finite, with finite r^2 and 1/r^2, got {r}")
+    r = sphere_radius(radius)
     if side not in ("outer", "inner"):
         raise ValueError(f"side must be 'outer' or 'inner', got {side!r}")
     F = _orthonormal_frame(frame)
@@ -226,7 +236,14 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         # the chart tangent's polar-cap refusal, so both report a cap point alike
         th, ph = colatitude(u, "chart tangent")
         v = np.asarray(v, dtype=float)
-        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        # a latitude, and so every great arc, has one colatitude; equal floats outside the cap have equal
+        # bits (no NaN, no signed zero), so its sine and cosine once give each row's bits. The last and
+        # middle rows are compared first, so that a varying stack, a closed loop too, costs no full
+        # comparison; tangents of the points' shape carry the two 0-d values to every row.
+        latitude = (v.shape == th.shape + (2,) and th.size > 1
+                    and th.item(0) == th.item(-1) == th.item(th.size // 2) and (th == th.item(0)).all())
+        t = th.item(0) if latitude else th
+        st, ct, sp, cp = np.sin(t), np.cos(t), np.sin(ph), np.cos(ph)
         with np.errstate(over="ignore", invalid="ignore"):  # huge tangents give inf or NaN, refused by the engine
             v_th, a = v[..., 0], v[..., 1] * st  # a = v_ph sin(th)
             b = a * ct

@@ -85,7 +85,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .connections import LocalConnectionForm, Surface, sphere_surface
+from .connections import LocalConnectionForm, Surface, sphere_radius, sphere_surface
 from .liecore import (check_rotation, check_unit_quat, exp_components, exp_so3, hamilton, lie_hom_derivative,
                       log_so3, quat_to_rotation)
 
@@ -706,6 +706,14 @@ def parallelogram_loop(x, u, v, eps: float) -> PathSpec:
     return dataclasses.replace(loop, kind="parallelogram")
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x| from x 2^-e, its largest entry in [0.5, 1), so that no |x|^2 over- or underflows (|p x q|^2 = r^4 does
+    inside sphere_surface's radii). A power of two scales exactly: where np.linalg.norm's squares stay normal
+    floats, the bits are its."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
 def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
     """Shortest great-circle arc from p to q on the sphere of radius |p|, as a chart path.
 
@@ -713,23 +721,20 @@ def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
     far from the chart's polar caps) and returns the path in that chart's
     coordinates together with the surface. For antipodal endpoints the
     half-circle plane is chosen deterministically from the coordinate axis
-    least aligned with p.
+    least aligned with p. A radius |p| that :func:`sphere_surface` refuses
+    is refused, by its value, before p and q are multiplied.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != (3,) or q.shape != (3,):
         raise ValueError("great_arc expects two points in R^3")
     _check_finite("great_arc points p and q", p, q)
-    r = float(np.linalg.norm(p))
-    if r <= 0.0:
-        raise ValueError("sphere radius must be positive")
-    if abs(np.linalg.norm(q) - r) > 1e-9 * max(r, 1.0):
+    r = sphere_radius(_norm(p))
+    if abs(_norm(q) - r) > 1e-9 * max(r, 1.0):
         raise ValueError(f"point q does not lie on the sphere of radius {r}")
 
     w = np.cross(p, q)
-    # |w| from w 2^-e, its largest entry in [0.5, 1): |w|^2 = r^4 over- or underflows inside sphere_surface's radii
-    e = int(np.frexp(np.abs(w).max())[1])
-    wn = float(np.ldexp(np.linalg.norm(np.ldexp(w, -e)), e))
+    wn = _norm(w)
     dot = float(p @ q)
     if wn < 1e-12 * r * r:
         if dot > 0.0:
@@ -737,7 +742,7 @@ def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
         # antipodal: any axis orthogonal to p closes a half circle
         e = np.eye(3)[int(np.argmin(np.abs(p)))]
         w = np.cross(p, e)
-        f3 = w / np.linalg.norm(w)
+        f3 = w / _norm(w)
         s = float(np.pi)
     else:
         f3 = w / wn

@@ -976,6 +976,20 @@ def test_write_result_refuses_non_finite_numbers():
             write_result({"trajectory": [finite, row]}, fmt="csv")
 
 
+@pytest.mark.parametrize("argv", [
+    ["transport", "--connection", "sphere-outer", "--radius", "2", "--x0", "1.1,0.4", "--path", "line", "--xi", "0,3",
+     "--steps", "1025"],
+    ["curvature", "--connection", "sphere-inner", "--radius", "0.5"],
+    ["verify", "--all", "--seed", "6"],
+    ["section", "--point", "0,0,-1"],
+], ids=["transport", "curvature", "verify", "section"])
+def test_json_text_is_the_text_with_circular_reference_checks(argv):
+    # run builds no circular document, so the encoder's id tracking, which write_result turns off, changes no byte
+    doc = run(parse_args(argv))
+    want = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=True) + "\n"
+    assert write_result(doc) == want
+
+
 def test_a_non_finite_json_number_is_refused_by_its_key_path(capsys, monkeypatch):
     doc = run(parse_args(["transport", "--xi", "0.3,-0.7,0.5", "--steps", "8"]))
     doc["curvature"] = {"estimate": [0.0, 0.0, 1.0], "factor": float("nan")}

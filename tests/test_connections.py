@@ -239,8 +239,10 @@ def test_sphere_surface_validation():
         sphere_surface(1.0, side="top")
     with pytest.raises(ValueError, match="orthonormal"):
         sphere_surface(1.0, frame=(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0, 0, 1.0])))
-    for frame in ((np.array([np.nan, 0, 0]), *np.eye(3)[1:]), (*np.eye(3)[:2], np.full(3, np.nan))):
-        # a NaN defect once passed "> 1e-10", and det(F) warned; RuntimeWarnings are errors here (pyproject.toml)
+    for frame in ((np.array([np.nan, 0, 0]), *np.eye(3)[1:]), (*np.eye(3)[:2], np.full(3, np.nan)),
+                  (np.array([np.inf, 0, 0]), *np.eye(3)[1:]), (np.array([1e200, 0, 0]), *np.eye(3)[1:])):
+        # a NaN defect once passed "> 1e-10", and det(F) warned; an inf or huge entry warned in F.T @ F;
+        # RuntimeWarnings are errors here (pyproject.toml)
         with pytest.raises(ValueError, match="^frame vectors are not orthonormal$"):
             sphere_surface(1.0, frame=frame)
     for frame in (np.eye(3)[:2], np.eye(2), [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, 0]]):
@@ -467,14 +469,16 @@ def test_inner_unit_sphere_closed_form_is_exactly_zero(left_handed, n, seed):
     n=st.integers(1, 12),
     k=st.integers(0, 11),
     cap=st.one_of(st.floats(0.0, 1e-3, exclude_max=True), st.floats(np.pi - 1e-3, np.pi, exclude_min=True)),
+    latitude=st.booleans(),  # every row at the cap colatitude: one colatitude for the stack
 )
-@example(n=1, k=0, cap=0.0)
-@example(n=12, k=11, cap=np.pi)
-def test_sphere_rolling_names_the_one_cap_point_of_a_stack(n, k, cap):
+@example(n=1, k=0, cap=0.0, latitude=False)
+@example(n=12, k=11, cap=np.pi, latitude=False)
+@example(n=12, k=0, cap=5e-4, latitude=True)
+def test_sphere_rolling_names_the_one_cap_point_of_a_stack(n, k, cap, latitude):
     k %= n
     s = sphere_surface(1.5)
     u = np.column_stack([np.linspace(0.5, 2.5, n), np.linspace(-1.0, 1.0, n)])
-    u[k, 0] = cap
+    u[slice(None) if latitude else k, 0] = cap
     message = f"colatitude {cap:.6g} lies in the polar cap"
     with pytest.raises(ValueError, match=re.escape(message)) as refused:
         surface_rolling_form(s).evaluate(u, np.ones((n, 2)))
@@ -494,10 +498,13 @@ def test_sphere_rolling_names_the_one_cap_point_of_a_stack(n, k, cap):
     r=st.floats(0.2, 5.0),
     n=st.integers(1, 12),
     k=st.integers(1, 8),
+    latitude=st.booleans(),  # the n rows below the leading k share one colatitude, as along a latitude
     seed=st.integers(0, 2**32 - 1),
 )
-@example(surface="framed sphere", r=2.0, n=1, k=4, seed=0)
-def test_a_stacks_rows_keep_their_bits_under_leading_rows(surface, r, n, k, seed):
+@example(surface="framed sphere", r=2.0, n=1, k=4, latitude=False, seed=0)
+@example(surface="sphere", r=2.0, n=12, k=1, latitude=True, seed=0)
+@example(surface="framed sphere", r=0.5, n=7, k=3, latitude=True, seed=1)
+def test_a_stacks_rows_keep_their_bits_under_leading_rows(surface, r, n, k, latitude, seed):
     rng = np.random.RandomState(seed)
     side = ("outer", "inner")[rng.randint(2)]
     s = {
@@ -506,9 +513,46 @@ def test_a_stacks_rows_keep_their_bits_under_leading_rows(surface, r, n, k, seed
         "parametric": lambda: parametric_surface(graph_chart),
     }[surface]()
     u = np.column_stack([rng.uniform(0.05, np.pi - 0.05, n + k), rng.uniform(-10.0, 10.0, n + k)])
+    if latitude:
+        u[k:, 0] = u[k, 0]
     v = rng.standard_normal((n + k, 2)) * rng.uniform(0.01, 100.0)
     form = surface_rolling_form(s)
     assert form.evaluate(u[k:], v[k:]).tobytes() == form.evaluate(u, v)[k:].tobytes()
+
+
+# Along a latitude, and so along every great arc, a stack's colatitudes are one float: the sphere's rolling
+# map takes their sine and cosine once. Each row must keep the bits it has when evaluated alone.
+
+
+@SETTINGS
+@given(
+    r=st.floats(0.2, 5.0),
+    side=st.sampled_from(["outer", "inner"]),
+    frame=st.sampled_from(["identity", "rotated", "left-handed"]),
+    shape=st.sampled_from([(0, 2), (1, 2), (2, 2), (9, 2), (64, 2), (3, 5, 2), (2, 1, 2)]),
+    theta=st.floats(1e-3, np.pi - 1e-3),
+    dent=st.booleans(),  # one inner row at another colatitude, the first and last rows still equal
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(r=2.0, side="outer", frame="identity", shape=(64, 2), theta=0.5 * np.pi, dent=False, seed=0)
+@example(r=0.5, side="inner", frame="left-handed", shape=(3, 5, 2), theta=1e-3, dent=False, seed=1)
+@example(r=1.0, side="outer", frame="rotated", shape=(9, 2), theta=np.pi - 1e-3, dent=False, seed=2)
+@example(r=2.0, side="outer", frame="identity", shape=(9, 2), theta=1.1, dent=True, seed=3)
+def test_sphere_rolling_along_a_latitude_equals_it_row_by_row(r, side, frame, shape, theta, dent, seed):
+    rng = np.random.RandomState(seed)
+    F = None if frame == "identity" else random_frame(rng, frame == "left-handed")
+    s = sphere_surface(r, side=side, frame=F)
+    u = np.stack([np.full(shape[:-1], theta), rng.uniform(-10.0, 10.0, shape[:-1])], axis=-1)
+    if dent and u[..., 0].size > 2:
+        u.reshape(-1, 2)[1, 0] += 0.1 if theta < 1.5 else -0.1
+    v = rng.standard_normal(shape) * rng.uniform(0.01, 100.0)
+    got = s.rolling(u, v)
+    rows = [s.rolling(ui, vi) for ui, vi in zip(u.reshape(-1, 2), v.reshape(-1, 2))]
+    assert got.shape == shape[:-1] + (3,)
+    assert got.tobytes() == np.array(rows).tobytes()
+    # one tangent against the whole stack broadcasts, as it does off a latitude
+    w = np.array([0.3, -1.7])
+    assert s.rolling(u, w).tobytes() == np.array([s.rolling(ui, w) for ui in u.reshape(-1, 2)]).tobytes()
 
 
 # The sphere's chart and chart tangent end in a matmul with the frame too: F.T, in Fortran order, gave a

@@ -758,3 +758,7 @@ def test_great_arc_validation():
         great_arc(p, np.array([2.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="positive"):
         great_arc(np.zeros(3), p)
+    # |p| and |q| once overflowed past r ~ 1.34e154, warned, and named the radius inf; RuntimeWarnings are errors here
+    for r in (2e154, 1e200, 1e-200):
+        with pytest.raises(ValueError, match=re.escape(f"with finite r^2 and 1/r^2, got {r}") + "$"):
+            great_arc(r * p, r * np.array([0.6, 0.0, 0.8]))
