@@ -211,8 +211,8 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         if u.shape[-1:] != (2,):
             raise ValueError("sphere chart expects (colatitude, longitude) pairs")
         th = u[..., 0]
-        inside = (POLAR_CAP <= th) & (th <= np.pi - POLAR_CAP)  # NaN is outside
-        if not inside.all():
+        if not (POLAR_CAP <= th.min(initial=np.inf) and th.max(initial=-np.inf) <= np.pi - POLAR_CAP):  # NaN fails
+            inside = (POLAR_CAP <= th) & (th <= np.pi - POLAR_CAP)  # a mask only to name the first bad colatitude
             bad = float(np.ravel(th)[np.argmin(np.ravel(inside))])
             raise ValueError(
                 f"{what} at colatitude {bad:.6g} lies in the polar cap "
@@ -237,10 +237,11 @@ def sphere_surface(radius: float, side: str = "outer", frame=None) -> Surface:
         th, ph = colatitude(u, "chart tangent")
         v = np.asarray(v, dtype=float)
         # a latitude, and so every great arc, has one colatitude; equal floats outside the cap have equal
-        # bits (no NaN, no signed zero), so its sine and cosine once give each row's bits. The last and
-        # middle rows are compared first, so that a varying stack, a closed loop too, costs no full
-        # comparison; tangents of the points' shape carry the two 0-d values to every row.
-        latitude = (v.shape == th.shape + (2,) and th.size > 1
+        # bits (no NaN, no signed zero), so its sine and cosine once give each row's bits. Only stacks of over
+        # 200 rows (below, the comparisons cost more than the two arrays they save); the last and middle rows
+        # are compared first, so that a varying stack, a closed loop too, costs no full comparison; tangents
+        # of the points' shape carry the two 0-d values to every row.
+        latitude = (v.shape == th.shape + (2,) and th.size > 200
                     and th.item(0) == th.item(-1) == th.item(th.size // 2) and (th == th.item(0)).all())
         t = th.item(0) if latitude else th
         st, ct, sp, cp = np.sin(t), np.cos(t), np.sin(ph), np.cos(ph)

@@ -15,7 +15,9 @@ Conventions used throughout the package:
 The other kernels accept array-likes and return fresh ``float64`` arrays.
 ``exp_so3``, ``log_so3``, ``check_rotation`` and ``check_unit_quat`` take one
 input; the rest also take a stack of vectors (..., 3), matrices (..., 3, 3) or
-quaternions (..., 4) and equal their row-by-row calls bit for bit.
+quaternions (..., 4) and equal their row-by-row calls bit for bit. One input
+(pair) of ``check_rotation``, ``quat_to_rotation`` or ``cross`` runs on Python
+floats, by numpy's operations in numpy's order: numpy's bits.
 """
 
 from __future__ import annotations
@@ -53,11 +55,16 @@ def vee(M) -> np.ndarray:
 
 
 def cross(u, v) -> np.ndarray:
-    """Cross product on R^3 (the Lie bracket in hat coordinates)."""
+    """Cross product on R^3 (the Lie bracket in hat coordinates); one pair on Python floats, np.cross's bits."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[-1:] != (3,) or v.shape[-1:] != (3,):
         raise ValueError("cross expects two 3-vectors")
+    if u.shape == v.shape == (3,):
+        (a0, a1, a2), (b0, b1, b2) = u.tolist(), v.tolist()
+        w = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+        if math.isfinite(sum(w)):  # else np.cross, for its warnings; a finite overflowing sum only costs its call
+            return np.array(w)
     return np.cross(u, v)
 
 
@@ -151,16 +158,17 @@ def exp_components(x, y, z) -> tuple:
     quaternion (cos|u|, sin|u| u/|u|), the sinc factor by its Taylor expansion below 1e-6, with the angle
     theta = |u| it is formed from, as ``(w, x, y, z, theta)``: the package's one exponential.
 
-    Each ufunc loop runs along the rows; |u|^2 = (x x + y y) + z z, np.linalg.norm's
-    summation order, and the sinc quotient are formed in place on rows.
+    Each ufunc loop runs along the rows; |u|^2 = (x x + y y) + z z, np.linalg.norm's summation order, and
+    the sinc quotient are formed in place on rows, and one reduction, the least angle apart from NaN, decides
+    the branch.
     """
     theta = x * x
     theta += y * y
     theta += z * z
     theta = np.sqrt(theta)
-    small = theta < _EPS_ANGLE
     sinc = np.sin(theta)
-    if small.any():
+    if np.fmin.reduce(theta, axis=None, initial=np.inf) < _EPS_ANGLE:  # any angle below 1e-6 (fmin skips NaN)
+        small = theta < _EPS_ANGLE
         t2 = theta * theta
         sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sinc / np.where(small, 1.0, theta))
     else:

@@ -21,22 +21,23 @@ engine, :func:`_compose`, with one step rule. It walks the grid one block of
 at most a few thousand intervals at a time, so memory stays flat on long
 runs, and for each block it
 
-1. samples a(t*) at every node of the block in one call: paths map an
-   array of n times to (n, d) arrays and forms map (n, d) stacks to (n, 3).
-   The form's shape is checked on every block; the first also carries the
-   start point, where the path's shapes are checked before the form is
-   called (:func:`_form_sampler`), once each, and positions are evaluated
-   only where the form reads them. Per-node
+1. samples the form's own value omega = -a(t*) at every node of the block
+   in one call: paths map an array of n times to (n, d) arrays and forms
+   map (n, d) stacks to (n, 3). The form's shape is checked on every block;
+   the first also carries the start point, where the path's shapes are
+   checked before the form is called (:func:`_form_sampler`), once each, and
+   positions are evaluated only where the form reads them. Per-node
    arithmetic runs along the node axis: the catalog paths compute their
    (n, d) values as (d, n) and return the transpose, and dt a / 2 is formed
-   as (3, n), so each numpy loop covers the whole block, not one node's
-   2 to 4 components;
+   as (-dt / 2) omega, bitwise (dt / 2)(-omega), laid out (3, n), so each
+   numpy loop covers the whole block, not one node's 2 to 4 components;
 2. exponentiates all steps at once as unit quaternions by half angles,
-   exp(dt a / 2) (:func:`liecurv.liecore.exp_components`), refusing the
-   first non-finite one by its time, and
-   sums the step angles |dt a| from those half angles. A step's image under
-   the double cover is exactly exp_so3(dt a), so one product is both the
-   SO(3) frame (through :func:`liecurv.liecore.quat_to_rotation`) and its
+   exp(dt a / 2) (:func:`liecurv.liecore.exp_components`), and sums the
+   step angles |dt a| from those half angles; a block's steps are finite
+   when its angle sum is, so only a non-finite sum is searched for the
+   first non-finite step, refused by its time. A step's image under the
+   double cover is exactly exp_so3(dt a), so one product is both the SO(3)
+   frame (through :func:`liecurv.liecore.quat_to_rotation`) and its
    continuous quaternion lift. Quaternion transport is such a lift: its
    so(3) input is lie_hom_derivative(v) = 2 v for the path velocity v, so
    its step is exp(dt v);
@@ -86,8 +87,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .connections import LocalConnectionForm, Surface, sphere_radius, sphere_surface
-from .liecore import (check_rotation, check_unit_quat, exp_components, exp_so3, hamilton, lie_hom_derivative,
-                      log_so3, quat_to_rotation)
+from .liecore import (check_rotation, check_unit_quat, cross, exp_components, exp_so3, hamilton,
+                      lie_hom_derivative, log_so3, quat_to_rotation)
 
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
@@ -176,7 +177,7 @@ def integration_grid(steps: int, corners: tuple[float, ...] = ()) -> np.ndarray:
 
 
 def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np.ndarray]:
-    """The algebra input a(t) = -omega_{c(t)}(c'(t)) as a function of an array of times.
+    """The form's own value omega_{c(t)}(c'(t)) = -a(t), minus the algebra input, as a function of an array of times.
 
     ``sample(ts, start)`` checks on every block that the form maps its n times to (n, 3). The first block
     (``start``) is led by m = max(d, 3) + 1 rows at time 0, the start point, dropped from the result: they
@@ -199,11 +200,11 @@ def _form_sampler(form: LocalConnectionForm, path: PathSpec) -> Callable[..., np
         if start and (X.shape, V.shape) != ((k := n if reads_x else m, d), (n, d)):
             raise ValueError(f"path '{path.kind}' maps {n if reads_x else f'{m} and {n}'} times to shapes {X.shape} "
                              f"and {V.shape}, not ({k}, {d}) and ({n}, {d}): paths must take arrays of times")
-        a = -np.asarray(ev(X if reads_x else None, V), dtype=float)
-        if a.shape != (n, 3):
-            raise ValueError(f"form '{form.descriptor}' maps a block of {n} points to shape {a.shape}, "
+        w = np.asarray(ev(X if reads_x else None, V), dtype=float)
+        if w.shape != (n, 3):
+            raise ValueError(f"form '{form.descriptor}' maps a block of {n} points to shape {w.shape}, "
                              f"not ({n}, 3): forms must take stacks of points and tangents")
-        return a[m:] if start else a
+        return w[m:] if start else w
 
     return sample
 
@@ -244,7 +245,7 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, offset: float
     """The ordered products of the half-angle steps exp(dt_k a(t*_k) / 2) over chunks of the grid.
 
     ``offset`` is the method's :data:`METHODS` entry: each interval [t0, t0 + dt] is sampled at t* = t0 + offset dt.
-    ``sample(ts, first block)`` maps an array of those times to the (n, 3) so(3) inputs there, shape checked, one block
+    ``sample(ts, first block)`` maps an array of those times to the (n, 3) form values -a, shape checked, one block
     of at most ~_BLOCK intervals in whole chunks at a time. Each step lifts exp_so3(dt a) through the double cover, for
     every caller. Returns ``(C, stride, angles)``: column ``C[:, j]`` of the four component rows is the product over the
     intervals ``[j stride, (j + 1) stride)`` (the last chunk may be shorter), where stride is the smallest step keeping
@@ -262,19 +263,20 @@ def _compose(sample: Callable[..., np.ndarray], nodes: np.ndarray, offset: float
         k1 = min(k0 + block, n)
         t0 = nodes[k0:k1]
         dt = nodes[k0 + 1 : k1 + 1] - t0
-        half, ts = 0.5 * dt, t0 + offset * dt  # offset * dt is half, or 0.0, bit for bit
-        a = sample(ts, k0 == 0)
+        minus_half, ts = -0.5 * dt, t0 + offset * dt  # offset * dt is dt / 2, or 0.0, bit for bit
+        w = sample(ts, k0 == 0)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            # dt a / 2 laid out (3, n): the steps are four component rows from here to the chunk products
-            *q, theta = exp_components(*np.multiply(half, a.T, out=np.empty((3, len(half)))))
-            angles += 2.0 * float(theta.sum())
-        if not np.isfinite(theta).all():  # a step is finite exactly when its angle is
+            # dt a / 2 as (-dt / 2) omega, bitwise (dt / 2)(-omega), laid out (3, n): four component rows from here on
+            *q, theta = exp_components(*np.multiply(minus_half, w.T, out=np.empty((3, len(dt)))))
+            angles += 2.0 * (total := float(theta.sum()))
+        # a step is finite exactly when its angle is, and a block's sum when its angles are (each < 2^512, ~10^4 of them)
+        if not np.isfinite(total):
             k = int(np.argmax(~np.isfinite(theta)))
-            if not np.isfinite(a[k]).all():
+            if not np.isfinite(w[k]).all():
                 raise ValueError(f"non-finite algebra increment at t = {float(ts[k])!r}")
             raise ValueError(f"non-finite step rotation at t = {float(ts[k])!r}: the step angle |dt a| overflows")
         # chunks of ``width`` steps laid end to end along each component row, a partial last one padded with identities
-        if pad := -len(half) % stride:
+        if pad := -len(dt) % stride:
             q = np.concatenate((q, np.broadcast_to(_IDENTITY[:, None], (4, pad))), axis=1)
         width = stride
         while width > 1:
@@ -334,7 +336,7 @@ def _lift(sample, path: PathSpec, q0, cfg: IntegratorConfig) -> TransportResult:
     """The run as unit quaternions: the chunk states applied to q0 (a fresh identity if None)."""
     q = _IDENTITY.copy() if q0 is None else check_unit_quat(q0).copy()  # frames are built after the return
     qs = q.tolist()
-    return TransportResult(sample, path, cfg, lambda S: np.stack(hamilton(S, qs), axis=-1), q)
+    return TransportResult(sample, path, cfg, lambda S: np.array(hamilton(S, qs)).T, q)
 
 
 def transport(
@@ -733,7 +735,7 @@ def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
     if abs(_norm(q) - r) > 1e-9 * max(r, 1.0):
         raise ValueError(f"point q does not lie on the sphere of radius {r}")
 
-    w = np.cross(p, q)
+    w = cross(p, q)
     wn = _norm(w)
     dot = float(p @ q)
     if wn < 1e-12 * r * r:
@@ -741,14 +743,14 @@ def great_arc(p, q, side: str = "outer") -> tuple[PathSpec, Surface]:
             raise ValueError("great_arc requires distinct points")
         # antipodal: any axis orthogonal to p closes a half circle
         e = np.eye(3)[int(np.argmin(np.abs(p)))]
-        w = np.cross(p, e)
+        w = cross(p, e)
         f3 = w / _norm(w)
         s = float(np.pi)
     else:
         f3 = w / wn
         s = float(np.arctan2(wn / (r * r), dot / (r * r)))
     f1 = p / r
-    f2 = np.cross(f3, f1)
+    f2 = cross(f3, f1)
 
     surface = sphere_surface(r, side=side, frame=(f1, f2, f3))
     # along the chart's equator: colatitude pi/2, longitude from 0 to s

@@ -25,6 +25,18 @@ def exp_quaternion(u):
     return np.stack(exp_components(*np.moveaxis(np.asarray(u, dtype=float), -1, 0))[:4], axis=-1)
 
 
+def component_exp(x, y, z):
+    """The quaternion exponential of u = (x, y, z), rows or scalars, stacked as (..., 4), and its angle as once written:
+    the norm in np.linalg.norm's order, then the sinc branch by np.where, taken when any angle is below 1e-6."""
+    theta = np.sqrt((x * x + y * y) + z * z)
+    small = theta < 1e-6
+    sinc = np.sin(theta) / np.where(small, 1.0, theta)
+    if small.any():
+        t2 = theta * theta
+        sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sinc)
+    return np.stack([np.cos(theta), sinc * x, sinc * y, sinc * z], axis=-1), theta
+
+
 def tilted_circle():
     """Smooth closed curve whose algebra increments do not commute."""
     return circle(np.array([0.3, -0.2, 0.5]), 0.8, plane=(np.array([1.0, 0.2, 0.3]), np.array([-0.1, 1.0, 0.4])))

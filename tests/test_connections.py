@@ -521,7 +521,8 @@ def test_a_stacks_rows_keep_their_bits_under_leading_rows(surface, r, n, k, lati
 
 
 # Along a latitude, and so along every great arc, a stack's colatitudes are one float: the sphere's rolling
-# map takes their sine and cosine once. Each row must keep the bits it has when evaluated alone.
+# map takes their sine and cosine once, on stacks of over 200 rows. Each row must keep the bits it has when
+# evaluated alone, on either side of that row count.
 
 
 @SETTINGS
@@ -529,7 +530,8 @@ def test_a_stacks_rows_keep_their_bits_under_leading_rows(surface, r, n, k, lati
     r=st.floats(0.2, 5.0),
     side=st.sampled_from(["outer", "inner"]),
     frame=st.sampled_from(["identity", "rotated", "left-handed"]),
-    shape=st.sampled_from([(0, 2), (1, 2), (2, 2), (9, 2), (64, 2), (3, 5, 2), (2, 1, 2)]),
+    shape=st.sampled_from([(0, 2), (1, 2), (2, 2), (9, 2), (64, 2), (3, 5, 2), (2, 1, 2), (200, 2), (201, 2),
+                           (2, 129, 2)]),
     theta=st.floats(1e-3, np.pi - 1e-3),
     dent=st.booleans(),  # one inner row at another colatitude, the first and last rows still equal
     seed=st.integers(0, 2**32 - 1),
@@ -538,6 +540,9 @@ def test_a_stacks_rows_keep_their_bits_under_leading_rows(surface, r, n, k, lati
 @example(r=0.5, side="inner", frame="left-handed", shape=(3, 5, 2), theta=1e-3, dent=False, seed=1)
 @example(r=1.0, side="outer", frame="rotated", shape=(9, 2), theta=np.pi - 1e-3, dent=False, seed=2)
 @example(r=2.0, side="outer", frame="identity", shape=(9, 2), theta=1.1, dent=True, seed=3)
+@example(r=2.0, side="outer", frame="identity", shape=(201, 2), theta=0.5 * np.pi, dent=False, seed=4)
+@example(r=0.5, side="inner", frame="left-handed", shape=(2, 129, 2), theta=1e-3, dent=False, seed=5)
+@example(r=1.0, side="outer", frame="rotated", shape=(201, 2), theta=1.1, dent=True, seed=6)
 def test_sphere_rolling_along_a_latitude_equals_it_row_by_row(r, side, frame, shape, theta, dent, seed):
     rng = np.random.RandomState(seed)
     F = None if frame == "identity" else random_frame(rng, frame == "left-handed")

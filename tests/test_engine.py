@@ -509,17 +509,19 @@ def chunked_compose(sample, nodes, midpoint):
 def test_the_component_tree_gives_the_bits_of_the_chunked_tree(stride, method):
     # step counts with this stride: whole chunks, a partial last chunk, and (past _BLOCK) several blocks whose
     # last chunk is partial; steps about coordinate axes have signed zero components
-    def sample(ts, start):
-        a = np.stack([np.sin(40.0 * ts), np.cos(23.0 * ts) - 0.5, ts * ts - 0.3], axis=1)
+    def sample(ts, start):  # the form's own values omega, as the engine samples them
+        w = np.stack([np.sin(40.0 * ts), np.cos(23.0 * ts) - 0.5, ts * ts - 0.3], axis=1)
         k = np.round(ts * 7919.0).astype(int)
-        a[k % 3 == 0, :2] = -0.0
-        a[k % 5 == 1, 1:] = 0.0
-        return a
+        w[k % 3 == 0, :2] = -0.0
+        w[k % 5 == 1, 1:] = 0.0
+        return w
 
     for n in {(stride - 1) * _MAX_RECORDED + 1, stride * _MAX_RECORDED - 3, stride * _MAX_RECORDED}:
         nodes = integration_grid(n)
         C, s, angles = ENGINE._compose(sample, nodes, ENGINE.METHODS[method])
-        want, want_stride, want_angles = chunked_compose(sample, nodes, method == "exp-midpoint")
+        # the chunked tree steps with the algebra input a = -omega, as the engine once sampled it
+        want, want_stride, want_angles = chunked_compose(lambda ts, start: -sample(ts, start), nodes,
+                                                         method == "exp-midpoint")
         # the engine's chunk products are (4, n) component rows; the chunked tree's are an (n, 4) stack
         assert s == want_stride == stride and C.shape == want.T.shape
         assert C.tobytes() == np.ascontiguousarray(want.T).tobytes(), n
