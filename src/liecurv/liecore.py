@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * Quaternions are ``(w, x, y, z)`` with scalar part first. The package's one
   product is ``hamilton`` and its one exponential ``exp_components``; both
   work on the four components, numpy rows or Python floats, so a stack of
-  quaternions (n, 4) is multiplied as its component rows, ``hamilton(p.T, q.T)``.
+  quaternions (n, 4) is multiplied as its component rows, ``hamilton(p.T, q.T)``;
+  the engine's chunk-level products use its stacked form, ``hamilton_stacked``.
 * ``quat_to_rotation`` is the usual double cover; its derivative at the
   identity doubles the axis vector (``lie_hom_derivative``), hence the
   rotation of the quaternion ``exp_components(*u)[:4]`` is ``exp_so3(2 * u)``.
@@ -30,6 +31,7 @@ _EPS_ANGLE = 1e-6  # switch to Taylor series below this rotation angle
 _LOG_DOMAIN_MARGIN = 1e-6  # log_so3 refuses angles above pi minus this
 _HAT_INDEX = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])  # hat(v) = signs times (x, y, z, 0)[index]
 _HAT_SIGN = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+_TERMS = np.array([[0, 1, 2, 3], [5, 0, 7, 2], [6, 3, 0, 5], [7, 6, 1, 0]])  # rows of (q, -q) met by pw, px, py, pz
 
 
 def hat(v) -> np.ndarray:
@@ -151,6 +153,17 @@ def hamilton(p, q) -> tuple:
     z -= py * qx
     z += pz * qw
     return w, x, y, z
+
+
+def hamilton_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``hamilton(p, q)`` of (4, m) arrays as one (4, m) array in six numpy calls, ``hamilton``'s bits but NaN signs:
+    term i is ``p_i`` times a row of (q, -q), added in ``hamilton``'s order; ``x - y`` is ``x + (-y)``, bitwise."""
+    g = np.concatenate((q, -q)).take(_TERMS, axis=0)
+    g *= p[:, None]
+    w = g[0]
+    for term in g[1:]:
+        w += term
+    return w
 
 
 def exp_components(x, y, z) -> tuple:

@@ -46,17 +46,18 @@ runs, and for each block it
 
 The engine's quaternions have one layout from the exponential to the frames:
 four component rows (w, x, y, z), one column per quaternion, for the steps,
-the chunk products and the scan's states. Every product is
-:func:`liecurv.liecore.hamilton` on rows, each component formed in place.
-Chunks lie end to end along the rows, so while a chunk holds an even count its
-pairs are consecutive (``r[1::2]``, ``r[0::2]``): numpy's one-dimensional loops.
+the chunk products and the scan's states. The in-chunk tree multiplies them by
+:func:`liecurv.liecore.hamilton`, each component formed in place; the chunk-level
+products (final reduction and scan) by ``hamilton_stacked``, the same bits in
+about six numpy calls. Chunks lie end to end along the rows, so while a chunk
+holds an even count its pairs are consecutive (``r[1::2]``, ``r[0::2]``).
 
 The engine keeps only the run's chunk products, at most ~1024. The final
 frame is their pairwise reduction with the pairs aligned to the right end
 (:func:`_last_product`): exactly the products that the prefix scan
 (Hillis-Steele, :func:`_prefix_products`) forms on its way to its last state,
-so the two are bitwise equal. Its top levels, on at most 64 columns, run on
-Python floats through the same ``hamilton``, with the same bits. The scan,
+so the two are bitwise equal. Its top levels, on at most 16 columns, run on
+Python floats through ``hamilton``, with the same bits. The scan,
 which gives the recorded states, runs on the first read of
 :attr:`TransportResult.quat_states` or of :attr:`TransportResult.states`.
 
@@ -88,12 +89,12 @@ import numpy as np
 
 from .connections import LocalConnectionForm, Surface, sphere_radius, sphere_surface
 from .liecore import (check_rotation, check_unit_quat, cross, exp_components, exp_so3, hamilton,
-                      lie_hom_derivative, log_so3, quat_to_rotation)
+                      hamilton_stacked, lie_hom_derivative, log_so3, quat_to_rotation)
 
 MAX_STEPS = 10**7  # largest accepted step count; bounds the grid allocation
 _MAX_RECORDED = 1024  # sample-recording cap per transport run
 _BLOCK = 4096  # intervals evaluated per block (rounded to whole recording chunks)
-_SCALAR_ROWS = 64  # _last_product finishes on Python floats from this many chunk products (columns) down
+_SCALAR_ROWS = 16  # _last_product folds with hamilton_stacked down to this many columns, then on Python floats
 SIDE_ROUNDING = 1e-6  # largest relative error rounding at the corner may leave on a parallelogram side
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY.flags.writeable = False
@@ -214,7 +215,7 @@ def _prefix_products(C: np.ndarray) -> np.ndarray:
     S = C.copy()
     d = 1
     while d < len(S[0]):
-        S[:, d:] = hamilton([r[d:] for r in S], [r[:-d] for r in S])
+        S[:, d:] = hamilton_stacked(S[:, d:], S[:, :-d])
         d *= 2
     return S
 
@@ -224,17 +225,17 @@ def _last_product(C: np.ndarray) -> Sequence[float]:
 
     Each halving pass multiplies the pairs (C_{n-1}, C_{n-2}), (C_{n-3}, C_{n-4}), ... and passes an
     unpaired first column through: the products the scan forms on its way to the last column, and no others.
-    The passes run on the rows while more than ``_SCALAR_ROWS`` columns remain, copying only to put an
-    unpaired column in front; a numpy product costs about 30 array operations whatever its length, so the
-    last few levels are finished on Python floats. Both use :func:`liecurv.liecore.hamilton`, in IEEE doubles
-    without fused multiply-add, so every bit, signed zeros included, is the same.
+    The passes run on the rows by ``hamilton_stacked`` while more than ``_SCALAR_ROWS`` columns remain, copying
+    only to put an unpaired column in front; a stacked product costs about six array operations whatever its
+    length, so the last levels are finished on Python floats by :func:`liecurv.liecore.hamilton`: the same IEEE
+    operations in the same order, without fused multiply-add, so every bit, signed zeros included, is the same.
     """
     rows = C
     while len(rows[0]) > _SCALAR_ROWS:
         odd = len(rows[0]) % 2
-        pairs = hamilton([r[odd + 1 :: 2] for r in rows], [r[odd::2] for r in rows])
-        rows = [np.concatenate((r[:1], s)) for r, s in zip(rows, pairs)] if odd else pairs
-    rows = np.transpose(rows).tolist()
+        pairs = hamilton_stacked(rows[:, odd + 1 :: 2], rows[:, odd::2])
+        rows = np.concatenate((rows[:, :1], pairs), axis=1) if odd else pairs
+    rows = rows.T.tolist()
     while len(rows) > 1:
         odd = len(rows) % 2
         rows[odd:] = map(hamilton, rows[odd + 1 :: 2], rows[odd::2])

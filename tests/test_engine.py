@@ -552,6 +552,8 @@ def stacked_prefix_products(P):
     zeros=st.booleans(),
 )
 @example(n=1, seed=0, zeros=False)
+@example(n=16, seed=4, zeros=True)  # 16 columns, the float floor, and 17, one stacked fold above it
+@example(n=17, seed=5, zeros=False)
 @example(n=1023, seed=1, zeros=True)
 @example(n=1024, seed=2, zeros=False)
 @example(n=1025, seed=3, zeros=True)
@@ -622,15 +624,16 @@ def test_the_frame_on_python_floats_is_quat_to_rotation_bit_for_bit():
         quat_to_rotation([2.0, 0.0, -0.0, 0.0])
 
 
-@pytest.mark.parametrize("steps, calls, passes", [(64, 0, 6), (4096, 6, 10)])
+@pytest.mark.parametrize("steps, tree, folds, passes", [(64, 0, 2, 6), (4096, 2, 6, 10)])
 @pytest.mark.parametrize("stepper", ["transport", "transport_quat"])
-def test_reading_final_and_states_counts_hamilton_calls_on_rows(monkeypatch, steps, calls, passes, stepper):
-    # 64 one-step chunks reduce on Python floats alone. 4,096 steps make 1,024 chunks of four: two numpy
-    # passes reduce the chunks, four halve them down to 64 rows. Both final frames are built on Python
-    # floats, so neither stepper's adds a call. The states are the prefix scan, log2 passes over the chunks'
+def test_reading_final_and_states_counts_hamilton_calls_on_rows(monkeypatch, steps, tree, folds, passes, stepper):
+    # 64 one-step chunks need no tree; the final reduction folds them 64 -> 32 -> 16 in two stacked calls and
+    # finishes on Python floats. 4,096 steps make 1,024 chunks of four: two hamilton calls reduce the chunks in
+    # the tree, six stacked calls fold them down to 16 columns. Both final frames are built on Python floats,
+    # so neither stepper's adds a call. The states are the prefix scan, log2 stacked passes over the chunks'
     # rows; their frames are one quat_to_rotation call, or for the lift one hamilton call with q0.
     # Calls on numpy rows and stacks are counted: not hamilton on floats, nor quat_to_rotation on one quaternion
-    counted = {"hamilton": [], "quat_to_rotation": []}
+    counted = {"hamilton": [], "hamilton_stacked": [], "quat_to_rotation": []}
 
     def counting(name, log):
         fn = getattr(ENGINE, name)
@@ -648,10 +651,10 @@ def test_reading_final_and_states_counts_hamilton_calls_on_rows(monkeypatch, ste
     loop = circle(np.zeros(3), 0.5)
     run = transport(NAT, loop, config=cfg) if stepper == "transport" else transport_quat(loop, config=cfg)
     run.final
-    assert (len(counted["hamilton"]), len(counted["quat_to_rotation"])) == (calls, 0)
+    assert tuple(map(len, counted.values())) == (tree, folds, 0)
     run.states
     lifted = stepper == "transport_quat"
-    assert (len(counted["hamilton"]), len(counted["quat_to_rotation"])) == (calls + passes + lifted, not lifted)
+    assert tuple(map(len, counted.values())) == (tree + lifted, folds + passes, not lifted)
 
 
 def recorded(path):

@@ -31,7 +31,7 @@ from liecurv import (
     rotation_to_quat,
     vee,
 )
-from liecurv.liecore import _checked_entries, exp_components, hamilton
+from liecurv.liecore import _checked_entries, exp_components, hamilton, hamilton_stacked
 from references import CF, component_exp, exp_quaternion
 
 LIECORE = importlib.import_module("liecurv.liecore")
@@ -717,6 +717,31 @@ def broadcast_exp(u):
     small = theta < 1e-6
     sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / np.where(small, 1.0, theta))
     return np.concatenate([np.cos(theta)[..., None], sinc[..., None] * u], axis=-1)
+
+
+# the engine's chunk-level kernel. NaN is not drawn, nor inf, which makes NaN from inf * 0 and inf - inf: the
+# stacked form adds the negated term where hamilton subtracts, which sets a NaN's sign bit differently, and the
+# engine only multiplies finite unit chunk products (it refuses a non-finite step before its tree)
+STACKED_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.5e-310])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(1, 1100) | st.sampled_from([1, 2, 16, 17, 1024, 1100]), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+@example(m=1, seed=0, special=1.0)
+def test_hamilton_stacked_is_hamilton_bit_for_bit(m, seed, special):
+    # components from [-2, 2], signed zeros and subnormals; (4, m) stacks contiguous, strided as the final
+    # reduction's pairs (every other column), and offset as the prefix scan's (S[:, d:] against S[:, :-d])
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-2.0, 2.0, (2, 4, 2 * m + 1))
+    pick = rng.random(A.shape) < special
+    A[pick] = rng.choice(STACKED_SPECIAL, pick.sum())
+    before = A.tobytes()
+    for p, q in [(A[0, :, :m].copy(), A[1, :, :m].copy()), (A[0, :, 1::2], A[0, :, 0::2][:, :m]),
+                 (A[1, :, m + 1 :], A[1, :, :m])]:
+        got = hamilton_stacked(p, q)
+        assert got.shape == (4, m) and got.tobytes() == np.array(hamilton(p, q)).tobytes()
+    assert A.tobytes() == before  # the inputs are not written
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
